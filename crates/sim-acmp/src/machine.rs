@@ -710,20 +710,31 @@ mod tests {
     #[test]
     fn idle_skip_matches_the_reference_schedule() {
         // The idle-skip scheduler must be a pure optimisation: every
-        // statistic bit-for-bit identical to ticking all cores every cycle,
-        // across private, shared-single-bus and shared-double-bus machines.
+        // statistic bit-for-bit identical to ticking all cores every cycle.
+        // Every benchmark at quick scale (4 workers, 20k instructions per
+        // thread) on the private baseline, the proposed 16 KB double-bus
+        // design, naive sharing by all workers and the all-shared machine.
+        let generator = GeneratorConfig {
+            num_workers: 4,
+            parallel_instructions_per_thread: 20_000,
+            num_phases: 2,
+            seed: 0xC0FF_EE00,
+        };
         let configs = [
-            AcmpConfig::baseline(2),
-            AcmpConfig::worker_shared(4, 4).with_worker_icache_size(16 * 1024),
-            AcmpConfig::worker_shared(2, 2).with_bus_width(BusWidth::Double),
+            AcmpConfig::baseline(4),
+            AcmpConfig::proposed(4),
+            AcmpConfig::worker_shared(4, 4),
+            AcmpConfig::all_shared(4),
         ];
-        for config in configs {
-            let set = traces(Benchmark::Lu, config.num_cores() - 1, 6_000);
-            let mut reference = Machine::new(config, &set);
-            reference.set_idle_skip(false);
-            let reference = reference.run().expect("reference completes");
-            let skipped = run(config, &set);
-            assert_eq!(reference, skipped, "config {config:?}");
+        for benchmark in Benchmark::ALL {
+            let set = TraceGenerator::new(benchmark.profile(), generator).generate();
+            for config in configs {
+                let mut reference = Machine::new(config, &set);
+                reference.set_idle_skip(false);
+                let reference = reference.run().expect("reference completes");
+                let skipped = run(config, &set);
+                assert_eq!(reference, skipped, "{benchmark:?} on {config:?}");
+            }
         }
     }
 

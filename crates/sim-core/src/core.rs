@@ -52,12 +52,8 @@ pub struct CycleOutput {
     pub finished_now: bool,
     /// Why nothing committed (only set when `committed == 0` and the core
     /// has not finished).
-    pub stall: Option<StallReasonCompat>,
+    pub stall: Option<StallReason>,
 }
-
-/// Public alias kept separate so `CycleOutput` can derive `Eq` while
-/// `StallReason` stays the canonical name in signatures.
-pub type StallReasonCompat = StallReason;
 
 /// How the machine scheduler may treat a core over the next cycles.
 ///
@@ -125,32 +121,12 @@ pub struct Core {
     cpi: CpiStack,
     fetch_blocks: u64,
 
-    /// Scratch buffer reused by `fetch_lookahead` so the hot loop does not
-    /// allocate every cycle.
-    lookahead_scratch: Vec<u64>,
-    /// Memo: `true` when the last lookahead scan proved that no prefetch can
-    /// be issued until the line buffers or the FTQ change.  Cleared on every
-    /// line fill, successful allocation, and FTQ push.
-    lookahead_idle: bool,
-    /// Whether the memoised verdict came from a scan truncated at the
-    /// lookahead line cap.  A truncated verdict additionally expires when
-    /// the head block is consumed, because that slides the capped window
-    /// forward over lines the scan never examined.
-    lookahead_capped: bool,
-    /// Whether the memoised verdict came from a completed candidate scan
-    /// (in which case `lookahead_scratch` holds that scan's candidate list
-    /// and an FTQ push can extend it incrementally) as opposed to the
-    /// pending-buffer-count check (scratch stale, but pushes cannot affect
-    /// the verdict at all).
-    lookahead_scan: bool,
-    /// Number of leading candidates of a fresh lookahead scan that are known
-    /// to probe non-miss, so the scan can skip re-probing them.  Fills only
-    /// turn Pending buffers Valid (never create a miss) and the scan's own
-    /// allocations are victim-checked against the candidate list, so the
-    /// prefix survives both; it resets when the head consumes a line (the
-    /// candidate list shifts) or a head-side allocation evicts an arbitrary
-    /// LRU line.
-    lookahead_floor: usize,
+    /// Set when an input of the lookahead scan changed since the last scan
+    /// that issued nothing (see the module docs for the events).
+    lookahead_dirty: bool,
+    /// The LRU victim line the last non-issuing scan saw; a different
+    /// victim re-arms the scan just like a set `lookahead_dirty`.
+    lookahead_victim: Option<u64>,
 }
 
 impl std::fmt::Debug for Core {
@@ -196,11 +172,8 @@ impl Core {
             trace_pos: 0,
             cpi: CpiStack::new(),
             fetch_blocks: 0,
-            lookahead_scratch: Vec::new(),
-            lookahead_idle: false,
-            lookahead_capped: false,
-            lookahead_scan: false,
-            lookahead_floor: 0,
+            lookahead_dirty: true,
+            lookahead_victim: None,
         }
     }
 
@@ -280,7 +253,7 @@ impl Core {
     /// completion of a fetch request issued earlier).
     pub fn deliver_line(&mut self, addr: u64, now: u64) {
         let filled = self.line_buffers.fill(addr, now);
-        self.lookahead_idle = false;
+        self.lookahead_dirty = true;
         if filled {
             let line = addr & !(self.config.frontend.line_size - 1);
             if self.head_fetch == HeadFetch::WaitFill(line) {
@@ -367,7 +340,7 @@ impl Core {
 
     fn fetch(&mut self, now: u64, out: &mut CycleOutput) {
         self.fetch_head(now, out);
-        self.fetch_lookahead(now, out);
+        self.fetch_lookahead(now, Some(out));
     }
 
     /// Advances the fetch block at the head of the FTQ: looks its line up in
@@ -399,11 +372,7 @@ impl Core {
                         LineLookup::Miss => {
                             let line = start & !(line_size - 1);
                             if self.line_buffers.allocate(start, now) {
-                                // The allocation may have evicted any LRU
-                                // line, including a known-non-miss lookahead
-                                // candidate.
-                                self.lookahead_idle = false;
-                                self.lookahead_floor = 0;
+                                self.lookahead_dirty = true;
                                 out.fetch_requests.push(line);
                                 self.head_fetch = HeadFetch::WaitFill(line);
                             } else {
@@ -418,8 +387,7 @@ impl Core {
                 }
                 HeadFetch::WaitAlloc(line) => {
                     if self.line_buffers.allocate(line, now) {
-                        self.lookahead_idle = false;
-                        self.lookahead_floor = 0;
+                        self.lookahead_dirty = true;
                         out.fetch_requests.push(line);
                         self.head_fetch = HeadFetch::WaitFill(line);
                     }
@@ -433,7 +401,7 @@ impl Core {
                     // Keep the line being consumed most-recently-used so a
                     // lookahead prefetch never displaces it.
                     self.line_buffers.touch_at(idx, now);
-                    self.deliver_from_line(line, now);
+                    self.deliver_from_line(line);
                     return;
                 }
             }
@@ -445,235 +413,101 @@ impl Core {
     /// outstanding request).  This is what lets the decoupled front-end hide
     /// the multi-cycle access latency of a *shared* I-cache: while the head
     /// block waits for its line, the next lines already ride the bus.
-    fn fetch_lookahead(&mut self, now: u64, out: &mut CycleOutput) {
+    ///
+    /// The scan runs only when one of its inputs changed since the last scan
+    /// that issued nothing; otherwise it would reach the same verdict.
+    /// Returns whether a line issued (with `out`) or would issue (without).
+    fn fetch_lookahead(&mut self, now: u64, out: Option<&mut CycleOutput>) -> bool {
+        if !self.lookahead_dirty && self.line_buffers.victim_line() == self.lookahead_victim {
+            debug_assert!(
+                !self.scan_lookahead(now, None),
+                "core {}: skipped a lookahead scan that would issue at cycle {now}",
+                self.id
+            );
+            return false;
+        }
+        let issued = self.scan_lookahead(now, out);
+        // A scan that issued stays armed: it may have more to issue.
+        self.lookahead_dirty = issued;
+        self.lookahead_victim = self.line_buffers.victim_line();
+        issued
+    }
+
+    /// One lookahead scan over the FTQ window.  With `out` it allocates up
+    /// to two missing lines and pushes their requests; without it, it
+    /// changes nothing and only answers whether a line would issue.
+    fn scan_lookahead(&mut self, now: u64, mut out: Option<&mut CycleOutput>) -> bool {
         const MAX_LOOKAHEAD_REQUESTS_PER_CYCLE: usize = 2;
 
-        // The memo is only ever set when the scan below completed with
-        // nothing to do, and is cleared whenever the inputs of that scan
-        // change (a fill, a successful allocation, or an FTQ push), so the
-        // early return is exact.  Consuming the head entry only shrinks the
-        // candidate set, hence cannot invalidate a "nothing to do" verdict.
-        if self.lookahead_idle {
-            return;
-        }
-        let line_size = self.config.frontend.line_size;
-
         // Always leave one buffer free so the head block can never be
-        // locked out by its own prefetches.  The pending count only changes
-        // through allocations and fills, both of which clear the memo.
+        // locked out by its own prefetches.
         let mut pending = self.line_buffers.pending_count();
         if pending + 1 >= self.line_buffers.len() {
-            // This verdict does not depend on the candidate window at all,
-            // only on the pending count.
-            self.lookahead_idle = true;
-            self.lookahead_capped = false;
-            self.lookahead_scan = false;
-            return;
+            return false;
         }
 
-        // Candidate lines in program order over the queued fetch blocks,
-        // collected into a scratch buffer reused across cycles.
-        let mut candidates = std::mem::take(&mut self.lookahead_scratch);
-        candidates.clear();
+        // Never displace a line the queued fetch blocks still need: a
+        // prefetch that evicts sooner-needed code would be re-fetched and
+        // waste bus bandwidth.  Probes do not move the victim, so while it
+        // lies in the window the first missing line would stop the scan:
+        // nothing can issue, and the probes are skipped.
+        let victim = self.line_buffers.victim_line();
+
+        // Candidate lines in program order over the queued fetch blocks.
+        let line_size = self.config.frontend.line_size;
+        let mut window = [0u64; MAX_LOOKAHEAD_LINES];
+        let mut len = 0;
         'collect: for entry in self.ftq.iter() {
             if entry.num_instrs == 0 {
                 continue;
             }
-            let first = entry.start & !(line_size - 1);
             let last = (entry.end().max(entry.start + 1) - 1) & !(line_size - 1);
-            let mut line = first;
+            let mut line = entry.start & !(line_size - 1);
             loop {
-                candidates.push(line);
-                if line >= last || candidates.len() >= MAX_LOOKAHEAD_LINES {
+                if Some(line) == victim {
+                    return false;
+                }
+                window[len] = line;
+                len += 1;
+                if len == MAX_LOOKAHEAD_LINES {
+                    break 'collect;
+                }
+                if line >= last {
                     break;
                 }
                 line += line_size;
             }
-            if candidates.len() >= MAX_LOOKAHEAD_LINES {
-                break 'collect;
-            }
         }
-
-        // Candidates below the floor probed non-miss in an earlier scan and
-        // nothing since could have turned them into misses; skip them.  No
-        // break can occur inside the skipped prefix either: `issued` starts
-        // at zero and the pending-count break would already have fired in
-        // the early check above.
-        let skip = self.lookahead_floor.min(candidates.len());
-        let mut floor = skip;
+        let window = &window[..len];
         let mut issued = 0;
-        let mut any_miss = false;
-        let mut broke = false;
-        for (i, line) in candidates.iter().copied().enumerate().skip(skip) {
-            if issued >= MAX_LOOKAHEAD_REQUESTS_PER_CYCLE {
-                broke = true;
-                break;
-            }
-            if pending + 1 >= self.line_buffers.len() {
-                broke = true;
-                break;
-            }
-            if self.line_buffers.probe(line) != LineLookup::Miss {
-                floor = i + 1;
-                continue;
-            }
-            any_miss = true;
-            // Never displace a line the queued fetch blocks still need: a
-            // prefetch that evicts sooner-needed code would be re-fetched
-            // and waste bus bandwidth.
-            if let Some(victim) = self.line_buffers.victim_line() {
-                if candidates.contains(&victim) {
-                    broke = true;
-                    break;
-                }
-            }
-            if self.line_buffers.allocate(line, now) {
-                out.fetch_requests.push(line);
-                issued += 1;
-                pending += 1;
-                floor = i + 1;
-            } else {
-                broke = true;
-                break;
-            }
-        }
-        self.lookahead_floor = floor;
-        // A completed scan that saw no missing candidate proves future scans
-        // are no-ops until a fill/allocation/push changes the inputs: the
-        // verdict depends only on buffer contents and the candidate set, not
-        // on recency order or the cycle number.
-        if !broke && !any_miss {
-            self.lookahead_idle = true;
-            self.lookahead_capped = candidates.len() >= MAX_LOOKAHEAD_LINES;
-            self.lookahead_scan = true;
-        }
-        self.lookahead_scratch = candidates;
-    }
-
-    /// Maintains the lookahead memo across an FTQ push.  A fresh scan after
-    /// a push would see the previous candidates (or a subset, if head bytes
-    /// were consumed since) plus the new block's lines appended at the end
-    /// of the window, so an idle verdict survives iff none of the new lines
-    /// is a probe miss — checked here against just those lines instead of
-    /// dropping the memo and re-scanning the whole window next cycle.
-    ///
-    /// `lookahead_scratch` may be a stale *superset* of the real candidate
-    /// list (head consumption shrinks the list without updating it); that is
-    /// sound for the all-non-miss verdict but not for deciding truncation,
-    /// so reaching the line cap clears the memo instead of marking it
-    /// capped.
-    fn note_ftq_push(&mut self, start: u64, end: u64, num_instrs: u32) {
-        if !self.lookahead_idle {
-            return;
-        }
-        if !self.lookahead_scan {
-            // The verdict rests on the pending-buffer count, which a push
-            // does not change.
-            return;
-        }
-        if self.lookahead_capped || num_instrs == 0 {
-            // Capped: the window was already full before this push, and no
-            // head bytes were consumed since (that clears a capped memo), so
-            // the new lines lie beyond what a fresh scan would examine.
-            // Empty blocks contribute no candidates.
-            return;
-        }
-        let line_size = self.config.frontend.line_size;
-        let first = start & !(line_size - 1);
-        let last = (end.max(start + 1) - 1) & !(line_size - 1);
-        let mut line = first;
-        loop {
-            if self.lookahead_scratch.len() >= MAX_LOOKAHEAD_LINES
-                || self.line_buffers.probe(line) == LineLookup::Miss
+        for &line in window {
+            if issued == MAX_LOOKAHEAD_REQUESTS_PER_CYCLE || pending + 1 >= self.line_buffers.len()
             {
-                self.lookahead_idle = false;
-                self.lookahead_capped = false;
-                return;
+                break;
             }
-            // `floor == scratch.len()` means no head consumption happened
-            // since the completed scan (consumption resets the floor while
-            // leaving scratch populated), so scratch mirrors the fresh
-            // candidate list and the newly probed line extends the non-miss
-            // prefix.
-            if self.lookahead_floor == self.lookahead_scratch.len() {
-                self.lookahead_floor += 1;
-            }
-            self.lookahead_scratch.push(line);
-            if line >= last {
-                return;
-            }
-            line += line_size;
-        }
-    }
-
-    /// Dry-run of [`Core::fetch_lookahead`]: would it issue at least one
-    /// request right now?  Mirrors the real loop exactly; when the answer is
-    /// a completed-scan "no", the memo is set so the next real scan is free.
-    fn lookahead_would_issue(&mut self) -> bool {
-        if self.lookahead_idle {
-            return false;
-        }
-        let line_size = self.config.frontend.line_size;
-        let pending = self.line_buffers.pending_count();
-        if pending + 1 >= self.line_buffers.len() {
-            self.lookahead_idle = true;
-            self.lookahead_capped = false;
-            self.lookahead_scan = false;
-            return false;
-        }
-
-        let mut candidates = std::mem::take(&mut self.lookahead_scratch);
-        candidates.clear();
-        'collect: for entry in self.ftq.iter() {
-            if entry.num_instrs == 0 {
-                continue;
-            }
-            let first = entry.start & !(line_size - 1);
-            let last = (entry.end().max(entry.start + 1) - 1) & !(line_size - 1);
-            let mut line = first;
-            loop {
-                candidates.push(line);
-                if line >= last || candidates.len() >= MAX_LOOKAHEAD_LINES {
-                    break;
-                }
-                line += line_size;
-            }
-            if candidates.len() >= MAX_LOOKAHEAD_LINES {
-                break 'collect;
-            }
-        }
-
-        let skip = self.lookahead_floor.min(candidates.len());
-        let mut floor = skip;
-        let mut verdict = None;
-        for (i, line) in candidates.iter().copied().enumerate().skip(skip) {
             if self.line_buffers.probe(line) != LineLookup::Miss {
-                floor = i + 1;
                 continue;
             }
-            // First missing candidate: the real loop either stops on the
-            // victim check or allocates (allocation cannot fail while a
-            // non-pending buffer exists, which `pending + 1 < len`
-            // guarantees).
-            let blocked = match self.line_buffers.victim_line() {
-                Some(victim) => candidates.contains(&victim),
-                None => false,
-            };
-            verdict = Some(!blocked);
-            break;
-        }
-        self.lookahead_floor = floor;
-        let would = match verdict {
-            Some(v) => v,
-            None => {
-                self.lookahead_idle = true;
-                self.lookahead_capped = candidates.len() >= MAX_LOOKAHEAD_LINES;
-                self.lookahead_scan = true;
-                false
+            // The previous allocation moved the victim.
+            if issued > 0
+                && self
+                    .line_buffers
+                    .victim_line()
+                    .is_some_and(|v| window.contains(&v))
+            {
+                break;
             }
-        };
-        self.lookahead_scratch = candidates;
-        would
+            let Some(out) = out.as_deref_mut() else {
+                return true;
+            };
+            // A non-pending buffer exists (checked above), so this succeeds.
+            let allocated = self.line_buffers.allocate(line, now);
+            debug_assert!(allocated, "lookahead allocation with a free buffer failed");
+            out.fetch_requests.push(line);
+            issued += 1;
+            pending += 1;
+        }
+        issued > 0
     }
 
     /// Classifies what the core would do over the next cycles, for the
@@ -715,7 +549,9 @@ impl Core {
                 }
             }
             HeadFetch::WaitFill(_) | HeadFetch::WaitAlloc(_) => {
-                if self.lookahead_would_issue() {
+                // The next cycle's head step changes nothing here (a fill is
+                // an external event), so its lookahead sees today's inputs.
+                if self.fetch_lookahead(now, None) {
                     Park::Active
                 } else if gen_ready {
                     Park::Until(self.resteer_until)
@@ -746,7 +582,7 @@ impl Core {
 
     /// Moves instructions of the head fetch block that live in `line` into
     /// the instruction queue, limited by the fetch width and queue space.
-    fn deliver_from_line(&mut self, line: u64, _now: u64) {
+    fn deliver_from_line(&mut self, line: u64) {
         let line_size = self.config.frontend.line_size;
         let fetch_width = self.config.frontend.fetch_width as usize;
         let space = self.config.frontend.instr_queue_capacity - self.iq_occupancy;
@@ -775,29 +611,17 @@ impl Core {
         let crossed_line = head.start >= line + line_size;
         if block_done {
             self.ftq.pop();
-            self.head_fetch = HeadFetch::Idle;
-        } else if crossed_line {
-            self.head_fetch = HeadFetch::Idle;
         }
-        // Consuming head bytes can only shrink the lookahead candidate set —
-        // unless the memoised scan was truncated at the line cap, in which
-        // case the window slides over unexamined lines and must be
-        // rescanned.  The candidate set is line-granular, so it only changes
-        // when the head leaves its current line or the block is popped.
-        if (block_done || crossed_line) && self.lookahead_capped {
-            self.lookahead_idle = false;
-            self.lookahead_capped = false;
-        }
+        // The lookahead window is line-granular: it only changes when the
+        // head leaves its line or its block.
         if block_done || crossed_line {
-            // The candidate list shifts, so the non-miss prefix is no longer
-            // aligned with it.
-            self.lookahead_floor = 0;
+            self.head_fetch = HeadFetch::Idle;
+            self.lookahead_dirty = true;
         }
     }
 
     /// Assembles one fetch block from the trace and pushes it into the FTQ.
     fn generate_fetch_block(&mut self, now: u64) {
-        let line_size = self.config.frontend.line_size;
         let max_bytes = self.config.frontend.max_fetch_block_bytes;
 
         let mut start: Option<u64> = None;
@@ -889,8 +713,7 @@ impl Core {
                 ends_in_mispredict: mispredicted,
             });
             self.fetch_blocks += 1;
-            self.note_ftq_push(s, s + len_bytes as u64, num_instrs);
-            let _ = line_size; // line mapping handled at fetch time
+            self.lookahead_dirty = true;
         }
         if mispredicted {
             self.resteer_until = now + self.config.frontend.mispredict_penalty;

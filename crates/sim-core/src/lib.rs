@@ -16,6 +16,15 @@
 //! cycles to the right CPI-stack bucket ([`CpiStack`]) because only the
 //! machine knows whether a request is waiting for the bus, in transfer, or
 //! missing in the I-cache.
+//!
+//! The front-end's lookahead (prefetching the lines of queued fetch blocks)
+//! is event-driven: its scan of the FTQ window re-runs only after a line
+//! fill, any line-buffer allocation (by the head or by the lookahead), an
+//! FTQ push, the head leaving its line or its fetch block, or a change of
+//! the line buffers' LRU victim line.  A scan that issued stays armed; one
+//! that issued nothing stays idle until one of those events.  Any new way
+//! to change the FTQ or the line buffers must re-arm it too; debug builds
+//! check every skipped scan against a full one.
 
 pub mod config;
 pub mod core;

@@ -81,6 +81,10 @@ pub struct LineBufferFile {
     pending: usize,
     /// Buffers in [`State::Invalid`], same purpose.
     invalid: usize,
+    /// The least recently used valid buffer (the first one on a `last_use`
+    /// tie), or `None` when no buffer is valid.  Kept exact on every fill,
+    /// allocation and touch so [`LineBufferFile::victim_line`] is O(1).
+    lru: Option<usize>,
 }
 
 impl LineBufferFile {
@@ -108,6 +112,7 @@ impl LineBufferFile {
             stats: LineBufferStats::default(),
             pending: 0,
             invalid: n,
+            lru: None,
         }
     }
 
@@ -141,6 +146,27 @@ impl LineBufferFile {
             .position(|b| b.state != State::Invalid && b.line_addr == line)
     }
 
+    /// Recomputes the LRU valid buffer by a full scan.
+    fn scan_lru(&self) -> Option<usize> {
+        self.buffers
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.state == State::Valid)
+            .min_by_key(|(_, b)| b.last_use)
+            .map(|(i, _)| i)
+    }
+
+    /// Marks valid buffer `idx` as used at `now`.  Raising a buffer's
+    /// recency can only move the LRU slot if that buffer was the LRU one;
+    /// the comparison also covers a touch back in time.
+    fn use_at(&mut self, idx: usize, now: u64) {
+        self.buffers[idx].last_use = now;
+        match self.lru {
+            Some(lru) if lru != idx && (self.buffers[lru].last_use, lru) < (now, idx) => {}
+            _ => self.lru = self.scan_lru(),
+        }
+    }
+
     /// Looks up the line containing `addr` and records the request in the
     /// statistics.  Use [`LineBufferFile::probe`] for a statistics-free
     /// check.
@@ -150,7 +176,7 @@ impl LineBufferFile {
         match self.find(line) {
             Some(idx) => match self.buffers[idx].state {
                 State::Valid => {
-                    self.buffers[idx].last_use = now;
+                    self.use_at(idx, now);
                     self.stats.hits += 1;
                     LineLookup::Hit
                 }
@@ -188,16 +214,10 @@ impl LineBufferFile {
             "allocate called for a line that is already tracked"
         );
         // Prefer an invalid buffer, then the least recently used valid one.
-        // The counter tells which scan can succeed, so only one runs.
         let slot = if self.invalid > 0 {
             self.buffers.iter().position(|b| b.state == State::Invalid)
         } else {
-            self.buffers
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| b.state == State::Valid)
-                .min_by_key(|(_, b)| b.last_use)
-                .map(|(i, _)| i)
+            self.lru
         };
         match slot {
             Some(idx) => {
@@ -210,6 +230,7 @@ impl LineBufferFile {
                     last_use: now,
                 };
                 self.pending += 1;
+                self.lru = self.scan_lru();
                 self.stats.icache_accesses += 1;
                 true
             }
@@ -228,50 +249,36 @@ impl LineBufferFile {
         self.stats.allocation_stalls += n;
     }
 
-    /// Marks the line containing `addr` as used at `now` (keeps the line the
-    /// fetch engine is currently consuming most-recently-used so prefetches
-    /// never evict it).
-    pub fn touch(&mut self, addr: u64, now: u64) {
-        let line = self.align(addr);
-        if let Some(idx) = self.find(line) {
-            if self.buffers[idx].state == State::Valid {
-                self.buffers[idx].last_use = now;
-            }
-        }
-    }
-
     /// Index of the buffer tracking the line containing `addr`, if any.
     /// Lets a caller that re-touches the same resident line every cycle
-    /// cache the slot and use [`LineBufferFile::touch_at`] instead of
-    /// re-running the lookup.
+    /// cache the slot for [`LineBufferFile::touch_at`] instead of re-running
+    /// the lookup.
     pub fn index_of(&self, addr: u64) -> Option<usize> {
         self.find(self.align(addr))
     }
 
-    /// O(1) variant of [`LineBufferFile::touch`] for a cached index.  The
-    /// buffer must still hold the valid line the index was obtained for.
+    /// Marks buffer `idx` as used at `now` (keeps the line the fetch engine
+    /// is currently consuming most-recently-used so prefetches never evict
+    /// it).  The buffer must still hold the valid line the index was
+    /// obtained for.
     pub fn touch_at(&mut self, idx: usize, now: u64) {
         debug_assert_eq!(self.buffers[idx].state, State::Valid);
-        self.buffers[idx].last_use = now;
+        self.use_at(idx, now);
     }
 
     /// Returns the line address that the next [`LineBufferFile::allocate`]
     /// would evict, or `None` if an invalid buffer (or none at all, when
-    /// every buffer is pending) would be used instead.
+    /// every buffer is pending) would be used instead.  O(1).
     pub fn victim_line(&self) -> Option<u64> {
         if self.invalid > 0 {
             return None;
         }
-        self.buffers
-            .iter()
-            .filter(|b| b.state == State::Valid)
-            .min_by_key(|b| b.last_use)
-            .map(|b| b.line_addr)
+        self.lru.map(|i| self.buffers[i].line_addr)
     }
 
     /// Completes the fill of the line containing `addr`.  Returns `true` if
-    /// a pending buffer was waiting for it (late fills after a flush are
-    /// ignored and return `false`).
+    /// a pending buffer was waiting for it (a fill for a line nobody
+    /// requested is ignored and returns `false`).
     pub fn fill(&mut self, addr: u64, now: u64) -> bool {
         let line = self.align(addr);
         if let Some(idx) = self.find(line) {
@@ -279,6 +286,7 @@ impl LineBufferFile {
                 self.buffers[idx].state = State::Valid;
                 self.buffers[idx].last_use = now;
                 self.pending -= 1;
+                self.lru = self.scan_lru();
                 return true;
             }
         }
@@ -288,36 +296,6 @@ impl LineBufferFile {
     /// Number of buffers with an outstanding request.
     pub fn pending_count(&self) -> usize {
         self.pending
-    }
-
-    /// Number of buffers holding a valid line.
-    pub fn valid_count(&self) -> usize {
-        self.buffers
-            .iter()
-            .filter(|b| b.state == State::Valid)
-            .count()
-    }
-
-    /// Discards pending requests (misprediction flush).  Valid lines are
-    /// kept: they are still useful after the resteer (loop-buffer
-    /// behaviour).
-    pub fn flush_pending(&mut self) {
-        for b in &mut self.buffers {
-            if b.state == State::Pending {
-                b.state = State::Invalid;
-            }
-        }
-        self.invalid += self.pending;
-        self.pending = 0;
-    }
-
-    /// Invalidates everything.
-    pub fn flush_all(&mut self) {
-        for b in &mut self.buffers {
-            b.state = State::Invalid;
-        }
-        self.invalid = self.buffers.len();
-        self.pending = 0;
     }
 }
 
@@ -339,6 +317,8 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.pending_hits, 1);
         assert!((s.access_ratio() - 1.0 / 3.0).abs() < 1e-12);
+        assert!(!f.fill(0x1000, 7), "a second fill finds no pending buffer");
+        assert!(!f.fill(0x9000, 7), "a fill nobody requested is ignored");
     }
 
     #[test]
@@ -364,7 +344,7 @@ mod tests {
         assert!(!f.allocate(0x3000, 0));
         assert_eq!(f.stats().allocation_stalls, 1);
         assert_eq!(f.pending_count(), 2);
-        assert_eq!(f.valid_count(), 0);
+        assert_eq!(f.victim_line(), None);
     }
 
     #[test]
@@ -412,17 +392,47 @@ mod tests {
     }
 
     #[test]
-    fn flush_pending_discards_requests_but_keeps_valid_lines() {
-        let mut f = LineBufferFile::new(2, 64);
-        f.allocate(0x1000, 0);
-        f.fill(0x1000, 1);
-        f.allocate(0x2000, 2);
-        f.flush_pending();
-        assert_eq!(f.probe(0x1000), LineLookup::Hit);
-        assert_eq!(f.probe(0x2000), LineLookup::Miss);
-        assert!(!f.fill(0x2000, 10), "late fill after flush is ignored");
-        f.flush_all();
-        assert_eq!(f.probe(0x1000), LineLookup::Miss);
+    fn cached_victim_matches_a_full_scan_under_random_operations() {
+        // Fills, allocations and touches in a pseudo-random order, with
+        // time sometimes running backwards: after each one the cached victim
+        // must equal a full scan's.
+        let mut f = LineBufferFile::new(4, 64);
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for step in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = (x >> 8) % 8 * 64;
+            let now = step / 2 + (x >> 32) % 3;
+            match x % 4 {
+                0 => {
+                    if f.probe(line) == LineLookup::Miss {
+                        f.allocate(line, now);
+                    }
+                }
+                1 => {
+                    f.fill(line, now);
+                }
+                2 => {
+                    f.request(line, now);
+                }
+                _ => {
+                    if f.probe(line) == LineLookup::Hit {
+                        f.touch_at(f.index_of(line).unwrap(), now);
+                    }
+                }
+            }
+            let expected = if f.invalid > 0 {
+                None
+            } else {
+                f.buffers
+                    .iter()
+                    .filter(|b| b.state == State::Valid)
+                    .min_by_key(|b| b.last_use)
+                    .map(|b| b.line_addr)
+            };
+            assert_eq!(f.victim_line(), expected, "step {step}");
+        }
     }
 
     #[test]
