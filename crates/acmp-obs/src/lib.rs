@@ -59,8 +59,6 @@ pub mod names {
     pub const SIMULATE_CELL_PREFIX: &str = "engine.simulate_cell.";
     /// Span: a benchmark's trace set was generated.
     pub const TRACE_LOAD_GENERATE: &str = "engine.trace_load.generate";
-    /// Span: a benchmark's trace set was loaded from the store.
-    pub const TRACE_LOAD_DISK_HIT: &str = "engine.trace_load.disk_hit";
 
     /// Counter: cells simulated (mirrors `EngineStats::simulated`).
     pub const ENGINE_SIMULATED: &str = "engine.simulated";
@@ -70,9 +68,6 @@ pub mod names {
     pub const ENGINE_DISK_HITS: &str = "engine.disk_hits";
     /// Counter: trace sets generated (mirrors `EngineStats::trace_generated`).
     pub const ENGINE_TRACE_GENERATED: &str = "engine.trace_generated";
-    /// Counter: trace sets loaded from disk (mirrors
-    /// `EngineStats::trace_disk_hits`).
-    pub const ENGINE_TRACE_DISK_HITS: &str = "engine.trace_disk_hits";
     /// Counter: trace replay buffer refills in `sim-core` (one per batched
     /// `next_records` call) — the hot-path counter behind
     /// [`count_trace_refill`](crate::count_trace_refill).

@@ -134,20 +134,18 @@ pub fn render_report(events: &[Value], metrics: Option<&MetricsSnapshot>, top: u
             .filter(|s| field_str(s, "name") == Some(name))
             .count() as u64
     };
-    let (simulated, memory, disk, gens, trace_disk) = match metrics {
+    let (simulated, memory, disk, gens) = match metrics {
         Some(m) => (
             m.counter(names::ENGINE_SIMULATED),
             m.counter(names::ENGINE_MEMORY_HITS),
             m.counter(names::ENGINE_DISK_HITS),
             m.counter(names::ENGINE_TRACE_GENERATED),
-            m.counter(names::ENGINE_TRACE_DISK_HITS),
         ),
         None => (
             count_spans(names::SIMULATE_CELL_SIMULATE),
             count_spans(names::SIMULATE_CELL_MEMORY_HIT),
             count_spans(names::SIMULATE_CELL_DISK_HIT),
             count_spans(names::TRACE_LOAD_GENERATE),
-            count_spans(names::TRACE_LOAD_DISK_HIT),
         ),
     };
     let cells_total = simulated + memory + disk;
@@ -160,9 +158,7 @@ pub fn render_report(events: &[Value], metrics: Option<&MetricsSnapshot>, top: u
     out.push_str(&format!(
         "  cells {cells_total}: simulated {simulated}, memory-hits {memory}, disk-hits {disk} (hit rate {hit_rate:.1}%)\n"
     ));
-    out.push_str(&format!(
-        "  traces: generated {gens}, disk-hits {trace_disk}\n"
-    ));
+    out.push_str(&format!("  traces: generated {gens}\n"));
     if let Some(m) = metrics {
         let refills = m.counter(names::TRACE_REFILLS);
         if refills > 0 {

@@ -11,9 +11,8 @@
 //! the exact field order and the absence of whitespace: [`scan_record`]
 //! recovers the canonical key and verifies the value checksum *without*
 //! parsing the value, which keeps index construction at store open cheap
-//! even when segments hold multi-megabyte trace entries.  A torn tail (a
-//! crash mid-append) or a corrupted line fails the scan and is skipped —
-//! never served.
+//! however large the values are.  A torn tail (a crash mid-append) or a
+//! corrupted line fails the scan and is skipped — never served.
 //!
 //! Segment files are named `seg-<generation:08>-<pid>-<seq:04>.seg`.  The
 //! generation number is the store's eviction and compaction unit: every

@@ -1,11 +1,14 @@
 //! The persistent, content-addressed result store.
 //!
-//! Results (and trace sets) are packed into append-only **segment files**
-//! (see [`crate::segment`]) under the store directory (default
+//! Simulation results are packed into append-only **segment files** (see
+//! [`crate::segment`]) under the store directory (default
 //! `target/sweep-cache/`).  A later run — any process, any worker count —
 //! that derives the same [`StoreKey`](crate::StoreKey) is served from disk
 //! instead of re-simulating, which turns repeated figure runs into warm
-//! starts.
+//! starts.  The sweep engine stores results only: trace sets are cheaper to
+//! regenerate than to encode, store and decode.  Stores written by older
+//! versions may still hold trace-set records; nothing reads them, and
+//! deleting the directory reclaims their space.
 //!
 //! Opening a store scans every segment once and builds an in-memory index
 //! of *verified* records: a record whose layout or value checksum does not
@@ -24,8 +27,8 @@
 //! without locks: every process appends to its own segment files (names
 //! embed the pid), and a load miss triggers a directory
 //! [refresh](DiskStore::refresh) that folds segments other processes have
-//! published since into this handle's index — so one shard's results and
-//! trace sets become visible to the others mid-run, without reopening.
+//! published since into this handle's index — so one shard's results
+//! become visible to the others mid-run, without reopening.
 //!
 //! Every store handle appends into a fresh **generation**;
 //! [`compact`](DiskStore::compact) merges all live records into the next
@@ -494,10 +497,9 @@ impl DiskStore {
         let records = spans.len() as u64;
         // The header carries a digest of the whole body, so the body is
         // walked twice — once to fold the digest, once to write — rather
-        // than materialised in memory: bundles hold every live record
-        // *including multi-megabyte trace sets*, and exporting must not
-        // cost a store's worth of RAM.  Append-only segments make the two
-        // passes read identical bytes.
+        // than materialised in memory: bundles hold every live record, and
+        // exporting must not cost a store's worth of RAM.  Append-only
+        // segments make the two passes read identical bytes.
         let mut digest = crate::stable_hash::fnv1a_init();
         for (_, path, offset, len) in &spans {
             let record = read_span(path, *offset, *len)?;

@@ -1206,10 +1206,9 @@ fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale:
 
     let stats = engine.stats();
     acmp_obs::logline!(
-        "sweep: done in {wall:.2}s — jobs {total}, workers {}, simulated {}, memory-hits {}, disk-hits {}, trace-gens {}, trace-disk-hits {}, steals {}, injector-pops {}",
+        "sweep: done in {wall:.2}s — jobs {total}, workers {}, simulated {}, memory-hits {}, disk-hits {}, trace-gens {}, steals {}, injector-pops {}",
         engine.threads(), stats.simulated, stats.memory_hits, stats.disk_hits,
-        stats.trace_generated, stats.trace_disk_hits, outcome.pool.steals,
-        outcome.pool.injector_pops,
+        stats.trace_generated, outcome.pool.steals, outcome.pool.injector_pops,
     );
     if let Some(store) = stats.store {
         acmp_obs::logline!(

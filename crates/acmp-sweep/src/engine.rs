@@ -8,7 +8,7 @@ use crate::store::{DiskStore, StoreStats};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
 use serde_json::json;
 use sim_acmp::{Machine, SimResult};
-use sim_trace::{read_trace_set_json, write_trace_set_json, TraceSet};
+use sim_trace::TraceSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,10 +21,8 @@ pub struct EngineStats {
     pub disk_hits: u64,
     /// Simulations actually executed.
     pub simulated: u64,
-    /// Trace sets actually generated (not served from any cache).
+    /// Trace sets generated (once per benchmark per engine).
     pub trace_generated: u64,
-    /// Trace sets loaded from the on-disk store.
-    pub trace_disk_hits: u64,
     /// Counters of the attached disk store, if any.
     pub store: Option<StoreStats>,
 }
@@ -101,7 +99,6 @@ pub struct SweepEngine {
     disk_hits: AtomicU64,
     simulated: AtomicU64,
     trace_generated: AtomicU64,
-    trace_disk_hits: AtomicU64,
 }
 
 /// Configures and opens a [`SweepEngine`].
@@ -216,7 +213,6 @@ impl SweepEngine {
             disk_hits: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
             trace_generated: AtomicU64::new(0),
-            trace_disk_hits: AtomicU64::new(0),
         }
     }
 
@@ -300,56 +296,25 @@ impl SweepEngine {
         self.shard
     }
 
-    /// Returns (loading or generating and caching on first use) the trace
-    /// set of `benchmark`.
+    /// Returns (generating and caching on first use) the trace set of
+    /// `benchmark`.
     ///
-    /// With a disk store attached, traces are persisted under
-    /// [`JobKey::for_traces`] in `sim-trace`'s JSON-lines format, so a
-    /// fully warm run does zero trace generation across processes — not
-    /// just within one.
+    /// Trace sets live in memory only: the disk store holds results, never
+    /// traces, because regenerating a trace set costs a fraction of
+    /// encoding, storing and decoding it.
     pub fn traces(&self, benchmark: Benchmark) -> Arc<TraceSet> {
-        self.traces.get_or_insert_with(benchmark, || {
-            Arc::new(self.load_or_generate_traces(benchmark))
-        })
+        self.traces
+            .get_or_insert_with(benchmark, || Arc::new(self.generate_traces(benchmark)))
     }
 
-    fn load_or_generate_traces(&self, benchmark: Benchmark) -> TraceSet {
-        let mut span = acmp_obs::span!(
+    fn generate_traces(&self, benchmark: Benchmark) -> TraceSet {
+        let _span = acmp_obs::span!(
             acmp_obs::names::TRACE_LOAD_GENERATE,
             benchmark = benchmark.name()
         );
-        let key = self
-            .store
-            .as_ref()
-            .map(|_| JobKey::for_traces(&self.generator, benchmark));
-        if let (Some(store), Some(key)) = (&self.store, &key) {
-            if let Some(text) = store.load::<String>(key) {
-                if let Ok(set) = read_trace_set_json(text.as_bytes()) {
-                    self.trace_disk_hits.fetch_add(1, Ordering::Relaxed);
-                    acmp_obs::counter!(acmp_obs::names::ENGINE_TRACE_DISK_HITS, 1);
-                    span.set_name(acmp_obs::names::TRACE_LOAD_DISK_HIT);
-                    return set;
-                }
-                // A verifiable envelope holding an unreadable trace (e.g.
-                // an older TRACE_FORMAT_VERSION): regenerate and overwrite.
-            }
-        }
         let set = TraceGenerator::new(benchmark.profile(), self.generator).generate();
         self.trace_generated.fetch_add(1, Ordering::Relaxed);
         acmp_obs::counter!(acmp_obs::names::ENGINE_TRACE_GENERATED, 1);
-        if let (Some(store), Some(key)) = (&self.store, &key) {
-            let mut buf = Vec::new();
-            if write_trace_set_json(&set, &mut buf).is_ok() {
-                if let Ok(text) = String::from_utf8(buf) {
-                    // Like result writes, a failed trace write is non-fatal.
-                    if store.save(key, &text).is_err() {
-                        acmp_obs::logline!(
-                            "sweep: warning: trace cache write failed for {benchmark}"
-                        );
-                    }
-                }
-            }
-        }
         set
     }
 
@@ -527,7 +492,6 @@ impl SweepEngine {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
             trace_generated: self.trace_generated.load(Ordering::Relaxed),
-            trace_disk_hits: self.trace_disk_hits.load(Ordering::Relaxed),
             store: self.store.as_ref().map(DiskStore::stats),
         }
     }
@@ -703,46 +667,44 @@ mod tests {
         let cold = small_engine().with_disk_store(&dir).unwrap();
         let cold_rows = cold.run_grid(&benchmarks, &designs);
         assert_eq!(cold.stats().trace_generated, 2, "one per benchmark");
-        assert_eq!(cold.stats().trace_disk_hits, 0);
-        // The store holds one entry per cell plus one per benchmark.
-        assert_eq!(cold.stats().store.unwrap().entries, 4 + 2);
+        // The store holds results only: one entry per cell, no trace sets.
+        assert_eq!(cold.stats().store.unwrap().entries, 4);
 
         // A fresh engine (fresh process stand-in) over the same store: all
-        // cells hit the disk store, so no traces are generated — or even
-        // loaded.
+        // cells hit the disk store, so no traces are generated.
         let warm = small_engine().with_disk_store(&dir).unwrap();
         let warm_rows = warm.run_grid(&benchmarks, &designs);
         let stats = warm.stats();
         assert_eq!(stats.simulated, 0);
-        assert_eq!(stats.trace_generated, 0, "warm runs must not generate");
-        assert_eq!(stats.trace_disk_hits, 0, "fully warm runs skip traces");
+        assert_eq!(stats.trace_generated, 0, "fully warm runs skip traces");
         let cold_jsonl: Vec<String> = cold_rows.rows.iter().map(SweepRow::to_jsonl).collect();
         let warm_jsonl: Vec<String> = warm_rows.rows.iter().map(SweepRow::to_jsonl).collect();
         assert_eq!(cold_jsonl, warm_jsonl);
 
-        // A partially warm grid (one new design) reuses the persisted
-        // traces instead of regenerating them.
+        // A partially warm grid (one new design) regenerates the traces of
+        // exactly the benchmarks whose new cells it simulates.
         let wider = small_engine().with_disk_store(&dir).unwrap();
         let mut designs3 = designs.to_vec();
         designs3.push(DesignPoint::all_shared());
         wider.run_grid(&benchmarks, &designs3);
         let stats = wider.stats();
         assert_eq!(stats.simulated, 2, "only the new design's cells run");
-        assert_eq!(stats.trace_generated, 0);
-        assert_eq!(stats.trace_disk_hits, 2, "traces come from the store");
+        assert_eq!(stats.disk_hits, 4);
+        assert_eq!(stats.trace_generated, 2, "one per benchmark, in memory");
+        assert_eq!(stats.store.unwrap().entries, 6);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_result_entry_resimulates_without_regenerating_traces() {
+    fn corrupt_result_entries_resimulate_with_one_trace_generation() {
         let dir = store_dir("corrupt-result");
         let benchmarks = [Benchmark::Cg];
         let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
         let cold = small_engine().with_disk_store(&dir).unwrap();
         let cold_rows = cold.run_grid(&benchmarks, &designs);
 
-        // Corrupt both result entries; leave the trace entry intact.
-        assert_eq!(corrupt_records(&dir, |l| !l.contains("traces")), 2);
+        // Corrupt both result entries, which is the whole store.
+        assert_eq!(corrupt_records(&dir, |_| true), 2);
 
         let warm = small_engine()
             .with_threads(4)
@@ -751,8 +713,10 @@ mod tests {
         let warm_rows = warm.run_grid(&benchmarks, &designs);
         let stats = warm.stats();
         assert_eq!(stats.simulated, 2, "corrupt entries must re-simulate");
-        assert_eq!(stats.trace_generated, 0, "traces still come from disk");
-        assert_eq!(stats.trace_disk_hits, 1);
+        assert_eq!(
+            stats.trace_generated, 1,
+            "the prefetch pass generates the trace set once for both cells"
+        );
         let cold_jsonl: Vec<String> = cold_rows.rows.iter().map(SweepRow::to_jsonl).collect();
         let warm_jsonl: Vec<String> = warm_rows.rows.iter().map(SweepRow::to_jsonl).collect();
         assert_eq!(cold_jsonl, warm_jsonl, "re-simulation must be lossless");
@@ -775,8 +739,8 @@ mod tests {
         let cold = small_engine().with_disk_store(&dir).unwrap();
         cold.run_grid(&benchmarks, &designs);
 
-        // Corrupt *everything* — results and traces.
-        assert_eq!(corrupt_records(&dir, |_| true), 4);
+        // Corrupt every result record.
+        assert_eq!(corrupt_records(&dir, |_| true), 3);
 
         let warm = small_engine()
             .with_threads(4)

@@ -56,10 +56,14 @@ impl JobKey {
         JobKey { canonical, digest }
     }
 
-    /// Derives the key under which the *trace set* of `benchmark` (as
-    /// produced by `generator`) is persisted.  Traces are design-agnostic,
-    /// so the key deliberately carries no design point; the `kind` marker
-    /// keeps the canonical form disjoint from every simulation-result key.
+    /// Derives the key of the *trace set* of `benchmark` (as produced by
+    /// `generator`).  Traces are design-agnostic, so the key deliberately
+    /// carries no design point; the `kind` marker keeps the canonical form
+    /// disjoint from every simulation-result key.
+    ///
+    /// The engine keeps trace sets in memory and never derives this key.
+    /// Older stores may hold records under it, and perfbench's traced run
+    /// times a trace-set append with it.
     #[must_use]
     pub fn for_traces(generator: &GeneratorConfig, benchmark: Benchmark) -> Self {
         let canonical = stable_hash::canonical_json(&json!({

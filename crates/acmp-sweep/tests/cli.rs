@@ -145,9 +145,9 @@ fn compaction_preserves_warm_starts_and_shrinks_the_directory() {
     assert!(compacted.stderr.is_empty(), "{}", compacted.stderr);
 
     // The packed layout must use fewer files than one per entry: 6 result
-    // cells + 2 trace sets would have been 8 files in the old layout.
+    // cells would have been 6 files in the old layout.
     let files = std::fs::read_dir(cache).unwrap().count();
-    assert!(files < 8, "expected a packed store, found {files} files");
+    assert!(files < 6, "expected a packed store, found {files} files");
 
     // A run from the compacted store is fully warm: zero simulations, zero
     // trace generations, byte-identical rows.
@@ -157,9 +157,10 @@ fn compaction_preserves_warm_starts_and_shrinks_the_directory() {
     assert!(warm.stderr.contains("disk-hits 6"), "{}", warm.stderr);
     assert_eq!(sorted_rows(&cold.stdout), sorted_rows(&warm.stdout));
 
-    // --cache-stats reports without touching anything.
+    // --cache-stats reports without touching anything.  The store holds
+    // the six results and no trace sets.
     let stats = run_sweep(&["--cache-stats", "--cache-dir", cache]);
-    assert!(stats.stdout.contains("entries 8"), "{}", stats.stdout);
+    assert!(stats.stdout.contains("entries 6"), "{}", stats.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1312,7 +1313,6 @@ fn observability_artifacts_validate_and_rows_stay_byte_identical() {
         ("engine.memory_hits", "memory-hits"),
         ("engine.disk_hits", "disk-hits"),
         ("engine.trace_generated", "trace-gens"),
-        ("engine.trace_disk_hits", "trace-disk-hits"),
     ] {
         assert_eq!(
             snapshot.counter(counter),

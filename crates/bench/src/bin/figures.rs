@@ -56,12 +56,11 @@ fn main() {
     }
     let stats = ctx.stats();
     acmp_obs::logline!(
-        "[engine] simulated {}, memory-hits {}, disk-hits {}, trace-gens {}, trace-disk-hits {}",
+        "[engine] simulated {}, memory-hits {}, disk-hits {}, trace-gens {}",
         stats.simulated,
         stats.memory_hits,
         stats.disk_hits,
-        stats.trace_generated,
-        stats.trace_disk_hits
+        stats.trace_generated
     );
 }
 

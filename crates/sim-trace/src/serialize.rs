@@ -175,9 +175,9 @@ pub fn read_trace_json<R: BufRead>(reader: R) -> Result<ThreadTrace, TraceSerial
 
 /// Writes a whole [`TraceSet`] to `writer`: a set header line carrying the
 /// thread count, followed by each per-thread trace in
-/// [`write_trace_json`]'s format.  This is the representation the sweep
-/// engine persists trace sets under, so a bump of
-/// [`TRACE_FORMAT_VERSION`] automatically invalidates stale stored traces.
+/// [`write_trace_json`]'s format.  The sweep engine keeps trace sets in
+/// memory; older sweep stores hold them in this representation, and
+/// perfbench's traced run times trace encoding with it.
 ///
 /// # Errors
 ///

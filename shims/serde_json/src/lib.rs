@@ -59,6 +59,7 @@ pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> R
 /// match the shape `T` expects.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
     let mut parser = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -75,6 +76,7 @@ pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -186,6 +188,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of unescaped bytes up to the next `"` or `\` in
+            // one step.  Both delimiters are ASCII, so the run ends on a
+            // char boundary of the input, which is already valid UTF-8.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.input[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -224,15 +235,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 encoded character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::custom("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err(Error::custom("unterminated string")),
+                _ => return Err(Error::custom("unterminated string")),
             }
         }
     }
@@ -321,6 +324,118 @@ mod tests {
     fn trailing_garbage_is_an_error() {
         assert!(from_str::<u64>("42 x").is_err());
         assert!(from_str::<u64>("not json").is_err());
+    }
+
+    /// Deterministic xorshift64 stream for the string tests (the shim may
+    /// depend on nothing but `serde`, so no `proptest` or `rand`).
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random char from a mix of 1-, 2-, 3- and 4-byte encodings, the
+    /// two delimiters and control characters.
+    fn random_char(rng: &mut XorShift) -> char {
+        const PICKS: [char; 12] = [
+            'a', 'Z', '"', '\\', '/', '\n', '\u{1}', '\u{1f}', 'é', 'ß', '€', '\u{fffd}',
+        ];
+        match rng.below(4) {
+            0 => PICKS[rng.below(PICKS.len() as u64) as usize],
+            1 => char::from_u32(0x80 + rng.below(0x780) as u32).unwrap(),
+            2 => char::from_u32(0xe000 + rng.below(0x2000) as u32).unwrap(),
+            _ => char::from_u32(0x1_0000 + rng.below(0x1_0000) as u32).unwrap(),
+        }
+    }
+
+    /// `c` as a JSON string fragment, escaped in one of the forms the
+    /// parser accepts whenever `escape` is set and `c` has one.
+    fn encode_char(c: char, escape: bool, out: &mut String) {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            '/' if escape => out.push_str("\\/"),
+            c if escape && (c as u32) < 0x1_0000 => {
+                out.push_str(&format!("\\u{:04X}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+
+    #[test]
+    fn strings_round_trip_through_every_escape_form() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for case in 0..4000 {
+            let len = rng.below(40) as usize;
+            let s: String = (0..len).map(|_| random_char(&mut rng)).collect();
+            let printed = to_string(&s).unwrap();
+            assert_eq!(
+                from_str::<String>(&printed).unwrap(),
+                s,
+                "case {case}: {printed}"
+            );
+            // The same string with escapes scattered among (and next to)
+            // the multibyte characters.
+            let mut json = String::from("\"");
+            for c in s.chars() {
+                encode_char(c, rng.below(3) == 0, &mut json);
+            }
+            json.push('"');
+            assert_eq!(from_str::<String>(&json).unwrap(), s, "case {case}: {json}");
+        }
+        assert_eq!(
+            from_str::<String>("\"é\\b€\\f𝄞\\u00e9ß\\/\"").unwrap(),
+            "é\u{8}€\u{c}𝄞éß/"
+        );
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // 4 MiB with an escape every 64 KiB; quadratic decoding took minutes
+        // on a quarter of this.
+        let chunk = "abcdefgé€𝄞".repeat(64 * 1024 / 16);
+        let mut expected = String::new();
+        let mut json = String::from("\"");
+        while expected.len() < 4 * 1024 * 1024 {
+            expected.push_str(&chunk);
+            expected.push('\n');
+            json.push_str(&chunk);
+            json.push_str("\\n");
+        }
+        json.push('"');
+        let start = std::time::Instant::now();
+        let decoded = from_str::<String>(&json).unwrap();
+        let elapsed = start.elapsed();
+        assert!(decoded == expected, "decoded string differs");
+        assert!(
+            elapsed < std::time::Duration::from_secs(10),
+            "decoding {} bytes took {elapsed:?}",
+            json.len()
+        );
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_errors() {
+        let message = |input: &str| from_str::<String>(input).unwrap_err().to_string();
+        assert_eq!(message("\"abc"), "unterminated string");
+        assert_eq!(message("\"é€"), "unterminated string");
+        assert_eq!(message("\""), "unterminated string");
+        assert_eq!(message("\"ab\\"), "bad escape at offset 4");
+        assert_eq!(message("\"é\\q\""), "bad escape at offset 4");
+        assert_eq!(message("\"a\\u12\""), "bad unicode escape at offset 3");
+        assert_eq!(message("\"€\\ud800\""), "bad unicode escape at offset 5");
+        assert_eq!(message("\"\\u00é\""), "bad unicode escape at offset 2");
+        assert_eq!(message("abc"), "unexpected Some('a') at offset 0");
     }
 
     #[test]

@@ -97,10 +97,6 @@ fn trace_and_metrics_reconcile_exactly_with_engine_stats() {
         snapshot.counter("engine.trace_generated"),
         stats.trace_generated
     );
-    assert_eq!(
-        snapshot.counter("engine.trace_disk_hits"),
-        stats.trace_disk_hits
-    );
     assert!(
         snapshot.counter("trace.refills") > 0,
         "simulations replay traces through the hot refill path"

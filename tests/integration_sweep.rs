@@ -8,7 +8,10 @@
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use shared_icache::acmp_sweep::merge::{merge_shard_streams, shard_key_schedule};
 use shared_icache::acmp_sweep::{scale_generator, GridSpec, JobKey, ShardSpec, SweepEngine};
+use shared_icache::sim_trace::write_trace_set_json;
 use shared_icache::DesignPoint;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 fn tiny_generator() -> GeneratorConfig {
     GeneratorConfig {
@@ -30,17 +33,26 @@ fn grid() -> (Vec<Benchmark>, Vec<DesignPoint>) {
     )
 }
 
-/// The grid's JSONL rows, sorted by job key.
-fn sorted_jsonl(engine: &SweepEngine) -> Vec<String> {
-    let (benchmarks, designs) = grid();
+/// The JSONL rows of `benchmarks × designs` on `engine`, sorted by job key.
+fn sorted_rows(
+    engine: &SweepEngine,
+    benchmarks: &[Benchmark],
+    designs: &[DesignPoint],
+) -> Vec<String> {
     let mut rows: Vec<String> = engine
-        .run_grid(&benchmarks, &designs)
+        .run_grid(benchmarks, designs)
         .rows
         .iter()
         .map(|r| r.to_jsonl())
         .collect();
     rows.sort_unstable();
     rows
+}
+
+/// The grid's JSONL rows, sorted by job key.
+fn sorted_jsonl(engine: &SweepEngine) -> Vec<String> {
+    let (benchmarks, designs) = grid();
+    sorted_rows(engine, &benchmarks, &designs)
 }
 
 #[test]
@@ -102,15 +114,14 @@ fn warm_engine_does_zero_trace_generation_across_processes() {
     assert_eq!(cold.stats().trace_generated, 3, "one per benchmark");
 
     // A fresh engine is a stand-in for a fresh process: nothing in memory,
-    // everything from the segment store — no simulations, no trace
-    // generation, not even trace loads (warm cells never touch traces).
+    // everything from the segment store — no simulations and no trace
+    // generation (warm cells never touch traces).
     let warm = SweepEngine::new(tiny_generator())
         .with_disk_store(&dir)
         .unwrap();
     let warm_rows = sorted_jsonl(&warm);
     assert_eq!(warm.stats().simulated, 0);
     assert_eq!(warm.stats().trace_generated, 0);
-    assert_eq!(warm.stats().trace_disk_hits, 0);
     assert_eq!(cold_rows, warm_rows);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -130,12 +141,12 @@ fn compaction_preserves_rows_and_packs_the_directory() {
     let cold_rows = sorted_jsonl(&cold);
 
     let compacted = cold.store().unwrap().compact().unwrap();
-    // 9 result cells + 3 trace sets, all packed: far fewer files than the
-    // old one-file-per-entry layout's 12.
-    assert_eq!(compacted.live_entries, 12);
+    // 9 result cells and no trace sets, all packed: far fewer files than
+    // the old one-file-per-entry layout's 9.
+    assert_eq!(compacted.live_entries, 9);
     let files = std::fs::read_dir(&dir).unwrap().count();
     assert!(
-        (files as u64) == compacted.segments_after && files < 12,
+        (files as u64) == compacted.segments_after && files < 9,
         "expected only packed segments, found {files} files"
     );
 
@@ -247,14 +258,7 @@ fn fig09_grid() -> (GridSpec, GeneratorConfig) {
 /// non-empty.
 fn fig09_bytes(engine: &SweepEngine) -> String {
     let (grid, _) = fig09_grid();
-    let mut rows: Vec<String> = engine
-        .run_grid(&grid.benchmarks, &grid.designs)
-        .rows
-        .iter()
-        .map(|r| r.to_jsonl())
-        .collect();
-    rows.sort_unstable();
-    let mut text = rows.join("\n");
+    let mut text = sorted_rows(engine, &grid.benchmarks, &grid.designs).join("\n");
     if !text.is_empty() {
         text.push('\n');
     }
@@ -317,6 +321,63 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
         fixture,
         "offline merge of per-machine streams drifted off the fixture"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn partially_warm_grid_over_a_legacy_store_finishes_at_quick_scale() {
+    // New designs over an existing quick-scale store.  The store also holds
+    // a trace-set record written the way older versions persisted traces;
+    // loading such multi-MB records used to hang partially-warm runs.
+    let generator = scale_generator("quick").unwrap();
+    let cold = GridSpec::parse("cg", "fig09").unwrap();
+    let wide = GridSpec::parse("cg", "fig09,naive:2").unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "acmp-sweep-integration-partial-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let reference = SweepEngine::new(generator);
+    let want = sorted_rows(&reference, &wide.benchmarks, &wide.designs);
+
+    // A cold grid on a fresh store leaves one entry per cell: results only.
+    let engine = SweepEngine::new(generator).with_disk_store(&dir).unwrap();
+    engine.run_grid(&cold.benchmarks, &cold.designs);
+    let store = engine.store().unwrap();
+    assert_eq!(store.stats().entries, cold.cells() as u64);
+
+    let mut legacy = Vec::new();
+    write_trace_set_json(&reference.traces(Benchmark::Cg), &mut legacy).unwrap();
+    let legacy = String::from_utf8(legacy).unwrap();
+    store
+        .save(&JobKey::for_traces(&generator, Benchmark::Cg), &legacy)
+        .unwrap();
+
+    // On a helper thread, so a regression fails the test instead of
+    // hanging the suite.  The channel disconnects when the thread returns
+    // or panics.
+    let (done, finished) = mpsc::channel::<()>();
+    let warm_dir = dir.clone();
+    let worker = std::thread::spawn(move || {
+        let _done = done;
+        let warm = SweepEngine::new(generator)
+            .with_disk_store(&warm_dir)
+            .unwrap();
+        let rows = sorted_rows(&warm, &wide.benchmarks, &wide.designs);
+        (rows, warm.stats())
+    });
+    let waited = finished.recv_timeout(Duration::from_secs(60));
+    assert!(
+        matches!(waited, Err(RecvTimeoutError::Disconnected)),
+        "the partially-warm grid must finish within 60 s"
+    );
+    let (rows, stats) = worker.join().expect("the partially-warm grid panicked");
+    assert_eq!(stats.simulated, 1, "only the new design's cell runs");
+    assert_eq!(stats.disk_hits, 3);
+    assert_eq!(stats.trace_generated, 1);
+    assert_eq!(rows, want, "rows must match a storeless engine's");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
