@@ -41,7 +41,7 @@ pub use trace::{
     TRACE_SCHEMA,
 };
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -68,10 +68,6 @@ pub mod names {
     pub const ENGINE_DISK_HITS: &str = "engine.disk_hits";
     /// Counter: trace sets generated (mirrors `EngineStats::trace_generated`).
     pub const ENGINE_TRACE_GENERATED: &str = "engine.trace_generated";
-    /// Counter: trace replay buffer refills in `sim-core` (one per batched
-    /// `next_records` call) — the hot-path counter behind
-    /// [`count_trace_refill`](crate::count_trace_refill).
-    pub const TRACE_REFILLS: &str = "trace.refills";
 
     /// Span: one pool worker's whole run (fields: jobs/steals/injector pops).
     pub const POOL_WORKER: &str = "pool.worker";
@@ -149,12 +145,6 @@ static STATE: AtomicU8 = AtomicU8::new(0);
 /// instead).
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Refills of the trace replay batch buffer — hot enough (once per 64
-/// records, inside the per-cycle machine loop's feeder) that it bypasses
-/// the registry's locked map for one relaxed atomic.  Folded into
-/// snapshots as [`names::TRACE_REFILLS`].
-static HOT_TRACE_REFILLS: AtomicU64 = AtomicU64::new(0);
-
 pub(crate) fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
@@ -200,27 +190,6 @@ pub fn enable_metrics() {
 /// events and metrics stay readable until drained or reset.
 pub fn disable_all() {
     STATE.store(0, Ordering::Relaxed);
-}
-
-/// Counts one trace replay buffer refill (see [`names::TRACE_REFILLS`]).
-///
-/// This is the one instrumentation site inside the simulator's hot loop,
-/// so it takes the dedicated-atomic fast path instead of [`counter!`]'s
-/// locked map: disabled it is a relaxed load, enabled a relaxed
-/// `fetch_add`.
-#[inline]
-pub fn count_trace_refill() {
-    if metrics_enabled() {
-        HOT_TRACE_REFILLS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-pub(crate) fn hot_trace_refills() -> u64 {
-    HOT_TRACE_REFILLS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn reset_hot_counters() {
-    HOT_TRACE_REFILLS.store(0, Ordering::Relaxed);
 }
 
 /// Prints `text` to stderr (exactly as `eprintln!` would) and, when the

@@ -113,21 +113,14 @@ impl Registry {
             .record(value);
     }
 
-    /// An immutable snapshot of everything recorded so far, including the
-    /// hot-path counters that bypass the locked maps.
+    /// An immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = self
+        let counters: BTreeMap<String, u64> = self
             .counters
             .lock()
             .iter()
             .map(|(&k, &v)| (k.to_string(), v))
             .collect();
-        let refills = crate::hot_trace_refills();
-        if refills > 0 {
-            *counters
-                .entry(crate::names::TRACE_REFILLS.to_string())
-                .or_insert(0) += refills;
-        }
         let histograms = self
             .histograms
             .lock()
@@ -144,7 +137,6 @@ impl Registry {
     pub fn reset(&self) {
         self.counters.lock().clear();
         self.histograms.lock().clear();
-        crate::reset_hot_counters();
     }
 }
 

@@ -159,12 +159,6 @@ pub fn render_report(events: &[Value], metrics: Option<&MetricsSnapshot>, top: u
         "  cells {cells_total}: simulated {simulated}, memory-hits {memory}, disk-hits {disk} (hit rate {hit_rate:.1}%)\n"
     ));
     out.push_str(&format!("  traces: generated {gens}\n"));
-    if let Some(m) = metrics {
-        let refills = m.counter(names::TRACE_REFILLS);
-        if refills > 0 {
-            out.push_str(&format!("  trace replay refills: {refills}\n"));
-        }
-    }
     out
 }
 
@@ -217,10 +211,8 @@ mod tests {
     fn metrics_snapshot_overrides_span_counting() {
         let mut m = MetricsSnapshot::default();
         m.counters.insert(names::ENGINE_SIMULATED.to_string(), 6);
-        m.counters.insert(names::TRACE_REFILLS.to_string(), 123);
         let report = render_report(&[], Some(&m), 5);
         assert!(report.contains("simulated 6"), "{report}");
-        assert!(report.contains("trace replay refills: 123"), "{report}");
         assert!(report.contains("(no cell spans in this trace)"), "{report}");
     }
 }

@@ -6,9 +6,11 @@ use crate::scheduler::{PoolStats, WorkStealingPool};
 use crate::sharded::ShardedMap;
 use crate::store::{DiskStore, StoreStats};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
+use parking_lot::Mutex;
 use serde_json::json;
-use sim_acmp::{Machine, SimResult};
-use sim_trace::TraceSet;
+use sim_acmp::{AcmpConfig, Machine, SimResult};
+use sim_core::FetchStream;
+use sim_trace::{TraceRecord, TraceSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,7 +23,9 @@ pub struct EngineStats {
     pub disk_hits: u64,
     /// Simulations actually executed.
     pub simulated: u64,
-    /// Trace sets generated (once per benchmark per engine).
+    /// Trace sets generated.  A grid generates each benchmark's traces
+    /// once, decoding them without keeping them; [`SweepEngine::traces`]
+    /// generates one more set when first asked for such a benchmark.
     pub trace_generated: u64,
     /// Counters of the attached disk store, if any.
     pub store: Option<StoreStats>,
@@ -76,6 +80,10 @@ pub struct SweepOutcome {
     pub pool: PoolStats,
 }
 
+/// One benchmark's fetch streams, one per thread, shared by every cell
+/// that simulates the benchmark.
+type Streams = Arc<[Arc<FetchStream>]>;
+
 /// Cached, parallel executor for (benchmark × design point) grids.
 ///
 /// The engine owns three layers, consulted in order:
@@ -86,13 +94,21 @@ pub struct SweepOutcome {
 /// 3. the cycle-level simulator itself, fanned out over a work-stealing
 ///    thread pool.
 ///
-/// Traces are generated once per benchmark in a sharded cache of their own.
+/// The simulator replays each benchmark's traces decoded once into fetch
+/// streams (see [`Machine::with_streams`]), cached per benchmark: every
+/// design point has the same fetch predictor and fetch-block cap, so one
+/// decode serves the whole grid.  The engine generates a benchmark's traces
+/// for that decode one thread at a time and keeps none of them; only
+/// [`traces`](Self::traces) keeps trace sets alive.
 #[derive(Debug)]
 pub struct SweepEngine {
     generator: GeneratorConfig,
     shard: ShardSpec,
     pool: WorkStealingPool,
     traces: ShardedMap<Benchmark, Arc<TraceSet>>,
+    streams: ShardedMap<Benchmark, Streams>,
+    /// Record vectors [`generate_streams`](Self::generate_streams) reuses.
+    spare_records: Mutex<Vec<Vec<TraceRecord>>>,
     results: ShardedMap<JobKey, Arc<SimResult>>,
     store: Option<DiskStore>,
     memory_hits: AtomicU64,
@@ -207,6 +223,8 @@ impl SweepEngine {
             shard: ShardSpec::whole(),
             pool: WorkStealingPool::host_sized(),
             traces: ShardedMap::new(),
+            streams: ShardedMap::new(),
+            spare_records: Mutex::new(Vec::new()),
             results: ShardedMap::new(),
             store: None,
             memory_hits: AtomicU64::new(0),
@@ -301,10 +319,26 @@ impl SweepEngine {
     ///
     /// Trace sets live in memory only: the disk store holds results, never
     /// traces, because regenerating a trace set costs a fraction of
-    /// encoding, storing and decoding it.
+    /// encoding, storing and decoding it.  Simulation does not need this
+    /// cache (it replays decoded streams), so a set stays resident only
+    /// once a caller asks for it here; a later first simulation of the
+    /// benchmark then decodes this set instead of generating another.
     pub fn traces(&self, benchmark: Benchmark) -> Arc<TraceSet> {
         self.traces
             .get_or_insert_with(benchmark, || Arc::new(self.generate_traces(benchmark)))
+    }
+
+    /// Returns (decoding and caching on first use) the fetch streams of
+    /// `benchmark`, decoded for the cores of `config`.  The decode reads
+    /// the set [`traces`](Self::traces) cached, if any; otherwise it
+    /// generates the benchmark's traces without keeping them (see
+    /// [`generate_streams`](Self::generate_streams)).
+    fn streams(&self, benchmark: Benchmark, config: &AcmpConfig) -> Streams {
+        self.streams
+            .get_or_insert_with(benchmark, || match self.traces.get(&benchmark) {
+                Some(set) => Machine::decode_streams(config, &set).into(),
+                None => self.generate_streams(benchmark, config),
+            })
     }
 
     fn generate_traces(&self, benchmark: Benchmark) -> TraceSet {
@@ -313,9 +347,39 @@ impl SweepEngine {
             benchmark = benchmark.name()
         );
         let set = TraceGenerator::new(benchmark.profile(), self.generator).generate();
+        self.count_generated();
+        set
+    }
+
+    /// Generates `benchmark`'s traces one thread at a time, decoding each
+    /// thread before the next is generated into the same record vector.
+    /// The vector comes from, and goes back to, the engine's spare ones, so
+    /// a grid holds at most one thread's records per worker and frees no
+    /// record vector until the engine drops.  The generation span also
+    /// times the decodes, which alternate with it thread by thread.
+    fn generate_streams(&self, benchmark: Benchmark, config: &AcmpConfig) -> Streams {
+        let generator = TraceGenerator::new(benchmark.profile(), self.generator);
+        let mut records = self.spare_records.lock().pop().unwrap_or_default();
+        let mut streams = Vec::with_capacity(self.generator.num_workers + 1);
+        {
+            let _span = acmp_obs::span!(
+                acmp_obs::names::TRACE_LOAD_GENERATE,
+                benchmark = benchmark.name()
+            );
+            for tid in 0..=self.generator.num_workers {
+                let trace = generator.generate_thread_into(tid, records);
+                streams.push(Arc::new(Machine::decode_thread(config, &trace)));
+                records = trace.into_records();
+            }
+        }
+        self.spare_records.lock().push(records);
+        self.count_generated();
+        streams.into()
+    }
+
+    fn count_generated(&self) {
         self.trace_generated.fetch_add(1, Ordering::Relaxed);
         acmp_obs::counter!(acmp_obs::names::ENGINE_TRACE_GENERATED, 1);
-        set
     }
 
     /// Simulates `benchmark` on `design`, consulting the memory cache, then
@@ -358,10 +422,10 @@ impl SweepEngine {
                 return self.results.insert_if_absent(key, Arc::new(result));
             }
         }
-        let traces = self.traces(benchmark);
         let config = design.acmp_config(self.simulated_workers());
+        let streams = self.streams(benchmark, &config);
         let result = Arc::new(
-            Machine::with_shared_traces(config, traces)
+            Machine::with_streams(config, &streams)
                 .run()
                 .unwrap_or_else(|e| panic!("simulation of {benchmark} on {design} failed: {e}")),
         );
@@ -418,7 +482,7 @@ impl SweepEngine {
         C: Fn(&SweepRow) + Sync,
     {
         // Cells owned by other shards are dropped here, before anything is
-        // scheduled: a shard neither simulates them nor prefetches traces
+        // scheduled: a shard neither simulates them nor prefetches streams
         // a foreign-only benchmark would need.
         let keyed: Vec<(SweepJob, JobKey)> = jobs
             .into_iter()
@@ -429,30 +493,33 @@ impl SweepEngine {
             .filter(|(_, key)| self.shard.owns(key.digest()))
             .collect();
 
-        // Materialise traces up front — one pool job per distinct benchmark
-        // that actually needs simulating.  Cell jobs are benchmark-major,
-        // so without this a cold grid would start `min(threads, designs)`
-        // workers on the same benchmark at once and each would run the full
-        // trace generator (the cache's `make` deliberately runs unlocked).
-        // Cells already resident in memory or on disk don't need traces; a
-        // fully warm run must stay trace-free.  `store.contains` answers
-        // from the verified segment index, so a corrupt or key-mismatched
-        // entry reads as absent here and its benchmark keeps its prefetch
-        // job — trusting an unverified existence check used to let exactly
-        // such an entry miss at simulate time and stampede every worker
-        // into regenerating the same trace set concurrently.
-        let mut need_traces: Vec<Benchmark> = keyed
+        // Decode streams up front — one pool job per distinct benchmark
+        // that actually needs simulating, which generates the benchmark's
+        // traces and decodes them for its first cell's design.
+        // Cell jobs are benchmark-major, so without this a cold grid would
+        // start `min(threads, designs)` workers on the same benchmark at
+        // once and each would run the full trace generator (the cache's
+        // `make` deliberately runs unlocked).  Cells already resident in
+        // memory or on disk don't need streams; a fully warm run must stay
+        // trace-free.  `store.contains` answers from the verified segment
+        // index, so a corrupt or key-mismatched entry reads as absent here
+        // and its benchmark keeps its prefetch job — trusting an unverified
+        // existence check used to let exactly such an entry miss at
+        // simulate time and stampede every worker into regenerating the
+        // same trace set concurrently.
+        let mut need_streams: Vec<&SweepJob> = keyed
             .iter()
             .filter(|(_, key)| {
                 self.results.get(key).is_none()
                     && !self.store.as_ref().is_some_and(|s| s.contains(key))
             })
-            .map(|(job, _)| job.benchmark)
+            .map(|(job, _)| job)
             .collect();
-        need_traces.sort_unstable();
-        need_traces.dedup();
-        self.pool.run(need_traces, |&b| {
-            self.traces(b);
+        need_streams.sort_by_key(|job| job.benchmark);
+        need_streams.dedup_by_key(|job| job.benchmark);
+        self.pool.run(need_streams, |job| {
+            let config = job.design.acmp_config(self.simulated_workers());
+            self.streams(job.benchmark, &config);
         });
 
         let (rows, pool) = self.pool.run(keyed, |(job, key)| {
@@ -516,6 +583,21 @@ mod tests {
         let a = engine.traces(Benchmark::Cg);
         let b = engine.traces(Benchmark::Cg);
         assert!(Arc::ptr_eq(&a, &b));
+        // Simulation decodes the cached set instead of generating another.
+        engine.simulate(Benchmark::Cg, &DesignPoint::baseline());
+        assert_eq!(engine.stats().trace_generated, 1);
+    }
+
+    #[test]
+    fn generated_and_cached_traces_simulate_alike() {
+        // The first engine decodes thread by thread as it generates; the
+        // second decodes the set `traces` cached.
+        let design = DesignPoint::proposed();
+        let generated = small_engine().simulate(Benchmark::Lu, &design);
+        let engine = small_engine();
+        engine.traces(Benchmark::Lu);
+        assert_eq!(engine.simulate(Benchmark::Lu, &design), generated);
+        assert_eq!(engine.stats().trace_generated, 1);
     }
 
     #[test]
@@ -549,6 +631,12 @@ mod tests {
         let outcome = engine.run_grid(&benchmarks, &designs);
         assert_eq!(outcome.rows.len(), 4);
         assert_eq!(outcome.pool.jobs, 4);
+        assert_eq!(engine.stats().trace_generated, 2);
+        assert!(engine.traces.is_empty(), "a grid keeps no trace set alive");
+        // Two benchmarks on two decoding workers: one or two record
+        // vectors, each kept for reuse rather than freed.
+        let spare = engine.spare_records.lock().len();
+        assert!((1..=2).contains(&spare), "{spare} spare record vectors");
         let cells: Vec<(Benchmark, &str)> = outcome
             .rows
             .iter()

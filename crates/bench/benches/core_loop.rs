@@ -1,18 +1,19 @@
 //! `core_loop`: the sim-core per-cycle loop, timed through a whole machine.
 //!
-//! Builds one quick-scale machine (CG traces, baseline design) and runs it
-//! to completion, reporting nanoseconds per simulated machine cycle — the
-//! number the event-driven idle skip, the head-fetch memo and the lookahead
-//! prefix skip all exist to shrink.  The trajectory lands in
-//! `BENCH_core_loop.json` at the workspace root.
+//! Decodes the quick-scale CG traces into fetch streams once, untimed, then
+//! builds the baseline-design machine over them and runs it to completion,
+//! reporting nanoseconds per simulated machine cycle — the number the
+//! event-driven idle skip, the head-fetch memo and the lookahead prefix
+//! skip all exist to shrink.  The trajectory lands in `BENCH_core_loop.json`
+//! at the workspace root.
 
 use acmp_sweep::prelude::*;
 use bench_harness::{bench_samples, enable_bench_metrics, write_bench_report};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
 use serde_json::json;
-use sim_acmp::Machine;
-use sim_trace::TraceSet;
+use sim_acmp::{AcmpConfig, Machine};
+use sim_core::FetchStream;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,29 +26,33 @@ fn generator() -> GeneratorConfig {
     }
 }
 
-fn traces() -> Arc<TraceSet> {
-    Arc::new(TraceGenerator::new(Benchmark::Cg.profile(), generator()).generate())
+fn config() -> AcmpConfig {
+    DesignPoint::baseline().acmp_config(generator().num_workers)
+}
+
+fn streams() -> Vec<Arc<FetchStream>> {
+    let traces = TraceGenerator::new(Benchmark::Cg.profile(), generator()).generate();
+    Machine::decode_streams(&config(), &traces)
 }
 
 /// Runs one machine to completion; returns the simulated cycle count.
-fn run_machine(traces: &Arc<TraceSet>) -> u64 {
-    let config = DesignPoint::baseline().acmp_config(generator().num_workers);
-    let machine = Machine::with_shared_traces(config, Arc::clone(traces));
+fn run_machine(streams: &[Arc<FetchStream>]) -> u64 {
+    let machine = Machine::with_streams(config(), streams);
     machine.run().expect("quick-scale machine completes").cycles
 }
 
 fn bench_core_loop(c: &mut Criterion) {
     enable_bench_metrics();
-    let traces = traces();
+    let streams = streams();
     let mut group = c.benchmark_group("core_loop");
-    group.bench_function("cg/baseline", |b| b.iter(|| run_machine(&traces)));
+    group.bench_function("cg/baseline", |b| b.iter(|| run_machine(&streams)));
     group.finish();
 
     let samples = bench_samples(3);
     let start = Instant::now();
     let mut cycles = 0u64;
     for _ in 0..samples {
-        cycles = run_machine(&traces);
+        cycles = run_machine(&streams);
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(samples);
     let ns_per_cycle = wall_ms * 1e6 / cycles as f64;

@@ -1,10 +1,11 @@
 //! `trace_replay`: sim-trace record replay throughput.
 //!
 //! Generates one quick-scale CG trace set and times pulling every record of
-//! every thread through [`SharedTraceCursor`] in the same batched fashion
-//! the cores replay them, reporting nanoseconds per record — the number the
-//! allocation hoisting and record batching in trace replay act on.  The
-//! trajectory lands in `BENCH_trace_replay.json` at the workspace root.
+//! every thread through [`SharedTraceCursor`] in 64-record batches,
+//! reporting nanoseconds per record.  Cores no longer replay records (they
+//! replay fetch streams decoded once per benchmark), so this times the
+//! cursor alone.  The trajectory lands in `BENCH_trace_replay.json` at the
+//! workspace root.
 
 use bench_harness::{bench_samples, enable_bench_metrics, write_bench_report};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -14,7 +15,7 @@ use sim_trace::{SharedTraceCursor, ThreadId, TraceRecord, TraceSet, TraceSource}
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The per-core replay batch size used by sim-core.
+/// Records pulled per `next_records` call.
 const BATCH: usize = 64;
 
 fn generator() -> GeneratorConfig {

@@ -141,8 +141,8 @@ pub fn enable_bench_metrics() {
 /// `file` is the bare file name (`BENCH_sweep.json`); the contents are one
 /// JSON object plus a trailing newline, so revisions diff cleanly.  When
 /// the metrics registry is on (see [`enable_bench_metrics`]) and `report`
-/// is an object, a snapshot — simulation count, cache hits, trace-replay
-/// refills, and the rest of the run's counters and histograms — is
+/// is an object, a snapshot — simulation count, cache hits, trace
+/// generations, and the rest of the run's counters and histograms — is
 /// embedded under a `"metrics"` key, so a trajectory file explains *why*
 /// its numbers moved, not just that they did.
 pub fn write_bench_report(file: &str, report: &serde::Value) {

@@ -8,7 +8,7 @@ use crate::profile::WorkloadProfile;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use sim_trace::{SyncEvent, ThreadTrace, TraceBuilder, TraceSet};
+use sim_trace::{SyncEvent, ThreadTrace, TraceBuilder, TraceRecord, TraceSet};
 
 /// How much synthetic work to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,9 +104,9 @@ struct Emitter {
 }
 
 impl Emitter {
-    fn new(tid: usize, seed: u64) -> Self {
+    fn new(builder: TraceBuilder, tid: usize, seed: u64) -> Self {
         Emitter {
-            builder: TraceBuilder::new(tid),
+            builder,
             rng: ChaCha8Rng::seed_from_u64(seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             serial_cold_cursor: 0,
             parallel_cold_cursor: 0,
@@ -264,10 +264,17 @@ impl TraceGenerator {
 
     /// Generates the trace of a single thread (0 = master).
     pub fn generate_thread(&self, tid: usize) -> ThreadTrace {
+        self.generate_thread_into(tid, Vec::new())
+    }
+
+    /// [`generate_thread`](Self::generate_thread) into `records`'
+    /// allocation (its records are cleared first), so a caller generating
+    /// thread after thread can reuse one record vector.
+    pub fn generate_thread_into(&self, tid: usize, records: Vec<TraceRecord>) -> ThreadTrace {
         let p = &self.profile;
         let c = &self.config;
         let is_master = tid == 0;
-        let mut em = Emitter::new(tid, c.seed);
+        let mut em = Emitter::new(TraceBuilder::reusing(tid, records), tid, c.seed);
 
         let num_threads = c.num_workers + 1;
         let parallel_per_phase =
@@ -420,6 +427,19 @@ mod tests {
         let a = generate(Benchmark::Lu, GeneratorConfig::small());
         let b = generate(Benchmark::Lu, GeneratorConfig::small());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn generating_into_a_used_vector_matches_a_fresh_one() {
+        let generator = TraceGenerator::new(Benchmark::Lu.profile(), GeneratorConfig::small());
+        let set = generator.generate();
+        // Thread 2 leaves more records behind than thread 0 needs.
+        let mut records = generator.generate_thread(2).into_records();
+        for t in set.iter() {
+            let reused = generator.generate_thread_into(t.thread().0, records);
+            assert_eq!(&reused, t);
+            records = reused.into_records();
+        }
     }
 
     #[test]

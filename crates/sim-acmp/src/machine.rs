@@ -5,11 +5,12 @@ use crate::memory::{build_units, unit_of_core, IcacheUnit, InFlightRequest, Requ
 use crate::runtime::SyncRuntime;
 use crate::stats::{CoreReport, SimResult};
 use sim_cache::CacheStats;
-use sim_core::{Core, CycleOutput, Park, StallKind, StallReason};
+use sim_core::{Core, CoreConfig, CycleOutput, FetchStream, Park, StallKind, StallReason};
 use sim_interconnect::BusStats;
-use sim_trace::{SharedTraceCursor, ThreadId, TraceSet};
+use sim_trace::{ThreadTrace, TraceSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced by a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +91,16 @@ pub struct Machine {
     delivery_scratch: Vec<(usize, u64)>,
 }
 
+/// The configuration of core `i`: the master core runs thread 0, worker
+/// cores the rest.
+fn core_config(config: &AcmpConfig, i: usize) -> CoreConfig {
+    if i == 0 {
+        config.master_core
+    } else {
+        config.worker_core
+    }
+}
+
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
@@ -102,57 +113,65 @@ impl fmt::Debug for Machine {
 
 impl Machine {
     /// Builds the machine described by `config` and loads one trace per
-    /// core (thread 0 on the master core).
+    /// core (thread 0 on the master core), decoding each thread with the
+    /// front end of the core that runs it.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.  A mismatched thread count is
     /// reported by [`Machine::run`] instead so callers can handle it.
     pub fn new(config: AcmpConfig, traces: &TraceSet) -> Self {
-        config.validate();
-        let cores: Vec<Core> = traces
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let core_cfg = if i == 0 {
-                    config.master_core
-                } else {
-                    config.worker_core
-                };
-                Core::new(i, core_cfg, Box::new(t.clone().into_source()))
-            })
-            .collect();
-        Machine::from_cores(config, cores)
+        Machine::with_streams(config, &Machine::decode_streams(&config, traces))
     }
 
-    /// Builds the machine with every core reading its thread's records
-    /// through a shared, reference-counted trace set.
-    ///
-    /// Identical in behaviour to [`Machine::new`], but the per-thread record
-    /// vectors are not cloned — a sweep running many design points against
-    /// the same traces pays one `Arc` bump per core instead of copying each
-    /// trace per machine.
+    /// Builds the machine from a shared trace set; identical to
+    /// [`Machine::new`].  A sweep running many design points against the
+    /// same traces should decode them once with
+    /// [`Machine::decode_streams`] and build every machine with
+    /// [`Machine::with_streams`] instead.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn with_shared_traces(config: AcmpConfig, traces: std::sync::Arc<TraceSet>) -> Self {
-        config.validate();
-        let cores: Vec<Core> = (0..traces.num_threads())
-            .map(|i| {
-                let core_cfg = if i == 0 {
-                    config.master_core
-                } else {
-                    config.worker_core
-                };
-                let cursor = SharedTraceCursor::new(traces.clone(), ThreadId(i));
-                Core::new(i, core_cfg, Box::new(cursor))
-            })
-            .collect();
-        Machine::from_cores(config, cores)
+    pub fn with_shared_traces(config: AcmpConfig, traces: Arc<TraceSet>) -> Self {
+        Machine::new(config, &traces)
     }
 
-    fn from_cores(config: AcmpConfig, cores: Vec<Core>) -> Self {
+    /// Decodes every thread of `traces` into the fetch stream of the core
+    /// that `config` runs it on (thread 0 on the master core).  The streams
+    /// serve every configuration whose cores have the same predictor and
+    /// fetch-block cap.
+    pub fn decode_streams(config: &AcmpConfig, traces: &TraceSet) -> Vec<Arc<FetchStream>> {
+        traces
+            .iter()
+            .map(|t| Arc::new(Machine::decode_thread(config, t)))
+            .collect()
+    }
+
+    /// Decodes one thread's trace into the fetch stream of the core that
+    /// `config` runs it on; see [`Machine::decode_streams`].
+    pub fn decode_thread(config: &AcmpConfig, trace: &ThreadTrace) -> FetchStream {
+        let frontend = core_config(config, trace.thread().0).frontend;
+        FetchStream::decode(trace.iter().copied(), &frontend)
+    }
+
+    /// Builds the machine described by `config` with core `i` replaying
+    /// `streams[i]`.  The streams are shared, not copied, so many machines
+    /// can replay one benchmark's decoded traces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid, or if a stream was decoded
+    /// for another front end than its core's (see
+    /// [`FetchStream::decoded_for`]).  A mismatched thread count is reported
+    /// by [`Machine::run`].
+    pub fn with_streams(config: AcmpConfig, streams: &[Arc<FetchStream>]) -> Self {
+        config.validate();
+        let cores: Vec<Core> = streams
+            .iter()
+            .enumerate()
+            .map(|(i, stream)| Core::with_stream(i, core_config(&config, i), Arc::clone(stream)))
+            .collect();
         let units = build_units(&config);
         let core_unit = unit_of_core(&units, config.num_cores());
         let runtime = SyncRuntime::new(config.num_cores());
@@ -714,6 +733,10 @@ mod tests {
         // Every benchmark at quick scale (4 workers, 20k instructions per
         // thread) on the private baseline, the proposed 16 KB double-bus
         // design, naive sharing by all workers and the all-shared machine.
+        // The idle-skip runs of a benchmark replay one decoded stream set
+        // shared by all four designs, while each reference run decodes its
+        // own cores' streams from the records, so this also checks that
+        // one decode serves every design.
         let generator = GeneratorConfig {
             num_workers: 4,
             parallel_instructions_per_thread: 20_000,
@@ -728,11 +751,14 @@ mod tests {
         ];
         for benchmark in Benchmark::ALL {
             let set = TraceGenerator::new(benchmark.profile(), generator).generate();
+            let streams = Machine::decode_streams(&configs[0], &set);
             for config in configs {
                 let mut reference = Machine::new(config, &set);
                 reference.set_idle_skip(false);
                 let reference = reference.run().expect("reference completes");
-                let skipped = run(config, &set);
+                let skipped = Machine::with_streams(config, &streams)
+                    .run()
+                    .expect("simulation completes");
                 assert_eq!(reference, skipped, "{benchmark:?} on {config:?}");
             }
         }

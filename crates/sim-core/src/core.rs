@@ -2,8 +2,10 @@
 
 use crate::config::CoreConfig;
 use crate::cpi::CpiStack;
-use sim_frontend::{FetchPredictor, Ftq, FtqEntry, LineBufferFile, LineBufferStats, LineLookup};
-use sim_trace::{SyncEvent, TraceRecord, TraceSource};
+use crate::stream::{FetchStream, StepStop};
+use sim_frontend::{Ftq, LineBufferFile, LineBufferStats, LineLookup};
+use sim_trace::{SyncEvent, TraceSource};
+use std::sync::Arc;
 
 /// How many candidate lines a lookahead scan examines before truncating.
 const MAX_LOOKAHEAD_LINES: usize = 16;
@@ -95,8 +97,9 @@ enum HeadFetch {
 pub struct Core {
     id: usize,
     config: CoreConfig,
-    trace: Box<dyn TraceSource + Send>,
-    predictor: FetchPredictor,
+    /// The thread's decoded fetch steps, and the index of the next one.
+    stream: Arc<FetchStream>,
+    next_step: usize,
     ftq: Ftq,
     line_buffers: LineBufferFile,
     head_fetch: HeadFetch,
@@ -109,14 +112,6 @@ pub struct Core {
     state: CoreState,
     pending_sync: Option<SyncEvent>,
     trace_done: bool,
-    /// One record pushed back by fetch-block assembly (e.g. the first record
-    /// after a discontinuity).
-    pushback: Option<TraceRecord>,
-    /// Records batched out of the trace source, so block assembly pays one
-    /// virtual `next_records` call per batch instead of one per record.
-    trace_buf: Vec<TraceRecord>,
-    /// Read position in `trace_buf`.
-    trace_pos: usize,
 
     cpi: CpiStack,
     fetch_blocks: u64,
@@ -142,18 +137,37 @@ impl std::fmt::Debug for Core {
 }
 
 impl Core {
-    /// Creates a core with identifier `id` executing `trace`.
+    /// Creates a core with identifier `id` executing `trace`, which it
+    /// decodes with its own front end.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid.
-    pub fn new(id: usize, config: CoreConfig, trace: Box<dyn TraceSource + Send>) -> Self {
+    pub fn new(id: usize, config: CoreConfig, mut trace: Box<dyn TraceSource + Send>) -> Self {
+        let records = std::iter::from_fn(|| trace.next_record());
+        let stream = FetchStream::decode(records, &config.frontend);
+        Core::with_stream(id, config, Arc::new(stream))
+    }
+
+    /// Creates a core with identifier `id` replaying `stream`, which other
+    /// cores may share.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid, or if `stream` was decoded
+    /// for another predictor configuration or fetch-block cap than this
+    /// core's front end.
+    pub fn with_stream(id: usize, config: CoreConfig, stream: Arc<FetchStream>) -> Self {
         config.validate();
+        assert!(
+            stream.decoded_for(&config.frontend),
+            "core {id}: fetch stream decoded for another predictor or fetch-block cap"
+        );
         Core {
             id,
             config,
-            trace,
-            predictor: FetchPredictor::new(config.frontend.predictor),
+            stream,
+            next_step: 0,
             ftq: Ftq::new(config.frontend.ftq_capacity),
             line_buffers: LineBufferFile::new(
                 config.frontend.line_buffers,
@@ -167,9 +181,6 @@ impl Core {
             state: CoreState::Running,
             pending_sync: None,
             trace_done: false,
-            pushback: None,
-            trace_buf: Vec::new(),
-            trace_pos: 0,
             cpi: CpiStack::new(),
             fetch_blocks: 0,
             lookahead_dirty: true,
@@ -208,9 +219,9 @@ impl Core {
         self.line_buffers.stats()
     }
 
-    /// Branch predictor statistics.
+    /// Branch predictor statistics over the core's whole trace.
     pub fn predictor_stats(&self) -> &sim_frontend::PredictorStats {
-        self.predictor.stats()
+        self.stream.predictor_stats()
     }
 
     /// Number of fetch blocks produced so far.
@@ -297,7 +308,7 @@ impl Core {
         //    issuing I-cache requests as needed.
         self.fetch(now, out);
 
-        // 3. Fetch-block generation from the trace (one block per cycle).
+        // 3. Fetch-block generation (one step of the stream per cycle).
         if self.state == CoreState::Running && now >= self.resteer_until && !self.ftq.is_full() {
             self.generate_fetch_block(now);
         }
@@ -620,120 +631,35 @@ impl Core {
         }
     }
 
-    /// Assembles one fetch block from the trace and pushes it into the FTQ.
+    /// Takes the thread's next fetch step: applies its commit-rate change,
+    /// pushes its fetch block into the FTQ (starting the resteer penalty
+    /// after a mispredicted branch) and starts draining at a sync event or
+    /// the end of the trace.
     fn generate_fetch_block(&mut self, now: u64) {
-        let max_bytes = self.config.frontend.max_fetch_block_bytes;
-
-        let mut start: Option<u64> = None;
-        let mut next_addr: u64 = 0;
-        let mut len_bytes: u32 = 0;
-        let mut num_instrs: u32 = 0;
-        let mut mispredicted = false;
-
-        loop {
-            let rec = match self.pushback.take() {
-                Some(r) => Some(r),
-                None => self.next_trace_record(),
-            };
-            let Some(rec) = rec else {
-                self.trace_done = true;
-                self.state = CoreState::Draining;
-                break;
-            };
-            match rec {
-                TraceRecord::SetIpc { ipc } => {
-                    // Commit-rate changes take effect immediately; they sit
-                    // at region boundaries in the traces.
-                    self.commit_rate = ipc;
-                    if start.is_some() {
-                        break;
-                    }
-                    continue;
-                }
-                TraceRecord::Sync(ev) => {
-                    self.pending_sync = Some(ev);
-                    self.state = CoreState::Draining;
-                    break;
-                }
-                TraceRecord::Instr { addr, len } => {
-                    let a = addr.raw();
-                    if let Some(_s) = start {
-                        if a != next_addr {
-                            // Discontinuity: close the block, keep the record.
-                            self.pushback = Some(rec);
-                            break;
-                        }
-                    } else {
-                        start = Some(a);
-                    }
-                    len_bytes += len as u32;
-                    num_instrs += 1;
-                    next_addr = a + len as u64;
-                    if len_bytes >= max_bytes {
-                        break;
-                    }
-                }
-                TraceRecord::Branch { addr, len, info } => {
-                    let a = addr.raw();
-                    if let Some(_s) = start {
-                        if a != next_addr {
-                            self.pushback = Some(rec);
-                            break;
-                        }
-                    } else {
-                        start = Some(a);
-                    }
-                    len_bytes += len as u32;
-                    num_instrs += 1;
-                    next_addr = a + len as u64;
-
-                    let resteer = self.predictor.predict_and_train(
-                        a,
-                        info.taken,
-                        info.target.raw(),
-                        info.indirect,
-                    );
-                    if resteer {
-                        mispredicted = true;
-                        break;
-                    }
-                    if info.taken || len_bytes >= max_bytes {
-                        break;
-                    }
-                }
-            }
+        let step = self.stream.steps()[self.next_step];
+        self.next_step += 1;
+        if let Some(ipc) = step.ipc {
+            self.commit_rate = ipc;
         }
-
-        if let Some(s) = start {
-            debug_assert!(num_instrs > 0);
-            self.ftq.push(FtqEntry {
-                start: s,
-                len_bytes,
-                num_instrs,
-                ends_in_mispredict: mispredicted,
-            });
+        if let Some(block) = step.block {
+            self.ftq.push(block);
             self.fetch_blocks += 1;
             self.lookahead_dirty = true;
-        }
-        if mispredicted {
-            self.resteer_until = now + self.config.frontend.mispredict_penalty;
-        }
-    }
-
-    /// Pulls the next record through the batch buffer.
-    fn next_trace_record(&mut self) -> Option<TraceRecord> {
-        const TRACE_BATCH: usize = 64;
-        if self.trace_pos == self.trace_buf.len() {
-            self.trace_buf.clear();
-            self.trace_pos = 0;
-            acmp_obs::count_trace_refill();
-            if self.trace.next_records(&mut self.trace_buf, TRACE_BATCH) == 0 {
-                return None;
+            if block.ends_in_mispredict {
+                self.resteer_until = now + self.config.frontend.mispredict_penalty;
             }
         }
-        let r = self.trace_buf[self.trace_pos];
-        self.trace_pos += 1;
-        Some(r)
+        match step.stop {
+            Some(StepStop::Sync(ev)) => {
+                self.pending_sync = Some(ev);
+                self.state = CoreState::Draining;
+            }
+            Some(StepStop::TraceEnd) => {
+                self.trace_done = true;
+                self.state = CoreState::Draining;
+            }
+            None => {}
+        }
     }
 
     fn is_drained(&self) -> bool {
@@ -1045,6 +971,15 @@ mod tests {
         let trace = loop_trace(2, 4, 1.0);
         let mut core = Core::new(0, CoreConfig::worker(), Box::new(trace.into_source()));
         core.unblock();
+    }
+
+    #[test]
+    #[should_panic(expected = "fetch stream decoded for another")]
+    fn a_stream_decoded_with_another_block_cap_is_refused() {
+        let mut frontend = CoreConfig::worker().frontend;
+        frontend.max_fetch_block_bytes = 128;
+        let stream = FetchStream::decode(loop_trace(2, 4, 1.0), &frontend);
+        Core::with_stream(0, CoreConfig::worker(), Arc::new(stream));
     }
 
     #[test]

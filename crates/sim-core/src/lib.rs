@@ -1,12 +1,20 @@
 //! Core model: decoupled front-end plus a commit-rate back-end.
 //!
-//! A [`Core`] consumes one thread's instruction trace and simulates, cycle
-//! by cycle, the front-end of Figure 5 of the paper (fetch predictor → FTQ →
-//! line buffers → instruction queue) feeding a back-end that commits up to a
+//! A [`Core`] executes one thread and simulates, cycle by cycle, the
+//! front-end of Figure 5 of the paper (fetch predictor → FTQ → line buffers
+//! → instruction queue) feeding a back-end that commits up to a
 //! configurable number of instructions per cycle.  The commit rate is set
 //! from the per-region IPC values embedded in the trace, reproducing the
 //! paper's methodology of measuring back-end IPC with performance counters
 //! and letting the simulator focus on front-end effects.
+//!
+//! The fetch predictor's output depends on the trace alone, not on timing,
+//! so a thread's trace is decoded once into a [`FetchStream`]: the fetch
+//! blocks, mispredictions, commit-rate changes and sync events the
+//! predictor produces, one step per block.  A core replays its stream,
+//! taking one step in each cycle its FTQ has room and no resteer is
+//! pending; many cores (one per design point of a sweep) can share one
+//! stream.
 //!
 //! The core does **not** talk to the I-cache directly: every cycle it emits
 //! the line-fetch requests it wants to make and the machine model
@@ -29,10 +37,12 @@
 pub mod config;
 pub mod core;
 pub mod cpi;
+pub mod stream;
 
 pub use crate::core::{Core, CoreState, CycleOutput, Park, StallReason};
 pub use config::CoreConfig;
 pub use cpi::{CpiStack, StallKind};
+pub use stream::FetchStream;
 
 #[cfg(test)]
 mod crate_tests {
@@ -44,5 +54,6 @@ mod crate_tests {
         assert_send::<Core>();
         assert_send::<CpiStack>();
         assert_send::<CoreConfig>();
+        assert_send::<FetchStream>();
     }
 }

@@ -43,8 +43,8 @@ impl From<usize> for ThreadId {
 /// A source of trace records for one thread.
 ///
 /// Implemented by in-memory traces and by generators that synthesise records
-/// lazily.  The simulator pulls one record at a time; `None` means the thread
-/// has finished.
+/// lazily.  A reader pulls one record at a time; `None` means the thread has
+/// finished.
 pub trait TraceSource {
     /// Returns the next record, or `None` at the end of the trace.
     fn next_record(&mut self) -> Option<TraceRecord>;
@@ -52,8 +52,8 @@ pub trait TraceSource {
     /// Appends up to `max` records to `buf`, returning how many were
     /// appended (0 at the end of the trace).  Equivalent to calling
     /// [`TraceSource::next_record`] repeatedly; materialised sources
-    /// override it with a slice copy so the simulator pays one virtual call
-    /// per batch instead of per record.
+    /// override it with a slice copy so a reader pays one virtual call per
+    /// batch instead of per record.
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
         let mut n = 0;
         while n < max {
@@ -168,6 +168,12 @@ impl ThreadTrace {
         }
     }
 
+    /// Consumes the trace and returns its record vector, so the allocation
+    /// can be reused (see [`TraceBuilder::reusing`]).
+    pub fn into_records(self) -> Vec<TraceRecord> {
+        self.records
+    }
+
     /// Consumes the trace and returns a [`TraceSource`] that owns the
     /// records.
     pub fn into_source(self) -> OwnedTraceCursor {
@@ -229,10 +235,8 @@ impl TraceSource for ThreadTraceCursor<'_> {
 
 /// Cursor over one thread of a shared, reference-counted [`TraceSet`].
 ///
-/// Many simulated machines replay the same traces (a parameter sweep runs
-/// every design point against one trace set); this cursor lets each core
-/// walk its thread's records through an `Arc` instead of cloning the whole
-/// record vector per machine.
+/// Walks the thread's records through an `Arc`, so many readers of one trace
+/// set need not clone its record vectors.
 #[derive(Debug, Clone)]
 pub struct SharedTraceCursor {
     set: std::sync::Arc<TraceSet>,
@@ -334,6 +338,15 @@ impl TraceBuilder {
     pub fn new(thread: usize) -> Self {
         TraceBuilder {
             trace: ThreadTrace::new(ThreadId(thread)),
+        }
+    }
+
+    /// Creates a builder for the trace of thread `thread` that appends into
+    /// `records`' allocation; its records are cleared first.
+    pub fn reusing(thread: usize, mut records: Vec<TraceRecord>) -> Self {
+        records.clear();
+        TraceBuilder {
+            trace: ThreadTrace::from_records(ThreadId(thread), records),
         }
     }
 

@@ -97,10 +97,6 @@ fn trace_and_metrics_reconcile_exactly_with_engine_stats() {
         snapshot.counter("engine.trace_generated"),
         stats.trace_generated
     );
-    assert!(
-        snapshot.counter("trace.refills") > 0,
-        "simulations replay traces through the hot refill path"
-    );
 
     // Trace: one simulate span per simulated cell, each carrying the cell's
     // benchmark, and per-thread sequence numbers strictly increase.
