@@ -87,7 +87,7 @@ impl DiskStore {
         let mut digests: Vec<u64> = inner.index.keys().copied().collect();
         digests.sort_unstable();
 
-        let (new_paths, new_index, live_bytes) =
+        let (new_paths, sealed_lens, new_index, live_bytes) =
             self.write_new_generation(&inner, &digests, new_generation)?;
 
         // The new generation is durable; retire everything older.
@@ -99,6 +99,7 @@ impl DiskStore {
         }
         let removed_tmp = self.remove_orphaned_tmp_files();
 
+        inner.folded = sealed_lens;
         inner.segments = new_paths;
         inner.index = new_index;
         inner.active = None;
@@ -127,13 +128,15 @@ impl DiskStore {
     /// phase can never leave a partial new generation that a later
     /// generation-limited open would prefer over the intact old one.  On
     /// any error, every temporary and already-renamed output is removed.
+    /// Returns the outputs' paths and byte lengths, the index over them and
+    /// the live byte count.
     #[allow(clippy::type_complexity)]
     fn write_new_generation(
         &self,
         inner: &Inner,
         digests: &[u64],
         generation: u64,
-    ) -> std::io::Result<(Vec<PathBuf>, HashMap<u64, IndexEntry>, u64)> {
+    ) -> std::io::Result<(Vec<PathBuf>, Vec<u64>, HashMap<u64, IndexEntry>, u64)> {
         let mut new_index: HashMap<u64, IndexEntry> = HashMap::new();
         let mut live_bytes = 0u64;
         let mut sealed: Vec<(PathBuf, u64)> = Vec::new();
@@ -219,7 +222,8 @@ impl DiskStore {
             }
             new_paths.push(final_path);
         }
-        Ok((new_paths, new_index, live_bytes))
+        let lens = sealed.iter().map(|(_, len)| *len).collect();
+        Ok((new_paths, lens, new_index, live_bytes))
     }
 
     /// Deletes orphaned `.tmp` files in the store directory.  Called under

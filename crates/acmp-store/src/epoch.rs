@@ -10,8 +10,8 @@
 //! when the persisted index was fresh at build time.
 //!
 //! [`EpochCache::current`] is the poll point: it runs
-//! [`DiskStore::refresh`] (rename-sensitive since the name-set memo fix)
-//! and compares the snapshot fingerprint against the pinned epoch.  A
+//! [`DiskStore::refresh`] (which folds new segment files and records
+//! appended to known ones) and compares the snapshot fingerprint against the pinned epoch.  A
 //! changed fingerprint rolls to a new epoch *without blocking in-flight
 //! readers* — they keep their `Arc` to the old epoch, and the old
 //! snapshot's file handles drop when the last reader finishes, so open
@@ -241,6 +241,24 @@ mod tests {
         // The held epoch still answers its own coherent view.
         assert_eq!(first.catalog().rows().len(), 1);
         assert_ne!(first.fingerprint(), second.fingerprint());
+    }
+
+    #[test]
+    fn an_append_to_an_indexed_segment_rolls_the_epoch() {
+        // The writer's second record goes into the segment file the first
+        // epoch already indexed: no new file appears, yet the next poll
+        // must serve both rows, as a fresh catalog does.
+        let root = temp_root("append");
+        let writer = DiskStore::open(&root).unwrap();
+        save_result(&writer, "Cg", 100);
+        let cache = EpochCache::new(DiskStore::open(&root).unwrap());
+        assert_eq!(cache.current().unwrap().catalog().rows().len(), 1);
+        save_result(&writer, "Lu", 300);
+        let second = cache.current().unwrap();
+        assert_eq!(second.seq(), 2);
+        assert_eq!(second.catalog().rows().len(), 2);
+        let fresh = Catalog::open(&DiskStore::open(&root).unwrap()).unwrap();
+        assert_eq!(fresh.rows().len(), 2);
     }
 
     #[test]

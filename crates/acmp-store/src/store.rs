@@ -25,10 +25,11 @@
 //!
 //! Concurrent *processes* (shard sweeps over one cache directory) cooperate
 //! without locks: every process appends to its own segment files (names
-//! embed the pid), and a load miss triggers a directory
-//! [refresh](DiskStore::refresh) that folds segments other processes have
-//! published since into this handle's index — so one shard's results
-//! become visible to the others mid-run, without reopening.
+//! embed the pid), and a load miss triggers a
+//! [refresh](DiskStore::refresh) that lists the directory and folds into
+//! this handle's index whatever other writers appended since — new segment
+//! files and records added to files it already indexed — so one shard's
+//! results become visible to the others mid-run, without reopening.
 //!
 //! Every store handle appends into a fresh **generation**;
 //! [`compact`](DiskStore::compact) merges all live records into the next
@@ -37,7 +38,7 @@
 //! configured bound at open, so the directory's growth stays bounded.
 
 use crate::segment::{self, SegmentName, SEGMENT_TARGET_BYTES, TMP_EXT};
-use crate::{stable_hash, StoreKey};
+use crate::StoreKey;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
@@ -45,14 +46,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, SystemTime};
-
-/// How far in the past a directory mtime must be before
-/// [`refresh`](DiskStore::refresh) trusts it as a change detector: within
-/// this margin a concurrent publish could land in the same timestamp
-/// granule as the listing and stay invisible, so recent listings are never
-/// cached.
-const DIR_MTIME_TRUST_MARGIN: Duration = Duration::from_secs(2);
 
 /// Counters describing how a store behaved over its lifetime, plus a
 /// snapshot of its current contents.
@@ -74,11 +67,6 @@ pub struct StoreStats {
     pub live_bytes: u64,
     /// Segment files deleted by generation eviction at open.
     pub evicted: u64,
-    /// Full directory listings performed by [`refresh`](DiskStore::refresh)
-    /// (the open-time replay is not counted).  Stays flat across repeated
-    /// misses against an unchanged directory — that is the point of the
-    /// mtime cache and the in-margin `(mtime, name-set digest)` memo.
-    pub dir_scans: u64,
 }
 
 /// What one [`import_segments`](DiskStore::import_segments) call did.
@@ -117,6 +105,10 @@ pub(crate) struct ActiveSegment {
 pub(crate) struct Inner {
     /// Segment id → path.  Ids are positional and stable until a compact.
     pub(crate) segments: Vec<PathBuf>,
+    /// Segment id → bytes of that file already folded into the index:
+    /// always the end of a newline-terminated line, so a record still
+    /// being appended is read whole by a later refresh.
+    pub(crate) folded: Vec<u64>,
     /// Key digest → live record location.  Collisions on the 64-bit digest
     /// are resolved by the canonical string stored in the entry.
     pub(crate) index: HashMap<u64, IndexEntry>,
@@ -125,26 +117,6 @@ pub(crate) struct Inner {
     pub(crate) generation: u64,
     /// Total bytes of live records.
     pub(crate) live_bytes: u64,
-    /// The store directory's mtime as of the last full listing, when old
-    /// enough to trust (see [`DIR_MTIME_TRUST_MARGIN`]).  Segment files are
-    /// only ever created, renamed or deleted — all of which touch the
-    /// directory mtime — so an unchanged mtime lets a refresh skip the
-    /// whole re-listing.
-    pub(crate) dir_seen: Option<SystemTime>,
-    /// The `(mtime, name-set digest)` of the store directory as of the
-    /// last full listing, consulted only while the mtime is still too
-    /// recent for [`dir_seen`](Self::dir_seen) (see
-    /// [`DIR_MTIME_TRUST_MARGIN`]).  Without it, every load miss inside
-    /// the margin re-listed (parsed, sorted, folded) the whole directory.
-    /// The digest covers the *names* of the segment/index files present —
-    /// not the directory's size, which a `.tmp` → `seg-*` publish rename
-    /// leaves unchanged (the entry count is the same and directory sizes
-    /// are block-granular), and not its mtime, which the same rename can
-    /// leave unchanged within one timestamp granule.  A publish always
-    /// changes the name set, so the memo can never mask one.
-    pub(crate) last_listing: Option<(Option<SystemTime>, u64)>,
-    /// Full directory listings performed by refresh (for [`StoreStats`]).
-    pub(crate) dir_scans: u64,
 }
 
 /// An on-disk key → value store addressed by stable content hash, packed
@@ -223,7 +195,7 @@ impl DiskStore {
             ..Inner::default()
         };
         for (name, path) in found {
-            index_segment_file(&mut inner, name, path);
+            fold_segment(&mut inner, name, path, None);
         }
 
         Ok(DiskStore {
@@ -286,70 +258,42 @@ impl DiskStore {
         loaded
     }
 
-    /// Merges segment files that appeared in the store directory since this
-    /// handle last looked — appends from concurrent shard processes (or
-    /// other handles in this one) — into the verified index, returning how
-    /// many new segment files were indexed.  Newly discovered records
-    /// override older index entries exactly as an open's replay would.
+    /// Folds into the verified index everything writers appended since
+    /// this handle last looked — concurrent shard processes, or other
+    /// handles in this one — and returns how many segment files gave it
+    /// records.  The directory is listed on every call: a new segment file
+    /// is folded whole, and a known one that grew is folded from where the
+    /// last fold stopped, because writers append in place (a segment is
+    /// created empty and one handle appends every record to it).  Only
+    /// newline-terminated lines are folded, so a record caught mid-append
+    /// is read whole by a later refresh.  Newly folded records override
+    /// older index entries exactly as an open's replay would.
     ///
-    /// Called automatically when a [`load`](Self::load) misses.  The
-    /// re-listing is incremental: the directory's mtime is remembered after
-    /// every full listing (segment publishes always touch it), so a miss
-    /// against an unchanged directory costs one `stat` instead of a full
-    /// walk, and already-folded segment files are never re-read either way.
+    /// Called automatically when a [`load`](Self::load) misses.
     /// [`contains`](Self::contains) deliberately stays index-only:
     /// schedulers probe it per cell while planning, and the load path
     /// re-checks the directory anyway.
     pub fn refresh(&self) -> usize {
         let mut span = acmp_obs::span!(acmp_obs::names::STORE_REFRESH);
         let mut inner = self.inner.lock();
-        let meta = std::fs::metadata(&self.root).ok();
-        let modified = meta.as_ref().and_then(|m| m.modified().ok());
-        if inner.dir_seen.is_some() && inner.dir_seen == modified {
-            span.record_field("segments_indexed", 0u64);
-            span.record_field("listing_skipped", 1u64);
-            return 0;
-        }
-        // acmp-lint: allow(nondeterminism) -- the clock only gates directory re-listing (a cache of the filesystem), never result bytes
-        let now = SystemTime::now();
-        // Inside the trust margin `dir_seen` can never be cached, but that
-        // must not mean a full listing per miss: if the directory's mtime
-        // and segment/index *name set* still match what the last listing
-        // saw, nothing was published since and the walk (parse, sort, fold)
-        // is skipped.  The name-set digest — not the directory size, which
-        // a `.tmp` → `seg-*` publish rename leaves unchanged — is what
-        // makes this memo rename-sensitive.  `dir_seen` stays empty, so
-        // one catch-up listing happens once the mtime ages past the
-        // margin.
-        if trusted_dir_mtime(modified, now).is_none() {
-            if let Some((seen_mtime, seen_digest)) = inner.last_listing {
-                if seen_mtime == modified && listing_digest(&self.root) == Some(seen_digest) {
-                    span.record_field("segments_indexed", 0u64);
-                    span.record_field("listing_skipped", 1u64);
-                    return 0;
-                }
-            }
-        }
-        inner.dir_scans += 1;
-        // Digest before the listing: a file published in between is seen
-        // by the listing but missing from the memo, which only costs one
-        // extra (harmless) walk on the next in-margin refresh.  The other
-        // order could memoize a name the fold below never indexed.
-        let names_digest = listing_digest(&self.root);
         let Ok(found) = segment::list_segments(&self.root) else {
             return 0;
         };
-        inner.dir_seen = trusted_dir_mtime(modified, now);
-        inner.last_listing = names_digest.map(|digest| (modified, digest));
-        let known: std::collections::HashSet<&Path> =
-            inner.segments.iter().map(PathBuf::as_path).collect();
-        let fresh: Vec<(SegmentName, PathBuf)> = found
-            .into_iter()
-            .filter(|(_, path)| !known.contains(path.as_path()))
+        let known: HashMap<PathBuf, usize> = inner
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(id, path)| (path.clone(), id))
             .collect();
         let mut indexed = 0;
-        for (name, path) in fresh {
-            if index_segment_file(&mut inner, name, path) {
+        for (name, path) in found {
+            let id = known.get(&path).copied();
+            // A known segment is re-read only once it has grown past what
+            // is already folded; one `stat` per segment, no read.
+            let grew = id.is_none_or(|id| {
+                std::fs::metadata(&path).is_ok_and(|m| m.len() > inner.folded[id])
+            });
+            if grew && fold_segment(&mut inner, name, path, id) {
                 indexed += 1;
             }
         }
@@ -437,6 +381,9 @@ impl DiskStore {
             }
             return Err(e);
         }
+        // Our own record, indexed below: a later refresh must not fold it
+        // a second time.
+        inner.folded[segment] = offset + line.len() as u64;
         let record_len = line.len() as u64 - 1;
         let crc = segment::scan_record_parts(line.trim_end_matches('\n'))
             .map(|(_, crc, _)| crc)
@@ -646,6 +593,7 @@ impl DiskStore {
         let len = file.metadata()?.len();
         let segment = inner.segments.len();
         inner.segments.push(path);
+        inner.folded.push(len);
         inner.active = Some(ActiveSegment { file, segment, len });
         Ok(())
     }
@@ -671,7 +619,6 @@ impl DiskStore {
             generation: inner.generation,
             live_bytes: inner.live_bytes,
             evicted: self.evicted.load(Ordering::Relaxed),
-            dir_scans: inner.dir_scans,
         }
     }
 }
@@ -686,26 +633,39 @@ pub(crate) fn next_segment_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Scans one segment file into the index.  Raw bytes, not UTF-8: a corrupt
-/// (even non-UTF-8) line must read as absent, never abort the scan.  An
-/// unreadable segment — e.g. deleted by a concurrent open's eviction
-/// between a directory listing and this read — likewise reads as absent
-/// (and is not registered, so a later refresh may retry it).  Returns
-/// whether the file was registered.
+/// Folds one segment file into the index: the whole file when it is new
+/// (`known` is `None`), otherwise the bytes past what is already folded.
+/// Raw bytes, not UTF-8: a corrupt (even non-UTF-8) line must read as
+/// absent, never abort the scan.  Only newline-terminated lines are folded
+/// and the folded length stops after the last of them, so a torn or
+/// still-growing tail is read again by the next refresh.  An unreadable
+/// new segment — e.g. deleted by a concurrent open's eviction between a
+/// directory listing and this read — likewise reads as absent (and is not
+/// registered, so a later refresh may retry it).  Returns whether any
+/// record was folded.
 ///
 /// Which duplicate of a key wins follows segment replay order, not
 /// discovery order: a refresh can discover a segment that *sorts before*
 /// one already indexed (a stale handle appending into an old generation
 /// while a newer generation is already visible), and its records must not
-/// override the later-replaying ones a fresh open would prefer.  An open's
-/// own scan passes segments pre-sorted, so the guard never fires there.
-fn index_segment_file(inner: &mut Inner, name: SegmentName, path: PathBuf) -> bool {
-    let Ok(bytes) = std::fs::read(&path) else {
+/// override the later-replaying ones a fresh open would prefer.  Within
+/// one segment a later record wins.  An open's own scan passes segments
+/// pre-sorted, so the guard never fires there.
+fn fold_segment(inner: &mut Inner, name: SegmentName, path: PathBuf, known: Option<usize>) -> bool {
+    let from = known.map_or(0, |id| inner.folded[id]);
+    let Ok(bytes) = read_from(&path, from) else {
         return false;
     };
-    let segment_id = inner.segments.len();
-    inner.segments.push(path);
-    for record in segment::scan_segment(&bytes) {
+    let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let segment_id = known.unwrap_or_else(|| {
+        inner.segments.push(path);
+        inner.folded.push(0);
+        inner.segments.len() - 1
+    });
+    inner.folded[segment_id] = from + complete as u64;
+    let records = segment::scan_segment(&bytes[..complete]);
+    let folded_any = !records.is_empty();
+    for record in records {
         let digest = crate::stable_hash::fnv1a(record.canonical.as_bytes());
         let later_already_indexed = inner.index.get(&digest).is_some_and(|existing| {
             replay_name(&inner.segments[existing.segment])
@@ -717,7 +677,7 @@ fn index_segment_file(inner: &mut Inner, name: SegmentName, path: PathBuf) -> bo
         let entry = IndexEntry {
             canonical: record.canonical,
             segment: segment_id,
-            offset: record.offset,
+            offset: from + record.offset,
             len: record.len,
             crc: record.crc,
         };
@@ -726,41 +686,7 @@ fn index_segment_file(inner: &mut Inner, name: SegmentName, path: PathBuf) -> bo
         }
         inner.live_bytes += record.len;
     }
-    true
-}
-
-/// Filters a just-observed directory mtime down to one safe to cache as a
-/// change detector: only an mtime the clock has certainly advanced past is
-/// trusted, because a publish landing in the same timestamp granule as the
-/// listing would otherwise compare equal and stay invisible forever.
-fn trusted_dir_mtime(modified: Option<SystemTime>, now: SystemTime) -> Option<SystemTime> {
-    modified.filter(|m| {
-        now.duration_since(*m)
-            .is_ok_and(|age| age >= DIR_MTIME_TRUST_MARGIN)
-    })
-}
-
-/// Digest of the segment/index file *names* under `root` — the cheap,
-/// rename-sensitive half of the in-margin refresh memo.  Only names are
-/// read (no per-file stat, no record parsing), so this costs one
-/// `read_dir` pass; `None` means the directory could not be read, which
-/// disables the memo rather than trusting it.
-fn listing_digest(root: &Path) -> Option<u64> {
-    let mut names: Vec<String> = std::fs::read_dir(root)
-        .ok()?
-        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-        .filter(|name| {
-            let ext = Path::new(name).extension().and_then(|e| e.to_str());
-            ext == Some(segment::SEGMENT_EXT) || ext == Some(crate::index::INDEX_EXT)
-        })
-        .collect();
-    names.sort_unstable();
-    let mut acc = stable_hash::fnv1a_init();
-    for name in &names {
-        acc = stable_hash::fnv1a_fold(acc, name.as_bytes());
-        acc = stable_hash::fnv1a_fold(acc, b"\n");
-    }
-    Some(acc)
+    folded_any
 }
 
 /// The replay-order identity of an indexed segment file, parsed back from
@@ -769,6 +695,15 @@ fn listing_digest(root: &Path) -> Option<u64> {
 /// path this store did not mint — treated as replaying first.
 fn replay_name(path: &Path) -> Option<SegmentName> {
     path.file_name()?.to_str().and_then(SegmentName::parse)
+}
+
+/// Reads `path` from byte `offset` to its end.
+fn read_from(path: &Path, offset: u64) -> std::io::Result<Vec<u8>> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(offset))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 /// Reads `len` bytes at `offset` of `path` as UTF-8.
@@ -785,6 +720,7 @@ mod tests {
     use super::*;
     use crate::segment::{EXPORT_MAGIC as SEGMENT_EXPORT_MAGIC, SEGMENT_EXT};
     use crate::RawKey;
+    use std::time::SystemTime;
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1019,81 +955,6 @@ mod tests {
     }
 
     #[test]
-    fn dir_mtimes_are_trusted_only_past_the_margin() {
-        let now = SystemTime::now();
-        let old = now - Duration::from_secs(60);
-        let recent = now - Duration::from_millis(500);
-        let future = now + Duration::from_secs(60);
-        assert_eq!(trusted_dir_mtime(Some(old), now), Some(old));
-        assert_eq!(
-            trusted_dir_mtime(Some(recent), now),
-            None,
-            "same-granule publishes could still be invisible"
-        );
-        assert_eq!(trusted_dir_mtime(Some(future), now), None);
-        assert_eq!(trusted_dir_mtime(None, now), None);
-    }
-
-    #[test]
-    fn refresh_skips_the_walk_when_the_directory_mtime_is_unchanged() {
-        let root = temp_root("refresh-skip");
-        let store = DiskStore::open(&root).unwrap();
-        store.save(&key("cg"), &1u64).unwrap();
-        // Backdate the directory past the trust margin so this refresh
-        // caches its mtime after walking.
-        let past = SystemTime::now() - Duration::from_secs(600);
-        set_dir_mtime(&root, past);
-        assert_eq!(store.refresh(), 0, "own segment is already indexed");
-        // A foreign writer publishes a segment; pinning the directory
-        // mtime back to the cached value makes the store's stat conclude
-        // "unchanged", so the refresh skips the walk entirely and the new
-        // segment stays invisible.
-        let writer = DiskStore::open(&root).unwrap();
-        writer.save(&key("lu"), &2u64).unwrap();
-        set_dir_mtime(&root, past);
-        assert_eq!(store.refresh(), 0);
-        assert!(!store.contains(&key("lu")));
-        // Any mtime change re-arms the walk and the segment is folded in.
-        set_dir_mtime(&root, past + Duration::from_secs(30));
-        assert_eq!(store.refresh(), 1);
-        assert!(store.contains(&key("lu")));
-    }
-
-    #[test]
-    fn misses_inside_the_trust_margin_list_the_directory_once() {
-        // The directory mtime is "now", inside DIR_MTIME_TRUST_MARGIN, so
-        // `dir_seen` cannot be cached.  Before the (mtime, name-set) memo,
-        // every one of the misses below walked the directory again.
-        let root = temp_root("refresh-memo");
-        let reader = DiskStore::open(&root).unwrap();
-        let writer = DiskStore::open(&root).unwrap();
-        writer.save(&key("cg"), &1u64).unwrap();
-        assert_eq!(reader.load::<u64>(&key("cg")), Some(1));
-        let scans = reader.stats().dir_scans;
-        assert!(scans >= 1, "the stale first load must have listed");
-        for _ in 0..5 {
-            assert_eq!(reader.load::<u64>(&key("absent")), None);
-        }
-        // At most one more listing is tolerated (the catch-up walk, if the
-        // margin expired mid-test on a slow machine) — never one per miss.
-        let after = reader.stats().dir_scans;
-        assert!(
-            after <= scans + 1,
-            "5 misses against an unchanged directory cost {} listings",
-            after - scans
-        );
-        // A new publish bumps the directory mtime, which invalidates the
-        // memo: the next miss re-lists and finds the fresh segment.
-        let late = DiskStore::open(&root).unwrap();
-        late.save(&key("lu"), &2u64).unwrap();
-        assert_eq!(reader.load::<u64>(&key("lu")), Some(2));
-        assert!(
-            reader.stats().dir_scans > after,
-            "the publish re-armed the walk"
-        );
-    }
-
-    #[test]
     fn rename_publish_in_the_same_mtime_granule_is_not_masked() {
         // A publish is a `.tmp` → `seg-*` rename: it does not change the
         // directory's *size* (same entry count, block-granular sizes) and
@@ -1108,23 +969,65 @@ mod tests {
         let writer = DiskStore::open(&scratch).unwrap();
         writer.save(&key("lu"), &2u64).unwrap();
         let seg_name = segment_files(&scratch).pop().expect("writer segment");
-        // Pin a whole-second mtime (so it can be pinned *back* exactly)
-        // inside the trust margin, then arm the in-margin memo.
+        // Pin a whole-second mtime (so it can be pinned *back* exactly).
         let granule = SystemTime::now();
         set_dir_mtime(&root, granule);
         assert_eq!(reader.refresh(), 0, "empty store, nothing to fold");
-        let scans = reader.stats().dir_scans;
         // Publish via tmp-write + rename, then pin the directory mtime
         // back into the granule the memo recorded.
         let tmp = root.join(format!("incoming.{TMP_EXT}"));
         std::fs::copy(scratch.join(&seg_name), &tmp).unwrap();
         std::fs::rename(&tmp, root.join(&seg_name)).unwrap();
         set_dir_mtime(&root, granule);
-        // mtime matches the memo byte-for-byte; only the segment name set
+        // The directory mtime is unchanged; only the segment name set
         // differs.  The very next refresh must fold the publish.
         assert_eq!(reader.refresh(), 1, "the rename-published segment folds");
         assert_eq!(reader.load::<u64>(&key("lu")), Some(2));
-        assert!(reader.stats().dir_scans > scans, "a full listing ran");
+    }
+
+    #[test]
+    fn a_record_appended_to_an_indexed_segment_is_loaded() {
+        // Writers append in place: the writer's second record lands in the
+        // segment file the reader already folded, which changes neither
+        // the directory's name set nor (necessarily) its mtime.
+        let root = temp_root("append-in-place");
+        let writer = DiskStore::open(&root).unwrap();
+        let reader = DiskStore::open(&root).unwrap();
+        writer.save(&key("cg"), &1u64).unwrap();
+        assert_eq!(reader.load::<u64>(&key("cg")), Some(1));
+        writer.save(&key("lu"), &2u64).unwrap();
+        assert_eq!(segment_files(&root).len(), 1, "one segment, appended to");
+        assert_eq!(reader.load::<u64>(&key("lu")), Some(2));
+        assert_eq!(reader.stats().entries, 2);
+        let fresh = DiskStore::open(&root).unwrap();
+        assert_eq!(fresh.load::<u64>(&key("lu")), Some(2));
+    }
+
+    #[test]
+    fn a_segment_listed_while_empty_shows_what_is_written_into_it_later() {
+        // A writer creates its segment empty and appends afterwards; a
+        // refresh between the two must not hide the records.  The record
+        // is written in two pieces, so the refresh in between also sees
+        // a torn tail it must read again once the newline lands.
+        let root = temp_root("listed-empty");
+        let reader = DiskStore::open(&root).unwrap();
+        let name = SegmentName {
+            generation: 1,
+            pid: std::process::id(),
+            seq: next_segment_seq(),
+        };
+        let path = root.join(name.file_name());
+        let mut file = File::create(&path).unwrap();
+        reader.refresh();
+        let record = segment::encode_record(key("cg").canonical(), "7");
+        let (head, tail) = record.split_at(record.len() / 2);
+        file.write_all(head.as_bytes()).unwrap();
+        assert_eq!(reader.refresh(), 0, "a torn tail is not folded");
+        file.write_all(tail.as_bytes()).unwrap();
+        file.write_all(b"\n").unwrap();
+        assert_eq!(reader.load::<u64>(&key("cg")), Some(7));
+        assert_eq!(reader.refresh(), 0, "nothing new: nothing folded twice");
+        assert_eq!(reader.stats().entries, 1);
     }
 
     /// Pins a directory's mtime to a whole-second epoch value.

@@ -6,9 +6,8 @@
 //! sweep run --benchmarks cg,lu --designs baseline,proposed --out rows.jsonl
 //! sweep run --grid fig07 --scale paper --cache-dir /tmp/sweep-cache
 //! sweep run --grid fig09 --shards 3          # 3 shard processes, merged output
-//! sweep run --grid fig09 --shard 2/3         # this process runs shard 2 only
-//! sweep plan plan.json --grid fig09 --shards 2     # sign a multi-machine plan
-//! sweep run --manifest plan.json --shard 1/2 --out shard-1.jsonl   # machine 1
+//! sweep plan plan.json --grid fig09 --shards 2     # sign a shard manifest
+//! sweep run --manifest plan.json --shard 1/2 --out shard-1.jsonl   # one shard
 //! sweep merge --manifest plan.json --out rows.jsonl shard-1.jsonl shard-2.jsonl
 //! sweep store export warm.bundle             # ship a warm store elsewhere
 //! sweep store import warm.bundle             # …and absorb it there
@@ -18,10 +17,8 @@
 //! sweep query family=worker-shared 'cycles<=1e6' --by worker_icache.misses
 //! ```
 //!
-//! The pre-subcommand grammar — the same options as top-level flags, plus
-//! `--plan FILE`, `--compact`, `--cache-stats`, `--export-segments` and
-//! `--import-segments` — still works as a set of deprecated aliases, so
-//! existing scripts keep running unchanged.
+//! Every invocation names its subcommand, and each subcommand parses only
+//! its own flags: anything else exits 2 with that subcommand's usage.
 //!
 //! Result rows stream as JSONL (stdout by default, `--out FILE` otherwise)
 //! in stable digest order — every line starts with the fixed-width hex job
@@ -31,29 +28,23 @@
 //! `--cache-dir` reports `disk-hits > 0`, zero simulations, zero trace
 //! generations, and produces byte-identical rows.
 //!
-//! `--shards N` splits the grid across N child `sweep` processes by stable
-//! job-key digest: the children share the cache directory (their appends
-//! never collide and no cell is simulated twice), their stderr streams
-//! here with a `[shard i/N]` prefix, and their digest-ordered row streams
-//! are k-way merged — validated against the expected key schedule — into
-//! output byte-identical to an unsharded run.  `--shard i/N` runs a single
-//! shard in this process (what the coordinator spawns, and what a manual
-//! multi-terminal or multi-machine run uses directly).
+//! A grid splits into N shards by stable job-key digest, and every split
+//! runs from a signed manifest.  `sweep plan FILE … --shards N` writes one,
+//! carrying the grid spec and every shard's expected key schedule; `sweep
+//! run --manifest FILE --shard i/N` re-derives that schedule with the
+//! local binary, refuses to simulate on any disagreement, and runs one
+//! shard; `sweep merge` validates every gathered per-shard stream against
+//! its slot of the schedule, names each missing, short or corrupt one, and
+//! writes nothing unless all of them check out.  The shards need no shared
+//! filesystem: `sweep store export|import` ship one machine's warm store to
+//! the others as a verified bundle.
 //!
-//! The **multi-machine** path needs no shared filesystem.  `--plan FILE`
-//! signs a manifest carrying the grid spec and every shard's expected key
-//! schedule; `--manifest FILE --shard i/N` re-derives the schedule with
-//! the local binary and refuses to simulate on any disagreement; the
-//! gathered per-shard JSONL files are recombined offline with `sweep
-//! merge`, which names every missing or short shard (so stragglers can be
-//! re-run individually) and writes nothing unless all streams check out.
-//! `--export-segments` / `--import-segments` ship one machine's warm store
-//! to the others as a verified bundle.
-//!
-//! `--compact`, `--cache-stats`, `--export-segments` and
-//! `--import-segments` are maintenance modes: they operate on the store
-//! named by `--cache-dir` (or the default) and exit without running a
-//! grid.
+//! `sweep run --shards N` is that pipeline on one host: it plans into a
+//! scratch directory, spawns N children running `run --manifest … --shard
+//! i/N` over one cache directory (their appends never collide and no cell
+//! is simulated twice), relays their stderr with a `[shard i/N]` prefix,
+//! and merges their streams through the same validating merge as `sweep
+//! merge`, into output byte-identical to an unsharded run.
 //!
 //! `sweep query` answers **from the store alone** — no grid, no engine, no
 //! simulation.  Filters conjoin facet equalities (`benchmark=cg`,
@@ -68,18 +59,15 @@
 // usage): the `raw-stderr` lint rule exempts exactly this directory.
 #![allow(clippy::print_stderr)]
 
+use acmp_store::{Catalog, CatalogSource, DiskStore};
 use acmp_sweep::manifest::{scale_generator, SweepManifest};
-use acmp_sweep::merge::{
-    merge_shard_streams, merge_validated, shard_key_schedule, validate_shard_stream, MergeError,
-};
+use acmp_sweep::merge::{merge_validated, validate_shard_stream, MergeError};
 use acmp_sweep::scheduler::split_worker_budget;
-use acmp_sweep::{
-    Catalog, CatalogSource, DiskStore, GridSpec, JobKey, Query, ShardSpec, SweepEngine,
-    WorkStealingPool,
-};
+use acmp_sweep::serve::parse_query_tokens;
+use acmp_sweep::{GridSpec, ShardSpec, SweepEngine, WorkStealingPool};
 use hpc_workloads::GeneratorConfig;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The top-level usage text.  A function, not a const: the metrics schema
 /// name is spliced in from its defining constant
@@ -88,29 +76,30 @@ use std::path::PathBuf;
 fn usage() -> String {
     format!(
         "\
-usage: sweep run   [options]                 run a grid, or one shard of it
-       sweep plan  FILE [options]            sign a multi-machine shard manifest
+usage: sweep run   [options]                 run a grid, or one shard of a planned one
+       sweep plan  FILE [options]            sign a shard manifest
        sweep merge --manifest plan.json [--out FILE] shard-1.jsonl … shard-N.jsonl
        sweep store compact|stats|export FILE|import FILE [--cache-dir DIR]
        sweep query [FILTER …] --by METRIC [--top K] [--desc] [--cache-dir DIR]
        sweep serve --dir STORE [--addr HOST:PORT] [--workers N]
        sweep trace report TRACE.jsonl [--metrics FILE.json] [--top K]
-       sweep [options]                       (deprecated alias grammar, see below)
 
-run options:
+run options (`sweep plan` takes --benchmarks, --designs, --grid, --scale
+and --shards):
   --benchmarks SPEC   all | quick | comma list of names     (default: quick)
   --designs SPEC      design spec (see below)               (default: baseline,proposed)
   --grid PRESET       shorthand for --designs PRESET
   --workers N         pool threads                          (default: nproc)
-  --shards N          run the grid as N shard processes sharing the cache,
-                      then merge their rows (byte-identical to unsharded);
+  --shards N          plan the grid into N shards, run each as a child
+                      process against the manifest, sharing the cache, then
+                      merge their rows (byte-identical to unsharded);
                       with `sweep plan`, the shard count being planned
-  --shard I/N         run only the cells whose stable key digest d has
-                      d % N == I-1 (1-based I)
   --scale S           quick | paper trace scale             (default: quick)
   --manifest FILE     run one shard of a planned sweep (needs --shard I/N);
                       the grid and scale come from the manifest, which is
                       digest-checked and re-validated against this binary
+  --shard I/N         with --manifest: run only the cells whose stable key
+                      digest d has d % N == I-1 (1-based I)
   --out FILE          write JSONL rows to FILE              (default: stdout)
   --cache-dir DIR     on-disk result store                  (default: target/sweep-cache)
   --keep-generations N  evict all but the newest N store generations at open
@@ -133,10 +122,6 @@ store subcommands (all honour --cache-dir):
 query filters (conjunctive; see `sweep query --help`):
   benchmark=cg  family=private|worker-shared|all-shared  design=NAME
   scale=HEX16   METRIC<=N  METRIC>=N  METRIC<N  METRIC>N
-
-deprecated aliases: the run options work without the `run` subcommand, and
-  --plan FILE / --compact / --cache-stats / --export-segments FILE /
-  --import-segments FILE mirror `sweep plan` and the store subcommands.
 
 design specs: baseline proposed all-shared all-shared-single worker-shared-32k
               naive:N  lb:N  shared:KiB:LB:single|double  fig07..fig13 presets",
@@ -174,6 +159,8 @@ usage: sweep query [FILTER …] --by METRIC [--top K] [--desc] [--cache-dir DIR]
   Hits stream as JSONL (key, benchmark, family, design, metric, value) in
   ranked order: ascending by --by METRIC (--desc flips), key digest breaks
   ties, --top K cuts the list.  Rows lacking the metric are excluded.
+  The query tokens are the grammar `sweep serve`'s /query accepts, so
+  --by=METRIC and --top=K work too.
   The first query over a store builds and persists the secondary index;
   later queries (and queries after `store compact`) answer from it with
   zero segment value reads — observable as the absence of the
@@ -211,179 +198,307 @@ usage: sweep merge --manifest plan.json [--out FILE] shard-1.jsonl … shard-N.j
   skipping a middle slot would silently shift every later file into the
   wrong one.";
 
-struct Options {
+/// One subcommand's arguments, consumed token by token.  Every malformed
+/// command line ends in [`fail`](Args::fail): the message, the
+/// subcommand's usage, exit status 2.
+struct Args<'a> {
+    tokens: std::slice::Iter<'a, String>,
+    /// The message prefix: `sweep run`, `sweep query`, ….
+    cmd: &'static str,
+    usage: String,
+}
+
+impl<'a> Args<'a> {
+    fn new(tokens: &'a [String], cmd: &'static str, usage: String) -> Self {
+        Args {
+            tokens: tokens.iter(),
+            cmd,
+            usage,
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.tokens.next().map(String::as_str)
+    }
+
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}\n\n{}", self.cmd, self.usage);
+        std::process::exit(2);
+    }
+
+    /// `--help`: the usage text, exit status 0.
+    fn help(&self) -> ! {
+        eprintln!("{}", self.usage);
+        std::process::exit(0);
+    }
+
+    /// The value that must follow `flag`.
+    fn value(&mut self, flag: &str) -> String {
+        match self.next() {
+            Some(value) => value.to_string(),
+            None => self.fail(&format!("{flag} needs a value")),
+        }
+    }
+
+    /// The count that must follow `flag`: a whole number ≥ 1, called
+    /// `what` in the error when it is not.
+    fn count<T: std::str::FromStr + PartialOrd + From<u8>>(&mut self, flag: &str, what: &str) -> T {
+        let value = self.value(flag);
+        match value.parse::<T>() {
+            Ok(n) if n >= T::from(1) => n,
+            _ => self.fail(&format!("bad {what} `{value}`")),
+        }
+    }
+}
+
+/// The grid-defining flags `run` and `plan` share.
+struct GridFlags {
     benchmarks: String,
     designs: String,
-    workers: Option<usize>,
-    shards: Option<u32>,
-    shard: Option<ShardSpec>,
     scale: String,
-    plan: Option<String>,
-    manifest: Option<String>,
+    /// The grid flags given explicitly — with `--manifest` the grid comes
+    /// from the manifest, so these conflict and are named in the error.
+    given: Vec<&'static str>,
+}
+
+impl Default for GridFlags {
+    fn default() -> Self {
+        GridFlags {
+            benchmarks: "quick".to_string(),
+            designs: "baseline,proposed".to_string(),
+            scale: "quick".to_string(),
+            given: Vec::new(),
+        }
+    }
+}
+
+impl GridFlags {
+    /// Takes `flag` and its value when `flag` is a grid flag; returns
+    /// whether it was one.
+    fn take(&mut self, flag: &str, args: &mut Args) -> bool {
+        let flag = match flag {
+            "--benchmarks" => {
+                self.benchmarks = args.value(flag);
+                "--benchmarks"
+            }
+            "--designs" => {
+                self.designs = args.value(flag);
+                "--designs"
+            }
+            "--grid" => {
+                self.designs = args.value(flag);
+                "--grid"
+            }
+            "--scale" => {
+                self.scale = args.value(flag);
+                if let Err(msg) = scale_generator(&self.scale) {
+                    args.fail(&msg);
+                }
+                "--scale"
+            }
+            _ => return false,
+        };
+        self.given.push(flag);
+        true
+    }
+
+    /// The grid and its trace generator; a bad spec exits 2.
+    fn parse(&self) -> (GridSpec, GeneratorConfig) {
+        match GridSpec::parse(&self.benchmarks, &self.designs) {
+            Ok(grid) => (
+                grid,
+                scale_generator(&self.scale).expect("scale validated at parse"),
+            ),
+            Err(msg) => {
+                eprintln!("sweep: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Signs a manifest splitting this grid into `shards`; a bad spec
+    /// exits 2.
+    fn plan(&self, shards: u32) -> SweepManifest {
+        match SweepManifest::plan(&self.benchmarks, &self.designs, &self.scale, shards) {
+            Ok(manifest) => manifest,
+            Err(msg) => {
+                eprintln!("sweep: {msg}");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
+/// How `sweep run` covers its grid.
+enum Mode {
+    /// The whole grid, in this process.
+    Whole,
+    /// `--shards N`: plan, run N child shard processes, merge.
+    Shards(u32),
+    /// `--manifest FILE --shard I/N`: one shard of a planned sweep.
+    Manifest(String, ShardSpec),
+}
+
+/// `sweep run`'s options.
+struct RunOptions {
+    grid: GridFlags,
+    mode: Mode,
+    workers: Option<usize>,
     out: Option<String>,
     cache_dir: Option<String>,
     keep_generations: Option<u64>,
     disk_cache: bool,
-    compact: bool,
-    cache_stats: bool,
-    export_segments: Option<String>,
-    import_segments: Option<String>,
+    sinks: Sinks,
+    quiet: bool,
+}
+
+impl RunOptions {
+    fn parse(tokens: &[String]) -> Self {
+        let mut args = Args::new(tokens, "sweep run", usage());
+        let mut opts = RunOptions {
+            grid: GridFlags::default(),
+            mode: Mode::Whole,
+            workers: None,
+            out: None,
+            cache_dir: None,
+            keep_generations: None,
+            disk_cache: true,
+            sinks: Sinks::default(),
+            quiet: false,
+        };
+        let mut shards: Option<u32> = None;
+        let mut shard: Option<ShardSpec> = None;
+        let mut manifest: Option<String> = None;
+        while let Some(flag) = args.next() {
+            if opts.grid.take(flag, &mut args) {
+                continue;
+            }
+            match flag {
+                "--workers" => opts.workers = Some(args.count(flag, "worker count")),
+                "--shards" => shards = Some(args.count(flag, "shard count")),
+                "--shard" => {
+                    let spec = args.value(flag);
+                    match ShardSpec::parse(&spec) {
+                        Ok(parsed) => shard = Some(parsed),
+                        Err(e) => args.fail(&format!("bad --shard `{spec}`: {e}")),
+                    }
+                }
+                "--manifest" => manifest = Some(args.value(flag)),
+                "--out" => opts.out = Some(args.value(flag)),
+                "--cache-dir" => opts.cache_dir = Some(args.value(flag)),
+                "--keep-generations" => {
+                    opts.keep_generations = Some(args.count(flag, "generation count"));
+                }
+                "--no-disk-cache" => opts.disk_cache = false,
+                "--trace-out" => opts.sinks.trace_out = Some(args.value(flag)),
+                "--metrics-out" => opts.sinks.metrics_out = Some(args.value(flag)),
+                "--quiet" => opts.quiet = true,
+                "--help" | "-h" => args.help(),
+                other => args.fail(&format!("unknown option `{other}`")),
+            }
+        }
+        opts.mode = match (manifest, shards, shard) {
+            (_, Some(_), Some(_)) => args.fail("--shard and --shards are mutually exclusive"),
+            (Some(path), shards, shard) => {
+                if let Some(flag) = opts.grid.given.first() {
+                    args.fail(&format!(
+                        "{flag} conflicts with --manifest: the grid and scale come from the manifest"
+                    ));
+                }
+                match (shards, shard) {
+                    (None, Some(shard)) => Mode::Manifest(path, shard),
+                    (Some(_), _) => args.fail(
+                        "--shards conflicts with --manifest; run one shard per machine with --shard i/N",
+                    ),
+                    (None, None) => args.fail(
+                        "--manifest needs --shard i/N (use `sweep merge` to combine gathered streams)",
+                    ),
+                }
+            }
+            (None, _, Some(_)) => args.fail(
+                "--shard needs --manifest: plan the split with `sweep plan FILE … --shards N`, \
+                 then run each shard against that manifest",
+            ),
+            (None, Some(shards), None) => Mode::Shards(shards),
+            (None, None, None) => Mode::Whole,
+        };
+        opts
+    }
+}
+
+/// The `--trace-out` / `--metrics-out` artifacts of `run` and `query`.
+#[derive(Default)]
+struct Sinks {
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    quiet: bool,
-    /// Grid-defining flags the user passed explicitly — with `--manifest`
-    /// the grid comes from the manifest, so these conflict and are named
-    /// in the error.
-    grid_flags: Vec<&'static str>,
 }
 
-impl Options {
-    fn is_maintenance(&self) -> bool {
-        self.compact
-            || self.cache_stats
-            || self.export_segments.is_some()
-            || self.import_segments.is_some()
+impl Sinks {
+    /// Turns on the sinks the flags ask for.  Must run before the engine
+    /// opens its store or simulates anything, so every span of the run
+    /// lands in the artifacts.
+    fn enable(&self) {
+        if self.trace_out.is_some() {
+            acmp_obs::enable_events();
+        }
+        if self.metrics_out.is_some() {
+            acmp_obs::enable_metrics();
+        }
+    }
+
+    /// Writes the artifacts at the end of a run: this process's drained
+    /// events plus `child_events` already rendered (and shard-tagged) by a
+    /// coordinator, and the metrics snapshot merged with every child's.
+    /// No-ops for sinks that were not requested.
+    fn write(&self, child_events: Vec<serde::Value>, child_metrics: &[acmp_obs::MetricsSnapshot]) {
+        if let Some(path) = &self.trace_out {
+            let mut values: Vec<serde::Value> = acmp_obs::drain_events()
+                .iter()
+                .map(acmp_obs::event_to_value)
+                .collect();
+            values.extend(child_events);
+            let result = std::fs::File::create(path).and_then(|f| {
+                let mut w = std::io::BufWriter::new(f);
+                acmp_obs::write_values(&mut w, &values).and_then(|()| w.flush())
+            });
+            if let Err(e) = result {
+                eprintln!("sweep: cannot write trace {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+        if let Some(path) = &self.metrics_out {
+            let mut snapshot = acmp_obs::registry().snapshot();
+            for m in child_metrics {
+                snapshot.merge(m);
+            }
+            let mut json = snapshot.to_value().to_string();
+            json.push('\n');
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("sweep: cannot write metrics {path}: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        benchmarks: "quick".to_string(),
-        designs: "baseline,proposed".to_string(),
-        workers: None,
-        shards: None,
-        shard: None,
-        scale: "quick".to_string(),
-        plan: None,
-        manifest: None,
-        out: None,
-        cache_dir: None,
-        keep_generations: None,
-        disk_cache: true,
-        compact: false,
-        cache_stats: false,
-        export_segments: None,
-        import_segments: None,
-        trace_out: None,
-        metrics_out: None,
-        quiet: false,
-        grid_flags: Vec::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--benchmarks" => {
-                opts.benchmarks = value("--benchmarks")?;
-                opts.grid_flags.push("--benchmarks");
-            }
-            "--designs" => {
-                opts.designs = value("--designs")?;
-                opts.grid_flags.push("--designs");
-            }
-            "--grid" => {
-                opts.designs = value("--grid")?;
-                opts.grid_flags.push("--grid");
-            }
-            "--workers" => {
-                let v = value("--workers")?;
-                opts.workers = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad worker count `{v}`"))?,
-                );
-            }
-            "--shards" => {
-                let v = value("--shards")?;
-                opts.shards = Some(
-                    v.parse::<u32>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad shard count `{v}`"))?,
-                );
-            }
-            "--shard" => {
-                let v = value("--shard")?;
-                opts.shard =
-                    Some(ShardSpec::parse(&v).map_err(|e| format!("bad --shard `{v}`: {e}"))?);
-            }
-            "--scale" => {
-                let v = value("--scale")?;
-                scale_generator(&v)?;
-                opts.scale = v;
-                opts.grid_flags.push("--scale");
-            }
-            "--plan" => opts.plan = Some(value("--plan")?),
-            "--manifest" => opts.manifest = Some(value("--manifest")?),
-            "--out" => opts.out = Some(value("--out")?),
-            "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")?),
-            "--keep-generations" => {
-                let v = value("--keep-generations")?;
-                opts.keep_generations = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad generation count `{v}`"))?,
-                );
-            }
-            "--no-disk-cache" => opts.disk_cache = false,
-            "--compact" => opts.compact = true,
-            "--cache-stats" => opts.cache_stats = true,
-            "--export-segments" => opts.export_segments = Some(value("--export-segments")?),
-            "--import-segments" => opts.import_segments = Some(value("--import-segments")?),
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
-            "--quiet" => opts.quiet = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    if opts.shard.is_some() && opts.shards.is_some() {
-        return Err("--shard and --shards are mutually exclusive".to_string());
-    }
-    if opts.plan.is_some() && (opts.manifest.is_some() || opts.shard.is_some()) {
-        return Err("--plan only writes a manifest; it conflicts with --manifest/--shard".into());
-    }
-    if (opts.plan.is_some() || opts.manifest.is_some()) && opts.is_maintenance() {
-        return Err("store maintenance flags conflict with --plan/--manifest".to_string());
-    }
-    if opts.manifest.is_some() {
-        if let Some(flag) = opts.grid_flags.first() {
-            return Err(format!(
-                "{flag} conflicts with --manifest: the grid and scale come from the manifest"
-            ));
-        }
-        if opts.shards.is_some() {
-            return Err(
-                "--shards conflicts with --manifest; run one shard per machine with --shard i/N"
-                    .to_string(),
-            );
-        }
-        if opts.shard.is_none() {
-            return Err(
-                "--manifest needs --shard i/N (use `sweep merge` to combine gathered streams)"
-                    .to_string(),
-            );
-        }
-    }
-    Ok(opts)
+/// The store directory `dir` names, or the default one.
+fn cache_root(dir: Option<&str>) -> PathBuf {
+    dir.map_or_else(DiskStore::default_root, PathBuf::from)
 }
 
-/// The store directory the run will use (ignoring `--no-disk-cache`).
-fn cache_root(opts: &Options) -> PathBuf {
-    opts.cache_dir
-        .clone()
-        .map(PathBuf::from)
-        .unwrap_or_else(DiskStore::default_root)
+/// Opens the store under `root`, exiting on failure.
+fn open_store(root: &Path) -> DiskStore {
+    match DiskStore::open(root) {
+        Ok(store) => store,
+        Err(e) => {
+            eprintln!("sweep: cannot open cache dir {}: {e}", root.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Opens the JSONL sink (`--out FILE` or stdout), exiting on failure.
-fn open_sink(out: Option<&String>) -> Box<dyn Write> {
+fn open_sink(out: Option<&str>) -> Box<dyn Write> {
     match out {
         Some(path) => match std::fs::File::create(path) {
             Ok(f) => Box::new(std::io::BufWriter::new(f)),
@@ -408,113 +523,43 @@ fn die_on_write_error(e: &std::io::Error) -> ! {
     std::process::exit(1);
 }
 
-/// Turns on the observability sinks the flags ask for.  Must run before
-/// the engine opens its store or simulates anything, so every span of the
-/// run lands in the artifacts.
-fn enable_observability(opts: &Options) {
-    if opts.trace_out.is_some() {
-        acmp_obs::enable_events();
-    }
-    if opts.metrics_out.is_some() {
-        acmp_obs::enable_metrics();
-    }
-}
-
-/// Writes the `--trace-out` / `--metrics-out` artifacts at the end of a
-/// run: this process's drained events plus `child_events` already rendered
-/// (and shard-tagged) by a coordinator, and the metrics snapshot merged
-/// with every child's.  No-ops for sinks that were not requested.
-fn write_obs_artifacts(
-    opts: &Options,
-    child_events: Vec<serde::Value>,
-    child_metrics: &[acmp_obs::MetricsSnapshot],
-) {
-    if let Some(path) = &opts.trace_out {
-        let mut values: Vec<serde::Value> = acmp_obs::drain_events()
-            .iter()
-            .map(acmp_obs::event_to_value)
-            .collect();
-        values.extend(child_events);
-        let result = std::fs::File::create(path).and_then(|f| {
-            let mut w = std::io::BufWriter::new(f);
-            acmp_obs::write_values(&mut w, &values).and_then(|()| w.flush())
-        });
-        if let Err(e) = result {
-            eprintln!("sweep: cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &opts.metrics_out {
-        let mut snapshot = acmp_obs::registry().snapshot();
-        for m in child_metrics {
-            snapshot.merge(m);
-        }
-        let mut json = snapshot.to_value().to_string();
-        json.push('\n');
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("sweep: cannot write metrics {path}: {e}");
-            std::process::exit(1);
-        }
+/// Writes already-merged rows to the `--out` sink, exiting on failure.
+fn write_rows(out: Option<&str>, rows: &[u8]) {
+    let mut sink = open_sink(out);
+    if let Err(e) = sink.write_all(rows).and_then(|()| sink.flush()) {
+        die_on_write_error(&e);
     }
 }
 
 /// `sweep trace report TRACE.jsonl [--metrics FILE.json] [--top K]`.
-fn run_trace(args: &[String]) {
-    match args.first().map(String::as_str) {
+fn run_trace(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep trace", TRACE_USAGE.to_string());
+    match args.next() {
         Some("report") => {}
-        Some("--help" | "-h") => {
-            eprintln!("{TRACE_USAGE}");
-            std::process::exit(0);
-        }
+        Some("--help" | "-h") => args.help(),
         other => {
             let got = other.map_or_else(String::new, |o| format!(" (got `{o}`)"));
-            eprintln!("sweep: `sweep trace` needs the `report` action{got}\n\n{TRACE_USAGE}");
-            std::process::exit(2);
+            args.fail(&format!("needs the `report` action{got}"));
         }
     }
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut top = 10usize;
-    let mut it = args[1..].iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("sweep trace: {name} needs a value\n\n{TRACE_USAGE}");
-                std::process::exit(2);
-            }
-        };
-        match arg.as_str() {
-            "--metrics" => metrics_path = Some(value("--metrics")),
-            "--top" => {
-                let v = value("--top");
-                top = match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("sweep trace: bad --top `{v}`\n\n{TRACE_USAGE}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                eprintln!("{TRACE_USAGE}");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("sweep trace: unknown option `{flag}`\n\n{TRACE_USAGE}");
-                std::process::exit(2);
-            }
+    while let Some(token) = args.next() {
+        match token {
+            "--metrics" => metrics_path = Some(args.value(token)),
+            "--top" => top = args.count(token, "--top"),
+            "--help" | "-h" => args.help(),
+            flag if flag.starts_with("--") => args.fail(&format!("unknown option `{flag}`")),
             file => {
                 if trace_path.replace(file.to_string()).is_some() {
-                    eprintln!("sweep trace: exactly one trace file, please\n\n{TRACE_USAGE}");
-                    std::process::exit(2);
+                    args.fail("exactly one trace file, please");
                 }
             }
         }
     }
     let Some(trace_path) = trace_path else {
-        eprintln!("sweep trace: a trace file is required\n\n{TRACE_USAGE}");
-        std::process::exit(2);
+        args.fail("a trace file is required");
     };
     let text = match std::fs::read_to_string(&trace_path) {
         Ok(text) => text,
@@ -551,216 +596,112 @@ fn run_trace(args: &[String]) {
     );
 }
 
-fn parse_or_die(args: &[String]) -> Options {
-    match parse_args(args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            if msg.is_empty() {
-                eprintln!("{}", usage());
-                std::process::exit(0);
-            }
-            eprintln!("sweep: {msg}\n\n{}", usage());
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("merge") => run_merge(&args[1..]),
-        Some("run") => {
-            let opts = parse_or_die(&args[1..]);
-            if opts.is_maintenance() {
-                eprintln!(
-                    "sweep: store maintenance is `sweep store compact|stats|export|import`, \
-                     not a `run` flag\n\n{STORE_USAGE}"
-                );
-                std::process::exit(2);
-            }
-            if opts.plan.is_some() {
-                eprintln!(
-                    "sweep: planning is `sweep plan FILE`, not a `run` flag\n\n{}",
-                    usage()
-                );
-                std::process::exit(2);
-            }
-            dispatch_run(&opts);
-        }
-        Some("plan") => {
-            // `sweep plan FILE [grid flags] --shards N` — sugar over the
-            // legacy `--plan FILE` grammar, sharing its conflict checks.
-            let Some(file) = args.get(1).filter(|a| !a.starts_with("--")).cloned() else {
-                eprintln!(
-                    "sweep: `sweep plan` needs a manifest file to write\n\n{}",
-                    usage()
-                );
-                std::process::exit(2);
-            };
-            let mut legacy = vec!["--plan".to_string(), file.clone()];
-            legacy.extend(args[2..].iter().cloned());
-            let opts = parse_or_die(&legacy);
-            run_plan(&opts, &file);
-        }
-        Some("store") => run_store(&args[1..]),
-        Some("query") => run_query(&args[1..]),
-        Some("serve") => run_serve(&args[1..]),
-        Some("trace") => run_trace(&args[1..]),
-        // Deprecated alias grammar: the run/plan/store options as bare
-        // top-level flags.  Kept silently working so existing scripts and
-        // CI keep running; new scripts should use the subcommands.
-        _ => {
-            let opts = parse_or_die(&args);
-            if opts.is_maintenance() {
-                run_maintenance(&opts);
-                return;
-            }
-            if let Some(path) = opts.plan.clone() {
-                run_plan(&opts, &path);
-                return;
-            }
-            dispatch_run(&opts);
+        Some("run") => dispatch_run(&RunOptions::parse(rest)),
+        Some("plan") => run_plan(rest),
+        Some("merge") => run_merge(rest),
+        Some("store") => run_store(rest),
+        Some("query") => run_query(rest),
+        Some("serve") => run_serve(rest),
+        Some("trace") => run_trace(rest),
+        Some("--help" | "-h") => Args::new(rest, "sweep", usage()).help(),
+        other => {
+            let msg = other.map_or_else(
+                || "a subcommand is required".to_string(),
+                |o| format!("unknown subcommand `{o}`"),
+            );
+            Args::new(rest, "sweep", usage()).fail(&msg);
         }
     }
 }
 
-/// The `run` path shared by `sweep run` and the legacy flag grammar.
-fn dispatch_run(opts: &Options) {
-    enable_observability(opts);
-    if let Some(path) = opts.manifest.clone() {
-        run_manifest_shard(opts, &path);
-        return;
-    }
-    let grid = match GridSpec::parse(&opts.benchmarks, &opts.designs) {
-        Ok(grid) => grid,
-        Err(msg) => {
-            eprintln!("sweep: {msg}");
-            std::process::exit(2);
+/// `sweep run`: the whole grid, one shard of a manifest, or `--shards N`.
+fn dispatch_run(opts: &RunOptions) {
+    opts.sinks.enable();
+    match &opts.mode {
+        Mode::Manifest(path, shard) => run_manifest_shard(opts, path, *shard),
+        Mode::Shards(shards) => run_coordinator(opts, *shards),
+        Mode::Whole => {
+            let (grid, generator) = opts.grid.parse();
+            run_grid(
+                opts,
+                &grid,
+                &generator,
+                &opts.grid.scale,
+                ShardSpec::whole(),
+            );
         }
-    };
-    let generator = scale_generator(&opts.scale).expect("scale validated at parse");
-
-    match opts.shards {
-        Some(shards) => run_coordinator(opts, &grid, &generator, shards),
-        None => run_grid(opts, &grid, &generator, &opts.scale),
     }
 }
 
 /// `sweep store compact|stats|export FILE|import FILE [--cache-dir DIR]`.
-fn run_store(args: &[String]) {
-    let mut opts = parse_or_die(&[]);
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("compact") => opts.compact = true,
-        Some("stats") => opts.cache_stats = true,
-        Some("export") | Some("import") => {
-            let action = args[0].as_str();
-            let Some(file) = it.next().filter(|a| !a.starts_with("--")).cloned() else {
-                eprintln!("sweep: `sweep store {action}` needs a bundle file\n\n{STORE_USAGE}");
-                std::process::exit(2);
+fn run_store(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep store", STORE_USAGE.to_string());
+    let action = match args.next() {
+        Some("compact") => StoreAction::Compact,
+        Some("stats") => StoreAction::Stats,
+        Some(verb @ ("export" | "import")) => {
+            let file = match args.next() {
+                Some(file) if !file.starts_with("--") => file.to_string(),
+                _ => args.fail(&format!("`{verb}` needs a bundle file")),
             };
-            if action == "export" {
-                opts.export_segments = Some(file);
+            if verb == "export" {
+                StoreAction::Export(file)
             } else {
-                opts.import_segments = Some(file);
+                StoreAction::Import(file)
             }
         }
-        Some("--help") | Some("-h") => {
-            eprintln!("{STORE_USAGE}");
-            std::process::exit(0);
-        }
+        Some("--help" | "-h") => args.help(),
         other => {
             let got = other.map_or_else(String::new, |o| format!(" (got `{o}`)"));
-            eprintln!("sweep: `sweep store` needs an action{got}\n\n{STORE_USAGE}");
-            std::process::exit(2);
+            args.fail(&format!("needs an action{got}"));
+        }
+    };
+    let mut cache_dir: Option<String> = None;
+    while let Some(flag) = args.next() {
+        match flag {
+            "--cache-dir" => cache_dir = Some(args.value(flag)),
+            "--help" | "-h" => args.help(),
+            other => args.fail(&format!("unknown option `{other}`")),
         }
     }
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => match it.next() {
-                Some(dir) => opts.cache_dir = Some(dir.clone()),
-                None => {
-                    eprintln!("sweep: --cache-dir needs a value\n\n{STORE_USAGE}");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("sweep: unknown `sweep store` option `{other}`\n\n{STORE_USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    run_maintenance(&opts);
+    run_maintenance(&action, cache_dir.as_deref());
 }
 
 /// `sweep query [FILTER …] --by METRIC [--top K] [--desc] …` — rank cached
-/// results straight from the store's catalog, simulating nothing.
-fn run_query(args: &[String]) {
-    let mut filters: Vec<String> = Vec::new();
-    let mut by: Option<String> = None;
-    let mut top: Option<usize> = None;
-    let mut descending = false;
+/// results straight from the store's catalog, simulating nothing.  The
+/// query tokens go to [`parse_query_tokens`], the parser `/query` uses, so
+/// the CLI and the service accept the same grammar.
+fn run_query(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep query", query_usage());
+    let mut query_tokens: Vec<String> = Vec::new();
     let mut out: Option<String> = None;
-    let mut opts = parse_or_die(&[]);
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("sweep query: {name} needs a value\n\n{}", query_usage());
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--by" => by = Some(value("--by")),
-            "--top" => {
-                let v = value("--top");
-                top = Some(v.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("sweep query: bad --top `{v}`\n\n{}", query_usage());
-                    std::process::exit(2);
-                }));
-            }
-            "--desc" => descending = true,
-            "--out" => out = Some(value("--out")),
-            "--cache-dir" => opts.cache_dir = Some(value("--cache-dir")),
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")),
-            "--quiet" => opts.quiet = true,
-            "--help" | "-h" => {
-                eprintln!("{}", query_usage());
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("sweep query: unknown option `{flag}`\n\n{}", query_usage());
-                std::process::exit(2);
-            }
-            filter => filters.push(filter.to_string()),
+    let mut cache_dir: Option<String> = None;
+    let mut sinks = Sinks::default();
+    let mut quiet = false;
+    while let Some(token) = args.next() {
+        match token {
+            "--out" => out = Some(args.value(token)),
+            "--cache-dir" => cache_dir = Some(args.value(token)),
+            "--trace-out" => sinks.trace_out = Some(args.value(token)),
+            "--metrics-out" => sinks.metrics_out = Some(args.value(token)),
+            "--quiet" => quiet = true,
+            "--help" | "-h" => args.help(),
+            _ => query_tokens.push(token.to_string()),
         }
     }
-    let Some(by) = by else {
-        eprintln!(
-            "sweep query: a ranking metric (--by METRIC) is required\n\n{}",
-            query_usage()
-        );
-        std::process::exit(2);
-    };
-    let query = match Query::parse(&filters, &by, top, descending) {
-        Ok(q) => q,
-        Err(msg) => {
-            eprintln!("sweep query: {msg}\n\n{}", query_usage());
-            std::process::exit(2);
-        }
+    let query = match parse_query_tokens(&query_tokens) {
+        Ok(query) => query,
+        Err(msg) => args.fail(&msg),
     };
 
     // Sinks on before the store opens, so index builds land in the trace.
-    enable_observability(&opts);
-    let root = cache_root(&opts);
-    let store = match DiskStore::open(&root) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("sweep: cannot open cache dir {}: {e}", root.display());
-            std::process::exit(1);
-        }
-    };
+    sinks.enable();
+    let root = cache_root(cache_dir.as_deref());
+    let store = open_store(&root);
     let catalog = match Catalog::open(&store) {
         Ok(catalog) => catalog,
         Err(e) => {
@@ -791,7 +732,7 @@ fn run_query(args: &[String]) {
     }
 
     let hits = catalog.query(&query);
-    let mut sink = open_sink(out.as_ref());
+    let mut sink = open_sink(out.as_deref());
     for hit in &hits {
         // The rendering is shared with `sweep serve` so service responses
         // stay byte-identical to the offline CLI.
@@ -803,7 +744,7 @@ fn run_query(args: &[String]) {
         die_on_write_error(&e);
     }
     drop(sink);
-    if !opts.quiet {
+    if !quiet {
         let source = match catalog.source() {
             CatalogSource::Index => "persisted index",
             CatalogSource::Scan => "value scan (index persisted for next time)",
@@ -815,7 +756,7 @@ fn run_query(args: &[String]) {
             catalog.rows().len(),
         );
     }
-    write_obs_artifacts(&opts, Vec::new(), &[]);
+    sinks.write(Vec::new(), &[]);
 }
 
 const SERVE_USAGE: &str = "\
@@ -834,41 +775,23 @@ usage: sweep serve --dir STORE [--addr HOST:PORT] [--workers N]
   --addr ADDR     bind address                (default: 127.0.0.1:7878)
   --workers N     connection worker threads   (default: 4)";
 
-fn run_serve(args: &[String]) {
+/// `sweep serve --dir STORE [--addr HOST:PORT] [--workers N]`.
+fn run_serve(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep serve", SERVE_USAGE.to_string());
     let mut dir: Option<String> = None;
     let mut addr = "127.0.0.1:7878".to_string();
     let mut workers = acmp_sweep::serve::DEFAULT_WORKERS;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("sweep serve: {name} needs a value\n\n{SERVE_USAGE}");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--dir" => dir = Some(value("--dir")),
-            "--addr" => addr = value("--addr"),
-            "--workers" => {
-                let v = value("--workers");
-                workers = v.parse::<usize>().unwrap_or_else(|_| {
-                    eprintln!("sweep serve: bad --workers `{v}`\n\n{SERVE_USAGE}");
-                    std::process::exit(2);
-                });
-            }
-            "--help" | "-h" => {
-                eprintln!("{SERVE_USAGE}");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("sweep serve: unknown argument `{other}`\n\n{SERVE_USAGE}");
-                std::process::exit(2);
-            }
+    while let Some(flag) = args.next() {
+        match flag {
+            "--dir" => dir = Some(args.value(flag)),
+            "--addr" => addr = args.value(flag),
+            "--workers" => workers = args.count(flag, "worker count"),
+            "--help" | "-h" => args.help(),
+            other => args.fail(&format!("unknown argument `{other}`")),
         }
     }
     let Some(dir) = dir else {
-        eprintln!("sweep serve: --dir STORE is required\n\n{SERVE_USAGE}");
-        std::process::exit(2);
+        args.fail("--dir STORE is required");
     };
     // Metrics on from the start so /stats reflects the whole process —
     // including whether the first epoch needed any segment value reads.
@@ -923,104 +846,110 @@ fn install_sigterm_handler() {
 #[cfg(not(unix))]
 fn install_sigterm_handler() {}
 
-/// Store maintenance modes: no grid, no engine.
-fn run_maintenance(opts: &Options) {
-    let root = cache_root(opts);
-    let store = match DiskStore::open(&root) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("sweep: cannot open cache dir {}: {e}", root.display());
-            std::process::exit(1);
-        }
-    };
-    if opts.compact {
-        match store.compact() {
-            Ok(cs) => println!(
-                "compacted {}: {} live entries into generation {} ({} -> {} segments, {} -> {} bytes, removed {} dead segments, {} tmp files)",
-                root.display(),
-                cs.live_entries,
-                cs.generation,
-                cs.segments_before,
-                cs.segments_after,
-                cs.bytes_before,
-                cs.bytes_after,
-                cs.removed_segments,
-                cs.removed_tmp,
-            ),
-            Err(e) => {
-                eprintln!("sweep: compaction of {} failed: {e}", root.display());
-                std::process::exit(1);
+/// What `sweep store` does before it prints the store's statistics.
+enum StoreAction {
+    Compact,
+    Stats,
+    Export(String),
+    Import(String),
+}
+
+/// Store maintenance: no grid, no engine.  Every action ends by printing
+/// the store's contents and index statistics.
+fn run_maintenance(action: &StoreAction, cache_dir: Option<&str>) {
+    let root = cache_root(cache_dir);
+    let store = open_store(&root);
+    match action {
+        StoreAction::Stats => {}
+        StoreAction::Compact => {
+            match store.compact() {
+                Ok(cs) => println!(
+                    "compacted {}: {} live entries into generation {} ({} -> {} segments, {} -> {} bytes, removed {} dead segments, {} tmp files)",
+                    root.display(),
+                    cs.live_entries,
+                    cs.generation,
+                    cs.segments_before,
+                    cs.segments_after,
+                    cs.bytes_before,
+                    cs.bytes_after,
+                    cs.removed_segments,
+                    cs.removed_tmp,
+                ),
+                Err(e) => {
+                    eprintln!("sweep: compaction of {} failed: {e}", root.display());
+                    std::process::exit(1);
+                }
             }
-        }
-        // Compaction copies records verbatim, so a persisted index's
-        // content fingerprint stays valid — but rewrite it anyway so the
-        // on-disk index is rebuilt deterministically alongside the new
-        // generation (and carries fresh row/posting data if it was stale).
-        match store.index_stats() {
-            Ok(istats) if istats.files > 0 => match Catalog::open(&store) {
-                Ok(catalog) => match catalog.persist(&store) {
-                    Ok(_) => println!(
-                        "rebuilt secondary index: {} rows, {} terms",
-                        catalog.rows().len(),
-                        catalog.terms(),
-                    ),
+            // Compaction copies records verbatim, so a persisted index's
+            // content fingerprint stays valid — but rewrite it anyway so the
+            // on-disk index is rebuilt deterministically alongside the new
+            // generation (and carries fresh row/posting data if it was stale).
+            match store.index_stats() {
+                Ok(istats) if istats.files > 0 => match Catalog::open(&store) {
+                    Ok(catalog) => match catalog.persist(&store) {
+                        Ok(_) => println!(
+                            "rebuilt secondary index: {} rows, {} terms",
+                            catalog.rows().len(),
+                            catalog.terms(),
+                        ),
+                        Err(e) => {
+                            eprintln!("sweep: index rebuild under {} failed: {e}", root.display());
+                            std::process::exit(1);
+                        }
+                    },
                     Err(e) => {
                         eprintln!("sweep: index rebuild under {} failed: {e}", root.display());
                         std::process::exit(1);
                     }
                 },
+                Ok(_) => {}
                 Err(e) => {
-                    eprintln!("sweep: index rebuild under {} failed: {e}", root.display());
+                    eprintln!("sweep: cannot inspect index under {}: {e}", root.display());
                     std::process::exit(1);
                 }
-            },
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("sweep: cannot inspect index under {}: {e}", root.display());
-                std::process::exit(1);
             }
         }
-    }
-    if let Some(path) = &opts.import_segments {
-        let file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("sweep: cannot open bundle {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match store.import_segments(std::io::BufReader::new(file)) {
-            Ok(stats) => println!(
-                "imported {path} into {}: {} records ({} new, {} already present)",
-                root.display(),
-                stats.records,
-                stats.imported,
-                stats.skipped,
-            ),
-            Err(e) => {
-                eprintln!("sweep: import of {path} failed: {e}");
-                std::process::exit(1);
+        StoreAction::Import(path) => {
+            let file = match std::fs::File::open(path) {
+                Ok(f) => f,
+                Err(e) => {
+                    eprintln!("sweep: cannot open bundle {path}: {e}");
+                    std::process::exit(1);
+                }
+            };
+            match store.import_segments(std::io::BufReader::new(file)) {
+                Ok(stats) => println!(
+                    "imported {path} into {}: {} records ({} new, {} already present)",
+                    root.display(),
+                    stats.records,
+                    stats.imported,
+                    stats.skipped,
+                ),
+                Err(e) => {
+                    eprintln!("sweep: import of {path} failed: {e}");
+                    std::process::exit(1);
+                }
             }
         }
-    }
-    if let Some(path) = &opts.export_segments {
-        let mut file = match std::fs::File::create(path) {
-            Ok(f) => std::io::BufWriter::new(f),
-            Err(e) => {
-                eprintln!("sweep: cannot create bundle {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match store.export_segments(&mut file) {
-            Ok(records) => println!(
-                "exported {} live records from {} to {path}",
-                records,
-                root.display()
-            ),
-            Err(e) => {
-                eprintln!("sweep: export to {path} failed: {e}");
-                let _ = std::fs::remove_file(path);
-                std::process::exit(1);
+        StoreAction::Export(path) => {
+            let mut file = match std::fs::File::create(path) {
+                Ok(f) => std::io::BufWriter::new(f),
+                Err(e) => {
+                    eprintln!("sweep: cannot create bundle {path}: {e}");
+                    std::process::exit(1);
+                }
+            };
+            match store.export_segments(&mut file) {
+                Ok(records) => println!(
+                    "exported {} live records from {} to {path}",
+                    records,
+                    root.display()
+                ),
+                Err(e) => {
+                    eprintln!("sweep: export to {path} failed: {e}");
+                    let _ = std::fs::remove_file(path);
+                    std::process::exit(1);
+                }
             }
         }
     }
@@ -1051,29 +980,46 @@ fn run_maintenance(opts: &Options) {
     }
 }
 
-/// `--plan FILE`: sign and write a shard manifest, run nothing.
-fn run_plan(opts: &Options, path: &str) {
-    let shards = opts.shards.unwrap_or(1);
-    let manifest = match SweepManifest::plan(&opts.benchmarks, &opts.designs, &opts.scale, shards) {
-        Ok(manifest) => manifest,
-        Err(msg) => {
-            eprintln!("sweep: {msg}");
-            std::process::exit(2);
-        }
-    };
+/// Writes `manifest` to `path` as one JSON line, exiting on failure.
+fn write_manifest(manifest: &SweepManifest, path: &Path) {
     let mut json = manifest.to_json();
     json.push('\n');
     if let Err(e) = std::fs::write(path, json) {
-        eprintln!("sweep: cannot write manifest {path}: {e}");
+        eprintln!("sweep: cannot write manifest {}: {e}", path.display());
         std::process::exit(1);
     }
+}
+
+/// `sweep plan FILE [grid options] [--shards N]`: sign and write a shard
+/// manifest, run nothing.
+fn run_plan(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep plan", usage());
+    let file = match args.next() {
+        Some("--help" | "-h") => args.help(),
+        Some(file) if !file.starts_with("--") => file.to_string(),
+        _ => args.fail("needs a manifest file to write"),
+    };
+    let mut grid = GridFlags::default();
+    let mut shards = 1u32;
+    while let Some(flag) = args.next() {
+        if grid.take(flag, &mut args) {
+            continue;
+        }
+        match flag {
+            "--shards" => shards = args.count(flag, "shard count"),
+            "--help" | "-h" => args.help(),
+            other => args.fail(&format!("unknown option `{other}`")),
+        }
+    }
+    let manifest = grid.plan(shards);
+    write_manifest(&manifest, Path::new(&file));
     eprintln!(
-        "sweep: planned {} cells across {} shards at {} scale into {path} (digest {})",
+        "sweep: planned {} cells across {} shards at {} scale into {file} (digest {})",
         manifest.cells, manifest.shards, manifest.scale, manifest.digest,
     );
     for shard in ShardSpec::all(manifest.shards) {
         eprintln!(
-            "sweep:   shard {shard} owns {} rows — run: sweep run --manifest {path} --shard {shard} --out shard-{}.jsonl",
+            "sweep:   shard {shard} owns {} rows — run: sweep run --manifest {file} --shard {shard} --out shard-{}.jsonl",
             manifest.shard_schedule(shard).len(),
             shard.index() + 1,
         );
@@ -1081,8 +1027,7 @@ fn run_plan(opts: &Options, path: &str) {
 }
 
 /// `--manifest FILE --shard i/N`: validate, then run one shard of the plan.
-fn run_manifest_shard(opts: &Options, path: &str) {
-    let shard = opts.shard.expect("checked at parse");
+fn run_manifest_shard(opts: &RunOptions, path: &str, shard: ShardSpec) {
     let manifest = match SweepManifest::load(path) {
         Ok(manifest) => manifest,
         Err(msg) => {
@@ -1112,19 +1057,23 @@ fn run_manifest_shard(opts: &Options, path: &str) {
     );
     // The scale comes from the manifest, not from opts (where --scale is
     // rejected on this path), so the run summary must be told explicitly.
-    run_grid(opts, &grid, &generator, &manifest.scale);
+    run_grid(opts, &grid, &generator, &manifest.scale, shard);
 }
 
-/// Runs the grid (or one shard of it) in this process.  `scale` is the
-/// display name of `generator`'s scale — `opts.scale` on the plain paths,
-/// the manifest's scale on `--manifest` runs.
-fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale: &str) {
-    let shard = opts.shard.unwrap_or_else(ShardSpec::whole);
+/// Runs the grid, or the cells of it `shard` owns, in this process.
+/// `scale` is the display name of `generator`'s scale.
+fn run_grid(
+    opts: &RunOptions,
+    grid: &GridSpec,
+    generator: &GeneratorConfig,
+    scale: &str,
+    shard: ShardSpec,
+) {
     let mut builder = SweepEngine::builder(*generator).shard(shard);
     if let Some(n) = opts.workers {
         builder = builder.workers(n);
     }
-    let root = cache_root(opts);
+    let root = cache_root(opts.cache_dir.as_deref());
     if opts.disk_cache {
         builder = builder.store_dir(&root);
         if let Some(keep) = opts.keep_generations {
@@ -1139,9 +1088,8 @@ fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale:
         }
     };
 
-    // One enumeration feeds everything: the owned-cell count below, the
-    // jobs the engine runs, and — in the coordinator — the key schedule
-    // the merge validates against, so the three can never drift apart.
+    // One enumeration feeds both the owned-cell count below and the jobs
+    // the engine runs, so the two can never drift apart.
     let jobs = grid.jobs();
     let total = if shard.is_whole() {
         jobs.len()
@@ -1151,7 +1099,7 @@ fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale:
             .count()
     };
 
-    let mut sink = open_sink(opts.out.as_ref());
+    let mut sink = open_sink(opts.out.as_deref());
 
     acmp_obs::logline!(
         "sweep: {} benchmarks × {} designs = {} jobs{} on {} workers ({} scale{})",
@@ -1191,8 +1139,8 @@ fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale:
     // Rows are emitted sorted by line bytes — digest order, since every
     // line starts with the fixed-width hex job key.  A shard's stream is
     // therefore a sorted sub-sequence of the unsharded output, which is
-    // what lets the coordinator's validated k-way merge reproduce the
-    // unsharded bytes exactly.
+    // what lets the validated k-way merge reproduce the unsharded bytes
+    // exactly.
     let mut lines: Vec<String> = outcome.rows.iter().map(|row| row.to_jsonl()).collect();
     lines.sort_unstable();
     for line in &lines {
@@ -1221,14 +1169,16 @@ fn run_grid(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, scale:
             store.generation
         );
     }
-    write_obs_artifacts(opts, Vec::new(), &[]);
+    opts.sinks.write(Vec::new(), &[]);
 }
 
-/// Spawns `shards` child shard processes over one store and merges their
-/// row streams into output byte-identical to an unsharded run.
-fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig, shards: u32) {
-    let keys: Vec<JobKey> = grid.jobs().iter().map(|job| job.key(generator)).collect();
-    let schedule = shard_key_schedule(&keys, shards);
+/// `--shards N`: plans the grid into N shards, runs each as a child
+/// `sweep run --manifest PLAN --shard i/N` over one store, and merges
+/// their row streams through [`merge_shard_files`] into output
+/// byte-identical to an unsharded run.
+fn run_coordinator(opts: &RunOptions, shards: u32) {
+    let (grid, _) = opts.grid.parse();
+    let manifest = opts.grid.plan(shards);
 
     // Shards split the host between them instead of each sizing its pool
     // to the whole machine; the split never hands a child zero workers,
@@ -1238,7 +1188,9 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
         .unwrap_or_else(|| WorkStealingPool::host_sized().workers());
     let per_shard = split_worker_budget(budget, shards);
 
-    let store_root = opts.disk_cache.then(|| cache_root(opts));
+    let store_root = opts
+        .disk_cache
+        .then(|| cache_root(opts.cache_dir.as_deref()));
     let exe = match std::env::current_exe() {
         Ok(path) => path,
         Err(e) => {
@@ -1252,13 +1204,15 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
         eprintln!("sweep: cannot create {}: {e}", shard_dir.display());
         std::process::exit(1);
     }
+    let plan_path = shard_dir.join("plan.json");
+    write_manifest(&manifest, &plan_path);
 
     acmp_obs::logline!(
         "sweep: {} benchmarks × {} designs = {} jobs across {shards} shard processes, {per_shard} workers each ({} scale{})",
         grid.benchmarks.len(),
         grid.designs.len(),
         grid.cells(),
-        opts.scale,
+        opts.grid.scale,
         store_root
             .as_ref()
             .map(|root| format!(", cache {}", root.display()))
@@ -1266,23 +1220,21 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
     );
 
     let start = acmp_obs::Stopwatch::start();
-    let mut children: Vec<(u32, std::process::Child, PathBuf)> = Vec::new();
-    for i in 1..=shards {
-        let out_path = shard_dir.join(format!("shard-{i}.jsonl"));
+    let shard_files: Vec<PathBuf> = (1..=shards)
+        .map(|i| shard_dir.join(format!("shard-{i}.jsonl")))
+        .collect();
+    let mut children: Vec<(u32, std::process::Child)> = Vec::new();
+    for (i, out_path) in (1..=shards).zip(&shard_files) {
         let mut cmd = std::process::Command::new(&exe);
         cmd.arg("run")
-            .arg("--benchmarks")
-            .arg(&opts.benchmarks)
-            .arg("--designs")
-            .arg(&opts.designs)
-            .arg("--scale")
-            .arg(&opts.scale)
+            .arg("--manifest")
+            .arg(&plan_path)
             .arg("--shard")
             .arg(format!("{i}/{shards}"))
             .arg("--workers")
             .arg(per_shard.to_string())
             .arg("--out")
-            .arg(&out_path)
+            .arg(out_path)
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::piped());
@@ -1303,19 +1255,19 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
         // Children write their own observability artifacts into the shard
         // directory; the coordinator folds them into its own after the
         // merge, tagging every child event `shard=i/N`.
-        if opts.trace_out.is_some() {
+        if opts.sinks.trace_out.is_some() {
             cmd.arg("--trace-out")
                 .arg(shard_dir.join(format!("trace-{i}.jsonl")));
         }
-        if opts.metrics_out.is_some() {
+        if opts.sinks.metrics_out.is_some() {
             cmd.arg("--metrics-out")
                 .arg(shard_dir.join(format!("metrics-{i}.json")));
         }
         match cmd.spawn() {
-            Ok(child) => children.push((i, child, out_path)),
+            Ok(child) => children.push((i, child)),
             Err(e) => {
                 eprintln!("sweep: cannot spawn shard {i}/{shards}: {e}");
-                for (_, child, _) in &mut children {
+                for (_, child) in &mut children {
                     let _ = child.kill();
                     let _ = child.wait();
                 }
@@ -1328,7 +1280,7 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
     // Relay every child's stderr (progress and summary lines) with a shard
     // prefix, live, while waiting for them all to finish.
     let mut relays = Vec::new();
-    for (i, child, _) in &mut children {
+    for (i, child) in &mut children {
         relays.push((*i, child.stderr.take().expect("stderr was piped")));
     }
     let mut failed = false;
@@ -1344,7 +1296,7 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
                 );
             });
         }
-        for (i, child, _) in &mut children {
+        for (i, child) in &mut children {
             match child.wait() {
                 Ok(status) if status.success() => {}
                 Ok(status) => {
@@ -1363,40 +1315,12 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
         std::process::exit(1);
     }
 
-    let mut streams = Vec::with_capacity(children.len());
-    for (i, _, path) in &children {
-        match std::fs::File::open(path) {
-            Ok(f) => streams.push(std::io::BufReader::new(f)),
-            Err(e) => {
-                eprintln!(
-                    "sweep: shard {i}/{shards} left no row stream at {}: {e}",
-                    path.display()
-                );
-                let _ = std::fs::remove_dir_all(&shard_dir);
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // Merge into memory first: the merge validates every stream against
-    // the expected key schedule, and the `--out` target (possibly a
-    // previous run's good output) must not even be opened — let alone
-    // truncated — unless every stream checked out.  Any error down here is
-    // a read-side failure (corrupt stream or shard-file I/O): report it
-    // and keep the shard streams on disk for post-mortem.
-    let mut merged: Vec<u8> = Vec::new();
-    let rows = match merge_shard_streams(streams, &schedule, &mut merged) {
-        Ok(rows) => rows,
-        Err(e @ MergeError::Corrupt { .. }) => {
-            eprintln!("sweep: merge failed: {e}");
-            eprintln!("sweep: shard streams kept in {}", shard_dir.display());
-            std::process::exit(1);
-        }
-        Err(MergeError::Io(e)) => {
-            eprintln!("sweep: reading a shard stream failed: {e}");
-            eprintln!("sweep: shard streams kept in {}", shard_dir.display());
-            std::process::exit(1);
-        }
+    // A stream that fails validation keeps the shard directory on disk for
+    // post-mortem.
+    let Some((merged, rows)) = merge_shard_files("sweep", &manifest, &plan_path, &shard_files)
+    else {
+        eprintln!("sweep: shard streams kept in {}", shard_dir.display());
+        std::process::exit(1);
     };
 
     // Fold the children's observability artifacts in *before* the shard
@@ -1406,7 +1330,7 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
     let mut child_events: Vec<serde::Value> = Vec::new();
     let mut child_metrics: Vec<acmp_obs::MetricsSnapshot> = Vec::new();
     for i in 1..=shards {
-        if opts.trace_out.is_some() {
+        if opts.sinks.trace_out.is_some() {
             let path = shard_dir.join(format!("trace-{i}.jsonl"));
             let values = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
@@ -1426,7 +1350,7 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
                 }
             }
         }
-        if opts.metrics_out.is_some() {
+        if opts.sinks.metrics_out.is_some() {
             let path = shard_dir.join(format!("metrics-{i}.json"));
             let snapshot = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
@@ -1449,48 +1373,113 @@ fn run_coordinator(opts: &Options, grid: &GridSpec, generator: &GeneratorConfig,
     }
     let _ = std::fs::remove_dir_all(&shard_dir);
 
-    let mut sink = open_sink(opts.out.as_ref());
-    if let Err(e) = sink.write_all(&merged).and_then(|()| sink.flush()) {
-        die_on_write_error(&e);
-    }
+    write_rows(opts.out.as_deref(), &merged);
     acmp_obs::logline!(
         "sweep: merged {shards} shard streams — {rows} rows in {:.2}s",
         start.elapsed_secs()
     );
-    write_obs_artifacts(opts, child_events, &child_metrics);
+    opts.sinks.write(child_events, &child_metrics);
+}
+
+/// Validates `files[i]` against slot `i` of `manifest`'s key schedule for
+/// every slot, naming each slot's outcome on stderr under `who` — so one
+/// pass reports *all* the missing, short and corrupt shards, and the
+/// stragglers can be re-run individually — and merges the rows in memory
+/// only when every slot checked out.  Returns the merged bytes and row
+/// count, or `None` after reporting how many slots were unusable: the
+/// caller's `--out` target (possibly a previous run's good output) is not
+/// even opened then.  `sweep merge` and the `--shards N` coordinator both
+/// merge through here.
+fn merge_shard_files(
+    who: &str,
+    manifest: &SweepManifest,
+    manifest_path: &Path,
+    files: &[PathBuf],
+) -> Option<(Vec<u8>, u64)> {
+    let mut buffered: Vec<Vec<String>> = Vec::with_capacity(manifest.schedule.len());
+    let mut unusable = 0u32;
+    let slots = ShardSpec::all(manifest.shards).zip(&manifest.schedule);
+    for (i, (slot, schedule)) in slots.enumerate() {
+        // Slot i is file i, unconditionally — even a shard that owns
+        // nothing needs its (empty) file supplied, because accepting an
+        // omitted middle slot would silently shift every later file into
+        // the wrong slot and misattribute the resulting failures.
+        let outcome: Result<Vec<String>, String> = match files.get(i) {
+            None => Err(format!(
+                "missing — no stream supplied for its {} scheduled rows; run: sweep run \
+                 --manifest {} --shard {slot} --out shard-{}.jsonl",
+                schedule.len(),
+                manifest_path.display(),
+                i + 1,
+            )),
+            Some(path) => match std::fs::File::open(path) {
+                Err(e) => Err(format!("missing — cannot open {}: {e}", path.display())),
+                Ok(file) => {
+                    match validate_shard_stream(i + 1, std::io::BufReader::new(file), schedule) {
+                        Ok(rows) => Ok(rows),
+                        Err(MergeError::Io(e)) => {
+                            Err(format!("unreadable — {}: {e}", path.display()))
+                        }
+                        Err(MergeError::Corrupt { message, .. }) => {
+                            let kind = if message.contains("truncated") {
+                                "short"
+                            } else {
+                                "corrupt"
+                            };
+                            Err(format!(
+                                "{kind} — {message} ({}); re-run this shard",
+                                path.display()
+                            ))
+                        }
+                    }
+                }
+            },
+        };
+        match outcome {
+            Ok(rows) => {
+                eprintln!(
+                    "{who}: shard {slot}: ok — {} of {} scheduled rows",
+                    rows.len(),
+                    schedule.len()
+                );
+                buffered.push(rows);
+            }
+            Err(msg) => {
+                eprintln!("{who}: shard {slot}: {msg}");
+                unusable += 1;
+                buffered.push(Vec::new());
+            }
+        }
+    }
+    if unusable > 0 {
+        eprintln!(
+            "{who}: {unusable} of {} shard streams unusable; wrote nothing",
+            manifest.shards
+        );
+        return None;
+    }
+    let mut merged: Vec<u8> = Vec::new();
+    let rows = merge_validated(&buffered, &mut merged).expect("writing to memory cannot fail");
+    Some((merged, rows))
 }
 
 /// `sweep merge`: recombine gathered per-shard JSONL files offline.
-fn run_merge(args: &[String]) {
+fn run_merge(tokens: &[String]) {
+    let mut args = Args::new(tokens, "sweep merge", MERGE_USAGE.to_string());
     let mut manifest_path: Option<String> = None;
     let mut out: Option<String> = None;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("sweep merge: {name} needs a value\n\n{MERGE_USAGE}");
-                std::process::exit(2);
-            }
-        };
-        match arg.as_str() {
-            "--manifest" => manifest_path = Some(value("--manifest")),
-            "--out" => out = Some(value("--out")),
-            "--help" | "-h" => {
-                eprintln!("{MERGE_USAGE}");
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("sweep merge: unknown option `{flag}`\n\n{MERGE_USAGE}");
-                std::process::exit(2);
-            }
-            file => files.push(file.to_string()),
+    let mut files: Vec<PathBuf> = Vec::new();
+    while let Some(token) = args.next() {
+        match token {
+            "--manifest" => manifest_path = Some(args.value(token)),
+            "--out" => out = Some(args.value(token)),
+            "--help" | "-h" => args.help(),
+            flag if flag.starts_with("--") => args.fail(&format!("unknown option `{flag}`")),
+            file => files.push(PathBuf::from(file)),
         }
     }
     let Some(manifest_path) = manifest_path else {
-        eprintln!("sweep merge: a --manifest is required\n\n{MERGE_USAGE}");
-        std::process::exit(2);
+        args.fail("a --manifest is required");
     };
     let manifest = match SweepManifest::load(&manifest_path) {
         Ok(manifest) => manifest,
@@ -1500,83 +1489,18 @@ fn run_merge(args: &[String]) {
         }
     };
     if files.len() > manifest.schedule.len() {
-        eprintln!(
-            "sweep merge: {} shard files supplied for a {}-shard plan",
+        args.fail(&format!(
+            "{} shard files supplied for a {}-shard plan",
             files.len(),
             manifest.shards
-        );
-        std::process::exit(2);
+        ));
     }
-
-    // Validate every stream before writing anything, so one pass reports
-    // *all* the missing / short / corrupt shards — the operator re-runs the
-    // stragglers named here, not one per attempt.
-    let mut buffered: Vec<Vec<String>> = Vec::with_capacity(manifest.schedule.len());
-    let mut unusable = 0u32;
-    for (i, schedule) in manifest.schedule.iter().enumerate() {
-        let slot = ShardSpec::all(manifest.shards)
-            .nth(i)
-            .expect("schedule length was verified");
-        // Slot i is argument i, unconditionally — even a shard that owns
-        // nothing needs its (empty) file supplied, because accepting an
-        // omitted middle slot would silently shift every later file into
-        // the wrong slot and misattribute the resulting failures.
-        let outcome: Result<Vec<String>, String> = match files.get(i) {
-            None => Err(format!(
-                "missing — no stream supplied for its {} scheduled rows; run: sweep run \
-                 --manifest {manifest_path} --shard {slot} --out shard-{}.jsonl",
-                schedule.len(),
-                i + 1,
-            )),
-            Some(path) => match std::fs::File::open(path) {
-                Err(e) => Err(format!("missing — cannot open {path}: {e}")),
-                Ok(file) => {
-                    match validate_shard_stream(i + 1, std::io::BufReader::new(file), schedule) {
-                        Ok(rows) => Ok(rows),
-                        Err(MergeError::Io(e)) => Err(format!("unreadable — {path}: {e}")),
-                        Err(MergeError::Corrupt { message, .. }) => {
-                            let kind = if message.contains("truncated") {
-                                "short"
-                            } else {
-                                "corrupt"
-                            };
-                            Err(format!("{kind} — {message} ({path}); re-run this shard"))
-                        }
-                    }
-                }
-            },
-        };
-        match outcome {
-            Ok(rows) => {
-                eprintln!(
-                    "sweep merge: shard {slot}: ok — {} of {} scheduled rows",
-                    rows.len(),
-                    schedule.len()
-                );
-                buffered.push(rows);
-            }
-            Err(msg) => {
-                eprintln!("sweep merge: shard {slot}: {msg}");
-                unusable += 1;
-                buffered.push(Vec::new());
-            }
-        }
-    }
-    if unusable > 0 {
-        eprintln!(
-            "sweep merge: {unusable} of {} shard streams unusable; wrote nothing",
-            manifest.shards
-        );
+    let Some((merged, rows)) =
+        merge_shard_files("sweep merge", &manifest, Path::new(&manifest_path), &files)
+    else {
         std::process::exit(1);
-    }
-
-    // Every stream checked out; only now may the sink be opened.
-    let mut merged: Vec<u8> = Vec::new();
-    let rows = merge_validated(&buffered, &mut merged).expect("writing to memory cannot fail");
-    let mut sink = open_sink(out.as_ref());
-    if let Err(e) = sink.write_all(&merged).and_then(|()| sink.flush()) {
-        die_on_write_error(&e);
-    }
+    };
+    write_rows(out.as_deref(), &merged);
     eprintln!(
         "sweep merge: merged {} shard streams — {rows} rows, byte-identical to an unsharded run",
         manifest.shards

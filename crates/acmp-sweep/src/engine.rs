@@ -4,7 +4,7 @@ use crate::design_point::DesignPoint;
 use crate::job::{JobKey, ShardSpec, SweepJob};
 use crate::scheduler::{PoolStats, WorkStealingPool};
 use crate::sharded::ShardedMap;
-use crate::store::{DiskStore, StoreStats};
+use acmp_store::{DiskStore, StoreStats};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
 use parking_lot::Mutex;
 use serde_json::json;
@@ -726,7 +726,7 @@ mod tests {
         let mut corrupted = 0;
         for entry in std::fs::read_dir(dir).unwrap().flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
-            if crate::segment::SegmentName::parse(&name).is_none() {
+            if acmp_store::segment::SegmentName::parse(&name).is_none() {
                 continue;
             }
             let text = std::fs::read_to_string(entry.path()).unwrap();

@@ -19,7 +19,7 @@
 use crate::design_point::DesignPoint;
 use crate::design_point::DesignPointError;
 use crate::job::SweepJob;
-use crate::stable_hash;
+use acmp_store::stable_hash;
 use hpc_workloads::Benchmark;
 use sim_acmp::BusWidth;
 use std::collections::HashSet;

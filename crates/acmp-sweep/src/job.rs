@@ -1,7 +1,7 @@
 //! Sweep jobs and their content-addressed keys.
 
 use crate::design_point::DesignPoint;
-use crate::stable_hash;
+use acmp_store::stable_hash;
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use serde_json::json;
 

@@ -16,10 +16,9 @@
 //!   generator config + benchmark + design point) that makes repeated runs
 //!   warm-start across processes.  The store itself — segment log, key
 //!   index, snapshots, catalog, secondary indexes, query planner — lives
-//!   in the [`acmp-store`](acmp_store) crate; this crate re-exports its
-//!   modules ([`store`], [`segment`], [`compact`], [`stable_hash`],
-//!   [`snapshot`], [`catalog`], [`index`], [`query`]) so engine code and
-//!   existing callers keep their paths, and implements
+//!   in the [`acmp-store`](acmp_store) crate, which callers import
+//!   directly; this crate re-exports only [`DiskStore`] and
+//!   [`StoreStats`], which its engine API returns, and implements
 //!   [`StoreKey`](acmp_store::StoreKey) for [`JobKey`];
 //! * [`SweepEngine`] — ties the three together behind
 //!   [`simulate`](SweepEngine::simulate) / [`run_grid`](SweepEngine::run_grid);
@@ -28,16 +27,18 @@
 //! * [`ShardSpec`] + [`merge`] — multi-process sharding: jobs partition by
 //!   the stable digest of their [`JobKey`] (`--shard i/N`), shard processes
 //!   share one disk store (per-process segment files, index refresh on
-//!   miss), and the coordinator (`--shards N`) k-way merges the per-shard
-//!   JSONL streams back into the exact bytes an unsharded run emits;
-//! * [`SweepManifest`] ([`manifest`]) — multi-*machine* sharding with no
-//!   shared filesystem: `sweep --plan` signs a manifest carrying the grid
-//!   spec and every shard's expected key schedule, each machine validates
-//!   its grid against it before simulating, `sweep merge` recombines the
-//!   gathered per-shard JSONL files offline (naming missing or short
-//!   shards), and [`DiskStore::export_segments`] /
-//!   [`DiskStore::import_segments`] ship one machine's warm store to the
-//!   others as a verified bundle.
+//!   miss), and [`merge`] validates every per-shard JSONL stream against
+//!   its key schedule and k-way merges them back into the exact bytes an
+//!   unsharded run emits;
+//! * [`SweepManifest`] ([`manifest`]) — the signed plan every split runs
+//!   from: `sweep plan` signs a manifest carrying the grid spec and every
+//!   shard's expected key schedule, each shard (`sweep run --manifest …
+//!   --shard i/N`) validates its grid against it before simulating, and
+//!   `sweep merge` recombines the gathered per-shard JSONL files (naming
+//!   missing or short shards).  `sweep run --shards N` is that pipeline on
+//!   one host; across machines it needs no shared filesystem, and
+//!   [`DiskStore::export_segments`] / [`DiskStore::import_segments`] ship
+//!   one machine's warm store to the others as a verified bundle.
 //!
 //! [`DesignPoint`] (the machine configurations the paper evaluates) lives
 //! here too, so the engine, the CLI and the spec grammar can name design
@@ -53,18 +54,8 @@ pub mod scheduler;
 pub mod serve;
 pub mod sharded;
 
-// The storage layers moved to the `acmp-store` crate; re-export its modules
-// under their historical paths so `crate::store::…` / `acmp_sweep::segment::…`
-// callers keep compiling unchanged.
-pub use acmp_store::{
-    catalog, compact, epoch, index, query, segment, snapshot, stable_hash, store,
-};
-
-pub use acmp_store::{
-    Catalog, CatalogSource, Cmp, CompactStats, DiskStore, Epoch, EpochCache, Filter, ImportStats,
-    IndexStats, IndexStatus, Query, QueryHit, RawKey, ResultRow, StoreKey, StoreSnapshot,
-    StoreStats,
-};
+// The store types the engine's own API returns.
+pub use acmp_store::{DiskStore, StoreStats};
 pub use design_point::{DesignPoint, DesignPointError};
 pub use engine::{EngineStats, SweepEngine, SweepEngineBuilder, SweepOutcome, SweepRow};
 pub use grid::GridSpec;
@@ -91,7 +82,7 @@ pub mod prelude {
     pub use crate::engine::{EngineStats, SweepEngine, SweepEngineBuilder, SweepOutcome, SweepRow};
     pub use crate::grid::GridSpec;
     pub use crate::job::{JobKey, ShardSpec, SweepJob};
-    pub use crate::store::DiskStore;
+    pub use acmp_store::DiskStore;
 }
 
 #[cfg(test)]

@@ -1,19 +1,18 @@
-//! Signed shard manifests: the coordination artifact of a multi-machine
+//! Signed shard manifests: the coordination artifact of every sharded
 //! sweep.
 //!
-//! A single-host sharded run (`sweep --shards N`) keeps every shard honest
-//! implicitly — one coordinator process derives the grid, spawns the
-//! children and validates the merge, all from one binary in one directory.
-//! Across machines none of that holds: each host runs its own invocation,
-//! possibly from a differently built binary, and the merge happens later,
-//! offline, wherever the per-shard JSONL files were gathered.  The
-//! manifest is the contract that survives that split:
+//! Every split of a grid runs from a manifest, on one host or many.
+//! `sweep run --shards N` plans one into its scratch directory and runs
+//! its children against it; across machines each host runs its own
+//! invocation, possibly from a differently built binary, and the merge
+//! happens later, offline, wherever the per-shard JSONL files were
+//! gathered.  The manifest is the contract that survives that split:
 //!
-//! * `sweep --plan plan.json --grid … --shards N` captures the grid spec,
+//! * `sweep plan plan.json --grid … --shards N` captures the grid spec,
 //!   trace scale, shard count and — most importantly — the **expected key
 //!   schedule** of every shard: exactly the digest-ordered hex job keys
 //!   that shard's row stream must carry;
-//! * each machine runs `sweep --manifest plan.json --shard i/N`, which
+//! * each shard runs `sweep run --manifest plan.json --shard i/N`, which
 //!   re-derives the schedule from the manifest's grid spec *with its own
 //!   binary* and refuses to simulate if the two disagree (catching version
 //!   drift in key derivation, design presets or trace configs before any
@@ -31,7 +30,7 @@
 use crate::grid::GridSpec;
 use crate::job::{JobKey, ShardSpec};
 use crate::merge::shard_key_schedule;
-use crate::stable_hash;
+use acmp_store::stable_hash;
 use hpc_workloads::GeneratorConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -81,12 +80,7 @@ pub struct SweepManifest {
 pub fn scale_generator(scale: &str) -> Result<GeneratorConfig, String> {
     match scale {
         "paper" => Ok(GeneratorConfig::paper()),
-        "quick" => Ok(GeneratorConfig {
-            num_workers: 4,
-            parallel_instructions_per_thread: 20_000,
-            num_phases: 2,
-            seed: 0xC0FF_EE00,
-        }),
+        "quick" => Ok(GeneratorConfig::quick()),
         other => Err(format!("bad scale `{other}` (quick|paper)")),
     }
 }

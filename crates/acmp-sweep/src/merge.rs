@@ -3,22 +3,22 @@
 //! A sharded sweep splits one grid across processes by stable job-key
 //! digest ([`ShardSpec`]); each shard sorts its rows by line bytes before
 //! emitting them, and — because every row starts with the fixed-width hex
-//! job key — that byte order *is* digest order.  The coordinator
-//! recombines the per-shard streams with a k-way merge on the same
-//! ordering, so the merged output is byte-identical to the stream an
-//! unsharded run would have produced.
+//! job key — that byte order *is* digest order.  A k-way merge on the same
+//! ordering ([`merge_validated`]) recombines the per-shard streams into
+//! output byte-identical to the stream an unsharded run would have
+//! produced.
 //!
-//! The merge is validating, not trusting.  The caller supplies the
-//! expected digest-ordered key schedule of every shard (derivable from the
-//! grid and the shard count alone, see [`shard_key_schedule`]), and every
-//! incoming line must be a well-formed row carrying exactly the next
-//! scheduled key.  A truncated file, a corrupt line, a duplicated,
-//! missing or reordered row — any way a shard stream can disagree with its
-//! schedule — fails the merge loudly *before* a single merged row is
-//! written, rather than quietly emitting partial results.  Streams are
-//! consumed through `BufRead`, so the multi-machine follow-on (shard rows
-//! arriving over sockets rather than from local files) needs no format
-//! change.
+//! The merge is validating, not trusting.  Every shard stream is first
+//! checked against its expected digest-ordered key schedule (the one a
+//! [`SweepManifest`](crate::SweepManifest) records, derived by
+//! [`shard_key_schedule`]) with [`validate_shard_stream`]: every line must
+//! be a well-formed row carrying exactly the next scheduled key.  A
+//! truncated file, a corrupt line, a duplicated, missing or reordered row
+//! — any way a shard stream can disagree with its schedule — fails
+//! validation, and callers merge only once every stream has passed, so no
+//! partial result is ever emitted.  Streams are consumed through
+//! `BufRead`, so rows arriving over sockets rather than from local files
+//! need no format change.
 
 use crate::job::{JobKey, ShardSpec};
 use std::io::{BufRead, Write};
@@ -93,39 +93,11 @@ pub fn shard_key_schedule(keys: &[JobKey], count: u32) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// K-way merges per-shard JSONL row streams into `sink`, after validating
-/// every stream against its expected key schedule (`expected[i]` belongs
-/// to `streams[i]`).  Returns the number of rows written.  Nothing reaches
-/// `sink` unless *every* stream matched its schedule exactly, so a corrupt
-/// shard can never leak partial output.
-///
-/// # Errors
-///
-/// [`MergeError::Corrupt`] when a stream disagrees with its schedule,
-/// [`MergeError::Io`] when reading a stream or writing `sink` fails.
-///
-/// # Panics
-///
-/// Panics if `streams` and `expected` differ in length — a caller bug, not
-/// an input condition.
-pub fn merge_shard_streams<R: BufRead, W: Write>(
-    streams: Vec<R>,
-    expected: &[Vec<String>],
-    sink: &mut W,
-) -> Result<u64, MergeError> {
-    assert_eq!(streams.len(), expected.len(), "one schedule per stream");
-    let mut buffered: Vec<Vec<String>> = Vec::with_capacity(streams.len());
-    for (i, stream) in streams.into_iter().enumerate() {
-        buffered.push(validate_shard_stream(i + 1, stream, &expected[i])?);
-    }
-    merge_validated(&buffered, sink).map_err(MergeError::Io)
-}
-
 /// K-way merges already-validated per-shard row buffers (as returned by
 /// [`validate_shard_stream`]) into `sink`, returning the rows written.
-/// Validation and merging are split so callers like `sweep merge` can
-/// first check *every* stream — reporting all missing or short shards at
-/// once — and only then produce output.
+/// Validation and merging are split so a caller can first check *every*
+/// stream — reporting all missing or short shards at once — and only then
+/// produce output.
 ///
 /// # Errors
 ///
@@ -157,10 +129,9 @@ pub fn merge_validated<W: Write>(buffered: &[Vec<String>], sink: &mut W) -> std:
 
 /// Reads one shard stream fully, validating it line-by-line against its
 /// schedule, and returns its rows.  `shard` is 1-based, for messages.
-/// This is the validation half of [`merge_shard_streams`], public so the
-/// `sweep merge` subcommand can check each shard file independently and
-/// report every problem (missing rows, foreign rows, CRLF damage) before
-/// deciding whether any output may be written.
+/// Each shard file is checked on its own, so a caller can report every
+/// problem (missing rows, foreign rows, CRLF damage) before deciding
+/// whether any output may be written.
 ///
 /// What is (and is not) caught: every structural way a stream can be
 /// damaged — truncation (including a lost final newline: rows must be
@@ -170,9 +141,8 @@ pub fn merge_validated<W: Write>(buffered: &[Vec<String>], sink: &mut W) -> std:
 /// duplicated, reordered or missing rows).  Rows carry no checksum, so a
 /// bit flip *inside* a value that still leaves valid JSON (e.g. one digit
 /// of a cycle count) is indistinguishable from a legitimate row; transfers
-/// that need byte-level integrity ship the store bundle
-/// (`--export-segments`), whose records are individually checksummed and
-/// digest-sealed.
+/// that need byte-level integrity ship the store bundle (`sweep store
+/// export`), whose records are individually checksummed and digest-sealed.
 ///
 /// # Errors
 ///
@@ -289,6 +259,21 @@ mod tests {
         (streams, schedule)
     }
 
+    /// Validates every stream against its schedule, then merges the
+    /// validated rows into `sink`: the order every caller of the merge
+    /// follows.
+    fn validate_and_merge(
+        streams: &[Vec<String>],
+        schedule: &[Vec<String>],
+        sink: &mut Vec<u8>,
+    ) -> Result<u64, MergeError> {
+        let mut buffered = Vec::with_capacity(streams.len());
+        for (i, reader) in readers(streams).into_iter().enumerate() {
+            buffered.push(validate_shard_stream(i + 1, reader, &schedule[i])?);
+        }
+        Ok(merge_validated(&buffered, sink)?)
+    }
+
     fn readers(streams: &[Vec<String>]) -> Vec<std::io::Cursor<String>> {
         streams
             .iter()
@@ -323,7 +308,7 @@ mod tests {
         for count in [1u32, 2, 3, 5] {
             let (streams, schedule) = split(&keys, count);
             let mut sink = Vec::new();
-            let rows = merge_shard_streams(readers(&streams), &schedule, &mut sink).unwrap();
+            let rows = validate_and_merge(&streams, &schedule, &mut sink).unwrap();
             assert_eq!(rows, keys.len() as u64);
             assert_eq!(String::from_utf8(sink).unwrap(), want, "{count} shards");
         }
@@ -334,7 +319,7 @@ mod tests {
         // One key, three shards: two streams are legitimately empty.
         let (streams, schedule) = split(&[3], 3);
         let mut sink = Vec::new();
-        let rows = merge_shard_streams(readers(&streams), &schedule, &mut sink).unwrap();
+        let rows = validate_and_merge(&streams, &schedule, &mut sink).unwrap();
         assert_eq!(rows, 1);
     }
 
@@ -344,7 +329,7 @@ mod tests {
         let (mut streams, schedule) = split(&keys, 3);
         streams[1].pop();
         let mut sink = Vec::new();
-        let err = merge_shard_streams(readers(&streams), &schedule, &mut sink).unwrap_err();
+        let err = validate_and_merge(&streams, &schedule, &mut sink).unwrap_err();
         let MergeError::Corrupt { shard, message } = err else {
             panic!("expected a corruption error, got {err:?}");
         };
@@ -361,7 +346,7 @@ mod tests {
         let (mut streams, schedule) = split(&keys, 3);
         breakage(&mut streams[shard]);
         let mut sink = Vec::new();
-        let err = merge_shard_streams(readers(&streams), &schedule, &mut sink).unwrap_err();
+        let err = validate_and_merge(&streams, &schedule, &mut sink).unwrap_err();
         assert!(
             err.to_string().contains(expect),
             "want `{expect}` in `{err}`"

@@ -25,9 +25,7 @@
 //! counted (`serve.client_disconnects`), and dropped — the offline CLI's
 //! `die_on_write_error` policy explicitly does not apply here.
 
-use crate::store::DiskStore;
-use acmp_store::epoch::EpochCache;
-use acmp_store::query::{Query, QueryHit};
+use acmp_store::{DiskStore, EpochCache, Query, QueryHit};
 use parking_lot::Mutex;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -52,6 +52,7 @@ fn worker_count_does_not_change_the_output() {
     // Separate cache dirs so both runs simulate from cold.
     let args = |workers: &str, cache: &str| -> Vec<String> {
         [
+            "run",
             "--benchmarks",
             "cg,lu",
             "--designs",
@@ -79,6 +80,7 @@ fn second_run_is_served_from_the_disk_store() {
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
     let args = [
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -125,6 +127,7 @@ fn compaction_preserves_warm_starts_and_shrinks_the_directory() {
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
     let args = [
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -136,7 +139,7 @@ fn compaction_preserves_warm_starts_and_shrinks_the_directory() {
     let cold = run_sweep(&args);
 
     // Standalone maintenance mode: compact the store, run nothing.
-    let compacted = run_sweep(&["--compact", "--cache-dir", cache]);
+    let compacted = run_sweep(&["store", "compact", "--cache-dir", cache]);
     assert!(
         compacted.stdout.contains("live entries"),
         "{}",
@@ -157,9 +160,9 @@ fn compaction_preserves_warm_starts_and_shrinks_the_directory() {
     assert!(warm.stderr.contains("disk-hits 6"), "{}", warm.stderr);
     assert_eq!(sorted_rows(&cold.stdout), sorted_rows(&warm.stdout));
 
-    // --cache-stats reports without touching anything.  The store holds
+    // `store stats` reports without touching anything.  The store holds
     // the six results and no trace sets.
-    let stats = run_sweep(&["--cache-stats", "--cache-dir", cache]);
+    let stats = run_sweep(&["store", "stats", "--cache-dir", cache]);
     assert!(stats.stdout.contains("entries 6"), "{}", stats.stdout);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -186,6 +189,7 @@ fn sharded_runs_merge_byte_identical_to_unsharded() {
     let dir = temp_dir("sharded");
     let args = |cache: PathBuf| -> Vec<String> {
         [
+            "run",
             "--grid",
             "fig09",
             "--benchmarks",
@@ -231,6 +235,7 @@ fn sharded_processes_share_one_store_and_rerun_fully_warm() {
     let dir = temp_dir("sharded-warm");
     let cache = dir.join("cache");
     let args: Vec<String> = [
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -275,18 +280,37 @@ fn sharded_processes_share_one_store_and_rerun_fully_warm() {
 
 #[test]
 fn single_shard_emits_its_subsequence_of_the_unsharded_rows() {
-    let base = [
+    let full = run_sweep(&[
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
         "cg,lu",
         "--quiet",
         "--no-disk-cache",
-    ];
-    let full = run_sweep(&base);
-    let mut shard_args: Vec<&str> = base.to_vec();
-    shard_args.extend(["--shard", "2/3"]);
-    let shard = run_sweep(&shard_args);
+    ]);
+    let dir = temp_dir("single-shard");
+    let plan = dir.join("plan.json");
+    let plan = plan.to_str().unwrap();
+    run_sweep(&[
+        "plan",
+        plan,
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg,lu",
+        "--shards",
+        "3",
+    ]);
+    let shard = run_sweep(&[
+        "run",
+        "--manifest",
+        plan,
+        "--shard",
+        "2/3",
+        "--quiet",
+        "--no-disk-cache",
+    ]);
     assert!(shard.stderr.contains("shard 2/3 owns"), "{}", shard.stderr);
     // Every shard row appears in the unsharded stream, in the same order.
     let full_rows: Vec<&str> = full.stdout.lines().collect();
@@ -300,6 +324,7 @@ fn single_shard_emits_its_subsequence_of_the_unsharded_rows() {
             "shard rows must be an ordered sub-sequence of the full stream"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The committed golden fixture: `--grid fig09 --benchmarks cg,lu` at
@@ -316,6 +341,7 @@ fn unsharded_output_matches_the_committed_fixture() {
     // printing, key derivation or simulation results fails here loudly
     // instead of silently changing every consumer's bytes.
     let run = run_sweep(&[
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -358,7 +384,7 @@ fn manifest_pipeline_plans_runs_merges_and_transfers_between_machines() {
 
     // Plan: 6 cells across 2 shards, signed.
     let planned = run_sweep(&[
-        "--plan",
+        "plan",
         plan_s,
         "--grid",
         "fig09",
@@ -379,6 +405,7 @@ fn manifest_pipeline_plans_runs_merges_and_transfers_between_machines() {
     // filesystem, the manifest is the only shared artifact.
     for (i, (out, cache)) in [(&shard1, "m1"), (&shard2, "m2")].iter().enumerate() {
         let run = run_sweep(&[
+            "run",
             "--manifest",
             plan_s,
             "--shard",
@@ -432,20 +459,23 @@ fn manifest_pipeline_plans_runs_merges_and_transfers_between_machines() {
     // trace generations.
     let bundle = dir.join("m1.bundle");
     let exported = run_sweep(&[
-        "--export-segments",
+        "store",
+        "export",
         bundle.to_str().unwrap(),
         "--cache-dir",
         dir.join("m1").to_str().unwrap(),
     ]);
     assert!(exported.stdout.contains("exported"), "{}", exported.stdout);
     let imported = run_sweep(&[
-        "--import-segments",
+        "store",
+        "import",
         bundle.to_str().unwrap(),
         "--cache-dir",
         dir.join("m2").to_str().unwrap(),
     ]);
     assert!(imported.stdout.contains("imported"), "{}", imported.stdout);
     let warm = run_sweep(&[
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -472,7 +502,7 @@ fn merge_corruption_matrix_rejects_damage_with_zero_output_and_intact_inputs() {
     // cg,lu × fig09 splits 3/3 across two shards, so both slots carry rows
     // and a swapped file really is "the wrong slot", not an empty stream.
     run_sweep(&[
-        "--plan",
+        "plan",
         &plan_s,
         "--grid",
         "fig09",
@@ -483,6 +513,7 @@ fn merge_corruption_matrix_rejects_damage_with_zero_output_and_intact_inputs() {
     ]);
     for i in 1..=2 {
         run_sweep(&[
+            "run",
             "--manifest",
             &plan_s,
             "--shard",
@@ -581,6 +612,7 @@ fn merge_corruption_matrix_rejects_damage_with_zero_output_and_intact_inputs() {
         let bad_plan = dir.join(format!("bad-plan-{tag}.json"));
         std::fs::write(&bad_plan, manifest).unwrap();
         let stderr = run_sweep_expect_failure(&[
+            "run",
             "--manifest",
             bad_plan.to_str().unwrap(),
             "--shard",
@@ -599,6 +631,7 @@ fn degenerate_splits_with_more_shards_than_cells_run_clean() {
     // coordinator must still exit 0, give every child a non-zero worker
     // pool, and merge byte-identically to the unsharded run.
     let single = run_sweep(&[
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -607,6 +640,7 @@ fn degenerate_splits_with_more_shards_than_cells_run_clean() {
         "--no-disk-cache",
     ]);
     let sharded = run_sweep(&[
+        "run",
         "--grid",
         "fig09",
         "--benchmarks",
@@ -635,7 +669,7 @@ fn degenerate_splits_with_more_shards_than_cells_run_clean() {
     let dir = temp_dir("degenerate-manifest");
     let plan = dir.join("plan.json");
     run_sweep(&[
-        "--plan",
+        "plan",
         plan.to_str().unwrap(),
         "--grid",
         "fig09",
@@ -648,6 +682,7 @@ fn degenerate_splits_with_more_shards_than_cells_run_clean() {
     for i in 1..=8u32 {
         let out = dir.join(format!("shard-{i}.jsonl"));
         let run = run_sweep(&[
+            "run",
             "--manifest",
             plan.to_str().unwrap(),
             "--shard",
@@ -698,7 +733,7 @@ fn manifest_conflicts_and_mismatches_are_rejected() {
     let plan = dir.join("plan.json");
     let plan_s = plan.to_str().unwrap().to_string();
     run_sweep(&[
-        "--plan",
+        "plan",
         &plan_s,
         "--benchmarks",
         "cg",
@@ -710,6 +745,7 @@ fn manifest_conflicts_and_mismatches_are_rejected() {
 
     // Grid flags conflict with --manifest: the grid comes from the plan.
     let stderr = run_sweep_expect_failure(&[
+        "run",
         "--manifest",
         &plan_s,
         "--shard",
@@ -721,12 +757,18 @@ fn manifest_conflicts_and_mismatches_are_rejected() {
     assert!(stderr.contains("conflicts with --manifest"), "{stderr}");
 
     // A shard spec from a different split is rejected against the plan.
-    let stderr =
-        run_sweep_expect_failure(&["--manifest", &plan_s, "--shard", "1/3", "--no-disk-cache"]);
+    let stderr = run_sweep_expect_failure(&[
+        "run",
+        "--manifest",
+        &plan_s,
+        "--shard",
+        "1/3",
+        "--no-disk-cache",
+    ]);
     assert!(stderr.contains("planned for 2 shards"), "{stderr}");
 
     // --manifest without --shard points at `sweep merge`.
-    let stderr = run_sweep_expect_failure(&["--manifest", &plan_s, "--no-disk-cache"]);
+    let stderr = run_sweep_expect_failure(&["run", "--manifest", &plan_s, "--no-disk-cache"]);
     assert!(stderr.contains("--shard"), "{stderr}");
 
     // merge requires a manifest.
@@ -745,6 +787,7 @@ fn broken_pipe_exits_nonzero_and_quietly() {
     drop(reader);
     let output = Command::new(sweep_bin())
         .args([
+            "run",
             "--benchmarks",
             "cg",
             "--designs",
@@ -768,7 +811,7 @@ fn broken_pipe_exits_nonzero_and_quietly() {
 #[test]
 fn conflicting_shard_options_are_rejected() {
     let output = Command::new(sweep_bin())
-        .args(["--shards", "2", "--shard", "1/2", "--no-disk-cache"])
+        .args(["run", "--shards", "2", "--shard", "1/2", "--no-disk-cache"])
         .output()
         .unwrap();
     assert!(!output.status.success());
@@ -776,7 +819,7 @@ fn conflicting_shard_options_are_rejected() {
     assert!(stderr.contains("mutually exclusive"), "{stderr}");
 
     let output = Command::new(sweep_bin())
-        .args(["--shard", "4/3", "--no-disk-cache"])
+        .args(["run", "--shard", "4/3", "--no-disk-cache"])
         .output()
         .unwrap();
     assert!(!output.status.success());
@@ -787,37 +830,12 @@ fn conflicting_shard_options_are_rejected() {
 #[test]
 fn bad_specs_exit_nonzero_with_a_message() {
     let output = Command::new(sweep_bin())
-        .args(["--designs", "not-a-design", "--no-disk-cache"])
+        .args(["run", "--designs", "not-a-design", "--no-disk-cache"])
         .output()
         .unwrap();
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("not-a-design"), "{stderr}");
-}
-
-#[test]
-fn run_subcommand_matches_the_legacy_flag_grammar() {
-    // The deprecated top-level flags must stay a silent alias for
-    // `sweep run` — byte-identical rows, same summary shape.
-    let legacy = run_sweep(&[
-        "--grid",
-        "fig09",
-        "--benchmarks",
-        "cg",
-        "--quiet",
-        "--no-disk-cache",
-    ]);
-    let new = run_sweep(&[
-        "run",
-        "--grid",
-        "fig09",
-        "--benchmarks",
-        "cg",
-        "--quiet",
-        "--no-disk-cache",
-    ]);
-    assert_eq!(legacy.stdout, new.stdout);
-    assert!(new.stderr.contains("3 jobs"), "{}", new.stderr);
 }
 
 #[test]
@@ -1179,6 +1197,142 @@ fn misused_subcommands_exit_with_guidance() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("needs an action"), "{stderr}");
+}
+
+/// Runs `sweep` expecting a command-line error: exit status 2.  Returns
+/// stderr.
+fn run_sweep_expect_usage_error(args: &[&str]) -> String {
+    let output = Command::new(sweep_bin()).args(args).output().unwrap();
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(output.status.code(), Some(2), "sweep {args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn bare_flags_exit_2_naming_every_subcommand() {
+    let stderr = run_sweep_expect_usage_error(&[
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg",
+        "--quiet",
+        "--no-disk-cache",
+    ]);
+    for subcommand in ["run", "plan", "merge", "store", "query", "serve", "trace"] {
+        assert!(
+            stderr.contains(&format!("sweep {subcommand}")),
+            "the usage must name `sweep {subcommand}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn plan_refuses_flags_only_run_parses() {
+    let dir = temp_dir("plan-run-flags");
+    let plan = dir.join("plan.json");
+    let out = dir.join("rows.jsonl");
+    let stderr = run_sweep_expect_usage_error(&[
+        "plan",
+        plan.to_str().unwrap(),
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg",
+        "--out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(stderr.contains("--out"), "{stderr}");
+    assert!(!plan.exists(), "a refused plan writes no manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_shard_without_a_manifest_points_at_sweep_plan() {
+    let stderr = run_sweep_expect_usage_error(&[
+        "run",
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg",
+        "--shard",
+        "2/3",
+        "--no-disk-cache",
+    ]);
+    assert!(stderr.contains("--manifest"), "{stderr}");
+    assert!(stderr.contains("sweep plan"), "{stderr}");
+}
+
+#[test]
+fn query_accepts_the_token_forms_serve_accepts() {
+    let dir = temp_dir("query-token-forms");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    run_sweep(&[
+        "run",
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg",
+        "--quiet",
+        "--cache-dir",
+        cache,
+    ]);
+    let spaced = run_sweep(&[
+        "query",
+        "--by",
+        "cycles",
+        "--top",
+        "1",
+        "--cache-dir",
+        cache,
+        "--quiet",
+    ]);
+    let joined = run_sweep(&[
+        "query",
+        "--by=cycles",
+        "--top=1",
+        "--cache-dir",
+        cache,
+        "--quiet",
+    ]);
+    assert_eq!(spaced.stdout.lines().count(), 1, "{}", spaced.stdout);
+    assert_eq!(joined.stdout, spaced.stdout);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn serve_refuses_zero_workers() {
+    // A server that accepted the flag would start serving and never exit,
+    // so the wait is bounded and a survivor is killed.
+    let dir = temp_dir("serve-zero-workers");
+    let mut child = Command::new(sweep_bin())
+        .args(["serve", "--dir", dir.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0", "--workers", "0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(2),
+        "--workers 0 must be refused: {stderr}"
+    );
+    assert!(stderr.contains("bad worker count"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! actually existed (a write prefix), no response may mix epochs, and a
 //! post-quiesce query must see every write.
 
+use acmp_store::{Catalog, DiskStore, Query, RawKey};
 use acmp_sweep::serve::Server;
-use acmp_sweep::{Catalog, DiskStore, Query, RawKey};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;

@@ -17,21 +17,12 @@ use sim_core::FetchStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn generator() -> GeneratorConfig {
-    GeneratorConfig {
-        num_workers: 4,
-        parallel_instructions_per_thread: 20_000,
-        num_phases: 2,
-        seed: 0xC0FF_EE00,
-    }
-}
-
 fn config() -> AcmpConfig {
-    DesignPoint::baseline().acmp_config(generator().num_workers)
+    DesignPoint::baseline().acmp_config(GeneratorConfig::quick().num_workers)
 }
 
 fn streams() -> Vec<Arc<FetchStream>> {
-    let traces = TraceGenerator::new(Benchmark::Cg.profile(), generator()).generate();
+    let traces = TraceGenerator::new(Benchmark::Cg.profile(), GeneratorConfig::quick()).generate();
     Machine::decode_streams(&config(), &traces)
 }
 

@@ -18,17 +18,8 @@ use std::time::Instant;
 /// Records pulled per `next_records` call.
 const BATCH: usize = 64;
 
-fn generator() -> GeneratorConfig {
-    GeneratorConfig {
-        num_workers: 4,
-        parallel_instructions_per_thread: 20_000,
-        num_phases: 2,
-        seed: 0xC0FF_EE00,
-    }
-}
-
 fn traces() -> Arc<TraceSet> {
-    Arc::new(TraceGenerator::new(Benchmark::Cg.profile(), generator()).generate())
+    Arc::new(TraceGenerator::new(Benchmark::Cg.profile(), GeneratorConfig::quick()).generate())
 }
 
 /// Replays every thread's records in batches; returns the record count.

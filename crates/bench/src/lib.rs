@@ -33,12 +33,7 @@ impl Scale {
     /// The trace-generation configuration for this scale.
     pub fn generator(self) -> GeneratorConfig {
         match self {
-            Scale::Quick => GeneratorConfig {
-                num_workers: 4,
-                parallel_instructions_per_thread: 20_000,
-                num_phases: 2,
-                seed: 0xC0FF_EE00,
-            },
+            Scale::Quick => GeneratorConfig::quick(),
             Scale::Paper => GeneratorConfig::paper(),
         }
     }

@@ -61,8 +61,9 @@ impl ExperimentContext {
 
     /// Restricts the context to one shard of the job keyspace: grid sweeps
     /// run (and return) only the cells whose stable key digest the shard
-    /// owns.  This is the multi-process idiom behind `sweep --shards N` —
-    /// contexts configured with the N distinct shards of one count
+    /// owns.  This is the multi-process idiom behind `sweep run --manifest
+    /// FILE --shard i/N`, which `sweep run --shards N` spawns once per
+    /// shard — contexts configured with the N distinct shards of one count
     /// partition a grid exactly, with no cell simulated twice.
     pub fn with_shard(self, shard: acmp_sweep::ShardSpec) -> Self {
         ExperimentContext {

@@ -36,6 +36,17 @@ impl GeneratorConfig {
         }
     }
 
+    /// The quick scale: the default scale of `sweep` runs and the figure
+    /// harness, and the scale of the benches and quick-scale tests.
+    pub fn quick() -> Self {
+        GeneratorConfig {
+            num_workers: 4,
+            parallel_instructions_per_thread: 20_000,
+            num_phases: 2,
+            seed: 0xC0FF_EE00,
+        }
+    }
+
     /// A small configuration for unit and integration tests.
     pub fn small() -> Self {
         GeneratorConfig {

@@ -737,12 +737,7 @@ mod tests {
         // shared by all four designs, while each reference run decodes its
         // own cores' streams from the records, so this also checks that
         // one decode serves every design.
-        let generator = GeneratorConfig {
-            num_workers: 4,
-            parallel_instructions_per_thread: 20_000,
-            num_phases: 2,
-            seed: 0xC0FF_EE00,
-        };
+        let generator = GeneratorConfig::quick();
         let configs = [
             AcmpConfig::baseline(4),
             AcmpConfig::proposed(4),

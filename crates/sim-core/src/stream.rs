@@ -333,12 +333,7 @@ mod tests {
 
     #[test]
     fn quick_scale_streams_account_for_every_record() {
-        let generator = GeneratorConfig {
-            num_workers: 4,
-            parallel_instructions_per_thread: 20_000,
-            num_phases: 2,
-            seed: 0xC0FF_EE00,
-        };
+        let generator = GeneratorConfig::quick();
         let frontend = FrontEndConfig::worker();
         for benchmark in Benchmark::ALL {
             let set = TraceGenerator::new(benchmark.profile(), generator).generate();

@@ -6,7 +6,9 @@
 //! before comparing).
 
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::acmp_sweep::merge::{merge_shard_streams, shard_key_schedule};
+use shared_icache::acmp_sweep::merge::{
+    merge_validated, shard_key_schedule, validate_shard_stream,
+};
 use shared_icache::acmp_sweep::{scale_generator, GridSpec, JobKey, ShardSpec, SweepEngine};
 use shared_icache::sim_trace::write_trace_set_json;
 use shared_icache::DesignPoint;
@@ -298,7 +300,7 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
     // offline through the validating k-way merge.
     let keys: Vec<JobKey> = grid.jobs().iter().map(|job| job.key(&generator)).collect();
     let schedule = shard_key_schedule(&keys, 2);
-    let mut streams = Vec::new();
+    let mut validated = Vec::new();
     for index in 0..2u32 {
         let engine = SweepEngine::new(generator)
             .with_shard(ShardSpec::new(index, 2).unwrap())
@@ -311,10 +313,13 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
                 "every shard row must appear verbatim in the fixture"
             );
         }
-        streams.push(std::io::Cursor::new(stream));
+        let slot = index as usize;
+        validated.push(
+            validate_shard_stream(slot + 1, std::io::Cursor::new(stream), &schedule[slot]).unwrap(),
+        );
     }
     let mut merged = Vec::new();
-    let rows = merge_shard_streams(streams, &schedule, &mut merged).unwrap();
+    let rows = merge_validated(&validated, &mut merged).unwrap();
     assert_eq!(rows, 6);
     assert_eq!(
         String::from_utf8(merged).unwrap(),
