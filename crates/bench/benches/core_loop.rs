@@ -3,9 +3,9 @@
 //! Decodes the quick-scale CG traces into fetch streams once, untimed, then
 //! builds the baseline-design machine over them and runs it to completion,
 //! reporting nanoseconds per simulated machine cycle — the number the
-//! event-driven idle skip, the head-fetch memo and the lookahead prefix
-//! skip all exist to shrink.  The trajectory lands in `BENCH_core_loop.json`
-//! at the workspace root.
+//! idle-skip scheduler and the event-driven fetch lookahead exist to
+//! shrink.  The trajectory lands in `BENCH_core_loop.json` at the workspace
+//! root; its `machine_cycles` is deterministic (CI pins it).
 
 use acmp_sweep::prelude::*;
 use bench_harness::{bench_samples, enable_bench_metrics, write_bench_report};

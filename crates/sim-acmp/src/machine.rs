@@ -82,6 +82,8 @@ pub struct Machine {
     ready_min: u64,
     /// Idle-skip scheduler state, one slot per core.
     parked: Vec<Option<ParkedCore>>,
+    /// Cores that have finished their trace; the run ends when all have.
+    finished: usize,
     /// When `false`, every core is ticked every cycle (the reference
     /// schedule).  Results are identical either way; the flag exists so
     /// tests can prove it.
@@ -89,6 +91,7 @@ pub struct Machine {
     /// Reused per-cycle buffers (hot path: no allocation per cycle).
     cycle_out: CycleOutput,
     delivery_scratch: Vec<(usize, u64)>,
+    unit_updates: Vec<InFlightRequest>,
 }
 
 /// The configuration of core `i`: the master core runs thread 0, worker
@@ -185,9 +188,11 @@ impl Machine {
             in_flight: Vec::new(),
             ready_min: u64::MAX,
             parked: vec![None; num_cores],
+            finished: 0,
             idle_skip: true,
             cycle_out: CycleOutput::default(),
             delivery_scratch: Vec::new(),
+            unit_updates: Vec::new(),
         }
     }
 
@@ -226,7 +231,7 @@ impl Machine {
         let mut serial_cycles: u64 = 0;
         let mut parallel_cycles: u64 = 0;
 
-        while !self.all_finished() {
+        while self.finished < self.cores.len() {
             if cycle >= self.config.max_cycles {
                 let unfinished = self
                     .cores
@@ -363,10 +368,6 @@ impl Machine {
             .any(|r| r.core == core && r.phase == RequestPhase::WaitingGrant)
     }
 
-    fn all_finished(&self) -> bool {
-        self.cores.iter().all(|c| c.is_finished())
-    }
-
     /// Simulates one machine cycle.
     fn step(&mut self, cycle: u64) {
         // 1. Deliver lines whose requests completed.  A delivery wakes the
@@ -432,6 +433,7 @@ impl Machine {
                 }
             }
             if finished_now {
+                self.finished += 1;
                 let decision = self.runtime.core_finished(i);
                 for core in decision.release {
                     self.release(core, i, cycle);
@@ -465,28 +467,30 @@ impl Machine {
             }
         }
 
-        // 3. Advance the memory system: bus grants and cache accesses.
+        // 3. Advance the memory system: bus grants and cache accesses.  A
+        //    unit's tick reads no machine state, so every unit ticks before
+        //    the updates are applied, in unit then bus order.
         for unit in &mut self.units {
-            for update in unit.tick(cycle) {
-                if update.phase != RequestPhase::WaitingGrant {
-                    self.ready_min = self.ready_min.min(update.ready);
-                }
-                // Replace the matching waiting-grant entry with the resolved
-                // timing.
-                if let Some(req) = self.in_flight.iter_mut().find(|r| {
+            unit.tick(cycle, &mut self.unit_updates);
+        }
+        for update in self.unit_updates.drain(..) {
+            self.ready_min = self.ready_min.min(update.ready);
+            // Replace the matching waiting-grant entry with the resolved
+            // timing.
+            let req = self
+                .in_flight
+                .iter_mut()
+                .find(|r| {
                     r.core == update.core
                         && r.line == update.line
                         && r.phase == RequestPhase::WaitingGrant
-                }) {
-                    *req = update;
-                } else {
-                    // The request may already have been replaced (duplicate
-                    // line request from the same core is not expected, but a
-                    // late grant after a flush is harmless): track it anyway
-                    // so the line is still delivered.
-                    self.in_flight.push(update);
-                }
-            }
+                })
+                .expect(
+                    "a grant answers exactly one waiting request: a core requests a line only \
+                     after allocating a line buffer for it, and the buffer stays pending until \
+                     the line is delivered",
+                );
+            *req = update;
         }
     }
 

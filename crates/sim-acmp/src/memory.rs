@@ -9,7 +9,7 @@
 
 use crate::config::{AcmpConfig, SharingMode};
 use sim_cache::{AccessOutcome, BankedCache, CacheStats, L2Cache, Mshr, MshrAllocation};
-use sim_interconnect::{BusStats, IcacheInterconnect};
+use sim_interconnect::{BusStats, Grant, IcacheInterconnect};
 
 /// Where an in-flight request currently is (used for stall attribution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +60,8 @@ pub struct IcacheUnit {
     /// Earliest completion cycle in `pending_fills` (`u64::MAX` when empty);
     /// lets `tick`/`retire_fills_through` skip the scan entirely.
     fills_min: u64,
+    /// Reused per-tick buffer for the interconnect's grants.
+    grants: Vec<Grant>,
 }
 
 impl IcacheUnit {
@@ -97,6 +99,7 @@ impl IcacheUnit {
             interconnect,
             pending_fills: Vec::new(),
             fills_min: u64::MAX,
+            grants: Vec::new(),
         }
     }
 
@@ -196,22 +199,27 @@ impl IcacheUnit {
     }
 
     /// Advances the unit by one cycle: completes L2 fills and grants bus
-    /// transactions.  Returns `(core, line, ready, phase)` updates for
-    /// requests that left the `WaitingGrant` phase this cycle.
-    pub fn tick(&mut self, cycle: u64) -> Vec<InFlightRequest> {
-        // Private units with no fill completing yet have nothing to do
-        // (`Vec::new` does not allocate).
-        if self.fills_min > cycle && self.interconnect.is_none() {
-            return Vec::new();
+    /// transactions.  Appends to `updates`, in bus order, the requests that
+    /// left the `WaitingGrant` phase this cycle with their resolved timing,
+    /// so the caller can reuse one buffer every cycle.
+    pub fn tick(&mut self, cycle: u64, updates: &mut Vec<InFlightRequest>) {
+        // No fill completes and no bus has a request to grant: nothing to do.
+        if self.fills_min > cycle
+            && self
+                .interconnect
+                .as_ref()
+                .is_none_or(|ic| ic.pending_requests() == 0)
+        {
+            return;
         }
         self.retire_fills_through(cycle);
 
-        let mut updates = Vec::new();
-        let grants = match &mut self.interconnect {
-            Some(ic) => ic.tick(cycle),
-            None => Vec::new(),
+        let Some(interconnect) = self.interconnect.as_mut() else {
+            return;
         };
-        for grant in grants {
+        interconnect.tick(cycle, &mut self.grants);
+        for i in 0..self.grants.len() {
+            let grant = self.grants[i];
             let core = self.cores[grant.requester];
             let transfer = grant.transfer_done_cycle - grant.grant_cycle;
             let (ready, phase) =
@@ -224,7 +232,7 @@ impl IcacheUnit {
                 shared: true,
             });
         }
-        updates
+        self.grants.clear();
     }
 
     /// Performs the cache lookup for a request that has reached the cache
@@ -343,6 +351,13 @@ mod tests {
     use super::*;
     use crate::config::AcmpConfig;
 
+    /// Ticks `unit` once, returning that cycle's updates.
+    fn tick(unit: &mut IcacheUnit, cycle: u64) -> Vec<InFlightRequest> {
+        let mut updates = Vec::new();
+        unit.tick(cycle, &mut updates);
+        updates
+    }
+
     #[test]
     fn baseline_builds_one_private_unit_per_core() {
         let cfg = AcmpConfig::baseline(8);
@@ -382,7 +397,7 @@ mod tests {
         assert_eq!(miss.phase, RequestPhase::MissPath);
         assert!(miss.ready > 11, "a cold miss goes to L2");
         // Wait for the fill to retire, then a hit is 1 cycle.
-        let _ = unit.tick(miss.ready + 1);
+        let _ = tick(&mut unit, miss.ready + 1);
         let hit = unit.submit(miss.ready + 2, 1, 0x1000);
         assert_eq!(hit.phase, RequestPhase::HitPath);
         assert_eq!(hit.ready, miss.ready + 3);
@@ -395,7 +410,7 @@ mod tests {
         let mut unit = IcacheUnit::new(&cfg, vec![1, 2], true, cfg.worker_icache);
         let req = unit.submit(0, 1, 0x0000);
         assert_eq!(req.phase, RequestPhase::WaitingGrant);
-        let updates = unit.tick(0);
+        let updates = tick(&mut unit, 0);
         assert_eq!(updates.len(), 1);
         assert_eq!(updates[0].core, 1);
         assert!(updates[0].ready > 4, "cold miss: bus + L2");
@@ -410,7 +425,7 @@ mod tests {
         unit.submit(0, 2, 0x0000);
         let mut updates = Vec::new();
         for cycle in 0..10 {
-            updates.extend(unit.tick(cycle));
+            updates.extend(tick(&mut unit, cycle));
         }
         assert_eq!(updates.len(), 2);
         // Only one L2 fill was issued for the two requests.
@@ -425,12 +440,12 @@ mod tests {
         // Core 1 fetches the line and the fill completes.
         let r = unit.submit(0, 1, 0x0000);
         assert_eq!(r.phase, RequestPhase::WaitingGrant);
-        let first = unit.tick(0);
+        let first = tick(&mut unit, 0);
         let ready = first[0].ready;
-        let _ = unit.tick(ready + 1);
+        let _ = tick(&mut unit, ready + 1);
         // Core 2 now requests the same line: it hits in the shared cache.
         unit.submit(ready + 2, 2, 0x0000);
-        let updates = unit.tick(ready + 2);
+        let updates = tick(&mut unit, ready + 2);
         assert_eq!(updates[0].phase, RequestPhase::HitPath);
         assert_eq!(unit.cache_stats().hits, 1);
         assert_eq!(unit.cache_stats().compulsory_misses, 1);

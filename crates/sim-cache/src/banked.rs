@@ -75,6 +75,7 @@ impl BankedCache {
     /// Returns the bank serving the line that contains `addr`
     /// (line-index modulo the number of banks, i.e. even/odd interleaving
     /// for two banks).
+    #[inline]
     pub fn bank_of(&self, addr: u64) -> u32 {
         let line_index = addr / self.inner.config().line_size;
         (line_index % self.num_banks as u64) as u32
@@ -82,6 +83,7 @@ impl BankedCache {
 
     /// Accesses the line containing `addr`; equivalent to
     /// [`SetAssocCache::access`] plus per-bank accounting.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         let bank = self.bank_of(addr) as usize;
         let outcome = self.inner.access(addr);
@@ -110,6 +112,7 @@ impl BankedCache {
     }
 
     /// Hit latency in cycles.
+    #[inline]
     pub fn latency(&self) -> u64 {
         self.inner.latency()
     }

@@ -89,6 +89,7 @@ impl SetAssocCache {
     }
 
     /// Hit latency in cycles.
+    #[inline]
     pub fn latency(&self) -> u64 {
         self.config.latency
     }
@@ -97,6 +98,7 @@ impl SetAssocCache {
     ///
     /// Returns whether the access hit, and on a miss its classification and
     /// any eviction.  Statistics are updated.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
         let line = addr & !(self.config.line_size - 1);
         self.stats.accesses += 1;

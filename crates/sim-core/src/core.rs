@@ -93,6 +93,23 @@ enum HeadFetch {
     Ready { line: u64, idx: usize },
 }
 
+/// Why the last lookahead scan issued nothing.  Each reason names the only
+/// events that can make a rescan issue; until one of them happens the scan
+/// is skipped (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LookaheadStop {
+    /// The last scan issued, or an input it depends on changed since: scan.
+    Armed,
+    /// All buffers but one were pending.  Only a fill lowers that count.
+    PendingCap,
+    /// This line, the LRU victim, lies in the FTQ window, so no prefetch may
+    /// evict it.  Holds while it stays the victim and stays in the window.
+    VictimInWindow(u64),
+    /// No window line was missing.  Holds until a line joins the window or
+    /// a buffer is reallocated.
+    NoMiss,
+}
+
 /// A simulated core.
 pub struct Core {
     id: usize,
@@ -116,12 +133,8 @@ pub struct Core {
     cpi: CpiStack,
     fetch_blocks: u64,
 
-    /// Set when an input of the lookahead scan changed since the last scan
-    /// that issued nothing (see the module docs for the events).
-    lookahead_dirty: bool,
-    /// The LRU victim line the last non-issuing scan saw; a different
-    /// victim re-arms the scan just like a set `lookahead_dirty`.
-    lookahead_victim: Option<u64>,
+    /// Why the last lookahead scan issued nothing, or `Armed`.
+    lookahead: LookaheadStop,
 }
 
 impl std::fmt::Debug for Core {
@@ -183,8 +196,7 @@ impl Core {
             trace_done: false,
             cpi: CpiStack::new(),
             fetch_blocks: 0,
-            lookahead_dirty: true,
-            lookahead_victim: None,
+            lookahead: LookaheadStop::Armed,
         }
     }
 
@@ -199,6 +211,7 @@ impl Core {
     }
 
     /// The execution state.
+    #[inline]
     pub fn state(&self) -> CoreState {
         self.state
     }
@@ -210,6 +223,7 @@ impl Core {
 
     /// Mutable access to the CPI stack, used by the machine model to record
     /// memory-side stall attributions.
+    #[inline]
     pub fn cpi_mut(&mut self) -> &mut CpiStack {
         &mut self.cpi
     }
@@ -240,6 +254,7 @@ impl Core {
     }
 
     /// Returns `true` once the core has executed its whole trace.
+    #[inline]
     pub fn is_finished(&self) -> bool {
         self.state == CoreState::Finished
     }
@@ -262,10 +277,15 @@ impl Core {
 
     /// Delivers the line containing `addr` into a waiting line buffer (the
     /// completion of a fetch request issued earlier).
+    #[inline]
     pub fn deliver_line(&mut self, addr: u64, now: u64) {
-        let filled = self.line_buffers.fill(addr, now);
-        self.lookahead_dirty = true;
-        if filled {
+        if self.line_buffers.fill(addr, now) {
+            // A pending line turning valid lowers the pending count but
+            // makes no window line missing; a new victim is caught by the
+            // victim compare.
+            if self.lookahead == LookaheadStop::PendingCap {
+                self.lookahead = LookaheadStop::Armed;
+            }
             let line = addr & !(self.config.frontend.line_size - 1);
             if self.head_fetch == HeadFetch::WaitFill(line) {
                 // Event-driven head wake-up: fills are the only Pending ->
@@ -338,12 +358,10 @@ impl Core {
     fn commit(&mut self) -> u32 {
         self.commit_credit =
             (self.commit_credit + self.commit_rate).min(self.config.commit_width as f64);
-        // `as usize` truncates toward zero, which equals `floor()` for the
-        // non-negative credit and avoids a libm call in the hottest loop.
-        let possible = self.commit_credit as usize;
-        let n = possible
-            .min(self.iq_occupancy)
-            .min(self.config.commit_width as usize);
+        // The credit lies in [0, commit width], so truncating it to `u32`
+        // equals `floor()` (no libm call, no 64-bit saturation fix-ups) and
+        // already caps the count at the commit width.
+        let n = (self.commit_credit as u32 as usize).min(self.iq_occupancy);
         self.iq_occupancy -= n;
         self.commit_credit -= n as f64;
         n as u32
@@ -383,7 +401,7 @@ impl Core {
                         LineLookup::Miss => {
                             let line = start & !(line_size - 1);
                             if self.line_buffers.allocate(start, now) {
-                                self.lookahead_dirty = true;
+                                self.lookahead = LookaheadStop::Armed;
                                 out.fetch_requests.push(line);
                                 self.head_fetch = HeadFetch::WaitFill(line);
                             } else {
@@ -398,7 +416,7 @@ impl Core {
                 }
                 HeadFetch::WaitAlloc(line) => {
                     if self.line_buffers.allocate(line, now) {
-                        self.lookahead_dirty = true;
+                        self.lookahead = LookaheadStop::Armed;
                         out.fetch_requests.push(line);
                         self.head_fetch = HeadFetch::WaitFill(line);
                     }
@@ -425,36 +443,44 @@ impl Core {
     /// the multi-cycle access latency of a *shared* I-cache: while the head
     /// block waits for its line, the next lines already ride the bus.
     ///
-    /// The scan runs only when one of its inputs changed since the last scan
-    /// that issued nothing; otherwise it would reach the same verdict.
-    /// Returns whether a line issued (with `out`) or would issue (without).
+    /// The scan runs only when an event its last stop depends on happened
+    /// since; otherwise it would reach the same verdict.  Returns whether a
+    /// line issued (with `out`) or would issue (without).
+    #[inline]
     fn fetch_lookahead(&mut self, now: u64, out: Option<&mut CycleOutput>) -> bool {
-        if !self.lookahead_dirty && self.line_buffers.victim_line() == self.lookahead_victim {
+        let skip = match self.lookahead {
+            LookaheadStop::Armed => false,
+            LookaheadStop::VictimInWindow(victim) => {
+                self.line_buffers.victim_line() == Some(victim)
+            }
+            LookaheadStop::PendingCap | LookaheadStop::NoMiss => true,
+        };
+        if skip {
             debug_assert!(
-                !self.scan_lookahead(now, None),
+                self.scan_lookahead(now, None) != LookaheadStop::Armed,
                 "core {}: skipped a lookahead scan that would issue at cycle {now}",
                 self.id
             );
             return false;
         }
-        let issued = self.scan_lookahead(now, out);
         // A scan that issued stays armed: it may have more to issue.
-        self.lookahead_dirty = issued;
-        self.lookahead_victim = self.line_buffers.victim_line();
-        issued
+        self.lookahead = self.scan_lookahead(now, out);
+        self.lookahead == LookaheadStop::Armed
     }
 
     /// One lookahead scan over the FTQ window.  With `out` it allocates up
     /// to two missing lines and pushes their requests; without it, it
     /// changes nothing and only answers whether a line would issue.
-    fn scan_lookahead(&mut self, now: u64, mut out: Option<&mut CycleOutput>) -> bool {
+    /// Returns `Armed` if a line issued (or would), else why none did.
+    #[inline(never)]
+    fn scan_lookahead(&mut self, now: u64, mut out: Option<&mut CycleOutput>) -> LookaheadStop {
         const MAX_LOOKAHEAD_REQUESTS_PER_CYCLE: usize = 2;
 
         // Always leave one buffer free so the head block can never be
         // locked out by its own prefetches.
         let mut pending = self.line_buffers.pending_count();
         if pending + 1 >= self.line_buffers.len() {
-            return false;
+            return LookaheadStop::PendingCap;
         }
 
         // Never displace a line the queued fetch blocks still need: a
@@ -476,7 +502,7 @@ impl Core {
             let mut line = entry.start & !(line_size - 1);
             loop {
                 if Some(line) == victim {
-                    return false;
+                    return LookaheadStop::VictimInWindow(line);
                 }
                 window[len] = line;
                 len += 1;
@@ -509,7 +535,7 @@ impl Core {
                 break;
             }
             let Some(out) = out.as_deref_mut() else {
-                return true;
+                return LookaheadStop::Armed;
             };
             // A non-pending buffer exists (checked above), so this succeeds.
             let allocated = self.line_buffers.allocate(line, now);
@@ -518,7 +544,12 @@ impl Core {
             issued += 1;
             pending += 1;
         }
-        issued > 0
+        // With nothing issued, the loop ran out of window: no line missed.
+        if issued > 0 {
+            LookaheadStop::Armed
+        } else {
+            LookaheadStop::NoMiss
+        }
     }
 
     /// Classifies what the core would do over the next cycles, for the
@@ -577,6 +608,7 @@ impl Core {
     /// per effect: the commit-credit refill (which saturates at the commit
     /// width) and, when the head block is waiting for a buffer, the failed
     /// allocation retry each skipped cycle would have recorded.
+    #[inline]
     pub fn apply_parked_cycles(&mut self, span: u64) {
         let width = self.config.commit_width as f64;
         for _ in 0..span {
@@ -620,15 +652,30 @@ impl Core {
 
         let block_done = head.num_instrs == 0;
         let crossed_line = head.start >= line + line_size;
+        // The lookahead window is line-granular: it only changes when the
+        // head leaves its line or its block.
+        if !(block_done || crossed_line) {
+            return;
+        }
+        // The lines from `line` up to `left_end` leave the window: those
+        // before the head's new line, or all the block's remaining lines
+        // when it is done.
+        let left_end = if block_done {
+            head.end()
+        } else {
+            head.start & !(line_size - 1)
+        };
         if block_done {
             self.ftq.pop();
         }
-        // The lookahead window is line-granular: it only changes when the
-        // head leaves its line or its block.
-        if block_done || crossed_line {
-            self.head_fetch = HeadFetch::Idle;
-            self.lookahead_dirty = true;
-        }
+        self.head_fetch = HeadFetch::Idle;
+        self.lookahead = match self.lookahead {
+            LookaheadStop::VictimInWindow(victim) if victim < line || victim >= left_end => {
+                LookaheadStop::VictimInWindow(victim)
+            }
+            LookaheadStop::PendingCap => LookaheadStop::PendingCap,
+            _ => LookaheadStop::Armed,
+        };
     }
 
     /// Takes the thread's next fetch step: applies its commit-rate change,
@@ -644,7 +691,11 @@ impl Core {
         if let Some(block) = step.block {
             self.ftq.push(block);
             self.fetch_blocks += 1;
-            self.lookahead_dirty = true;
+            // New lines join the window's tail: a victim in the window stays
+            // there and the pending count is unchanged.
+            if self.lookahead == LookaheadStop::NoMiss {
+                self.lookahead = LookaheadStop::Armed;
+            }
             if block.ends_in_mispredict {
                 self.resteer_until = now + self.config.frontend.mispredict_penalty;
             }
@@ -694,6 +745,7 @@ impl Core {
 mod tests {
     use super::*;
     use crate::cpi::StallKind;
+    use sim_frontend::FtqEntry;
     use sim_trace::TraceBuilder;
 
     /// Runs a core against a "perfect" memory that answers every fetch
@@ -980,6 +1032,151 @@ mod tests {
         frontend.max_fetch_block_bytes = 128;
         let stream = FetchStream::decode(loop_trace(2, 4, 1.0), &frontend);
         Core::with_stream(0, CoreConfig::worker(), Arc::new(stream));
+    }
+
+    /// A core whose stream yields one 64-byte block at `0x8000` per step.
+    /// The stop-rule tests below build its FTQ and line buffers by hand.
+    fn bare_core(config: CoreConfig) -> Core {
+        let mut b = TraceBuilder::new(0);
+        b.set_ipc(1.0);
+        for _ in 0..4 {
+            b.basic_block(0x8000, 16, 0x8000, true);
+        }
+        Core::new(0, config, Box::new(b.finish().into_source()))
+    }
+
+    fn block(start: u64, len_bytes: u32, num_instrs: u32) -> FtqEntry {
+        FtqEntry {
+            start,
+            len_bytes,
+            num_instrs,
+            ends_in_mispredict: false,
+        }
+    }
+
+    /// Makes `line` resident in a line buffer last used at cycle `at`.
+    fn make_resident(core: &mut Core, line: u64, at: u64) {
+        assert!(core.line_buffers.allocate(line, at));
+        assert!(core.line_buffers.fill(line, at));
+    }
+
+    /// Puts the head on its resident `line`, delivering from it.
+    fn head_on(core: &mut Core, line: u64) {
+        let idx = core
+            .line_buffers
+            .index_of(line)
+            .expect("head line resident");
+        core.head_fetch = HeadFetch::Ready { line, idx };
+    }
+
+    /// Runs the lookahead at `now`, returning the lines it requested.
+    fn lookahead(core: &mut Core, now: u64) -> Vec<u64> {
+        let mut out = CycleOutput::default();
+        core.fetch_lookahead(now, Some(&mut out));
+        out.fetch_requests
+    }
+
+    #[test]
+    fn a_victim_in_window_stop_survives_a_push_and_a_fill() {
+        let mut core = bare_core(CoreConfig::worker());
+        make_resident(&mut core, 0x1000, 1);
+        make_resident(&mut core, 0x1040, 2);
+        make_resident(&mut core, 0x1080, 3);
+        assert!(core.line_buffers.allocate(0x2000, 4));
+        core.ftq.push(block(0x1000, 192, 48));
+        core.ftq.push(block(0x4000, 64, 16));
+        assert!(lookahead(&mut core, 5).is_empty());
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1000));
+
+        core.generate_fetch_block(6);
+        assert_eq!(core.ftq.len(), 3, "the stream pushed its block");
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1000));
+        core.deliver_line(0x2000, 7);
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1000));
+        assert!(lookahead(&mut core, 8).is_empty());
+        assert_eq!(
+            core.scan_lookahead(8, None),
+            LookaheadStop::VictimInWindow(0x1000)
+        );
+    }
+
+    #[test]
+    fn the_head_leaving_a_line_other_than_the_victim_keeps_the_stop() {
+        let mut core = bare_core(CoreConfig::worker());
+        make_resident(&mut core, 0x1000, 1);
+        make_resident(&mut core, 0x1040, 2);
+        make_resident(&mut core, 0x1080, 3);
+        assert!(core.line_buffers.allocate(0x2000, 4));
+        // The head block's last two instructions in 0x1040 cross into 0x1080.
+        core.ftq.push(block(0x1078, 40, 10));
+        core.ftq.push(block(0x1000, 64, 16));
+        core.ftq.push(block(0x4000, 64, 16));
+        head_on(&mut core, 0x1040);
+        assert!(lookahead(&mut core, 5).is_empty());
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1000));
+
+        core.fetch_head(6, &mut CycleOutput::default());
+        assert_eq!(core.head_fetch, HeadFetch::Idle, "the head left 0x1040");
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1000));
+        assert!(lookahead(&mut core, 6).is_empty());
+    }
+
+    #[test]
+    fn the_victims_line_leaving_with_the_head_block_rearms_the_scan() {
+        // The master core delivers all 3 instructions of a block that ends
+        // 2 bytes into 0x1040 (11 bytes at an average size of 3), so the
+        // block completes in 0x1000 and takes the victim 0x1040 out of the
+        // window with it.
+        let mut core = bare_core(CoreConfig::master());
+        make_resident(&mut core, 0x1040, 1);
+        make_resident(&mut core, 0x1000, 2);
+        make_resident(&mut core, 0x3000, 3);
+        assert!(core.line_buffers.allocate(0x2000, 4));
+        core.ftq.push(block(0x1036, 11, 3));
+        core.ftq.push(block(0x4000, 64, 16));
+        head_on(&mut core, 0x1000);
+        assert!(lookahead(&mut core, 5).is_empty());
+        assert_eq!(core.lookahead, LookaheadStop::VictimInWindow(0x1040));
+
+        core.fetch_head(6, &mut CycleOutput::default());
+        assert_eq!(core.ftq.len(), 1, "the head block is done");
+        assert_eq!(core.line_buffers.victim_line(), Some(0x1040));
+        assert_eq!(core.lookahead, LookaheadStop::Armed);
+        assert_eq!(lookahead(&mut core, 6), vec![0x4000]);
+    }
+
+    #[test]
+    fn a_fill_rearms_a_pending_cap_stop() {
+        let mut core = bare_core(CoreConfig::worker());
+        make_resident(&mut core, 0x3000, 0);
+        for line in [0x1000, 0x1040, 0x1080] {
+            assert!(core.line_buffers.allocate(line, 1));
+        }
+        core.ftq.push(block(0x4000, 64, 16));
+        assert!(lookahead(&mut core, 2).is_empty());
+        assert_eq!(core.lookahead, LookaheadStop::PendingCap);
+
+        core.generate_fetch_block(3);
+        assert_eq!(core.lookahead, LookaheadStop::PendingCap);
+        core.deliver_line(0x1000, 4);
+        assert_eq!(core.lookahead, LookaheadStop::Armed);
+        assert_eq!(lookahead(&mut core, 4), vec![0x4000]);
+    }
+
+    #[test]
+    fn a_push_rearms_a_no_miss_stop() {
+        let mut core = bare_core(CoreConfig::worker());
+        make_resident(&mut core, 0x3000, 0);
+        make_resident(&mut core, 0x1000, 1);
+        make_resident(&mut core, 0x1040, 2);
+        make_resident(&mut core, 0x1080, 3);
+        core.ftq.push(block(0x1000, 192, 48));
+        assert!(lookahead(&mut core, 4).is_empty());
+        assert_eq!(core.lookahead, LookaheadStop::NoMiss);
+
+        core.generate_fetch_block(5);
+        assert_eq!(core.lookahead, LookaheadStop::Armed);
+        assert_eq!(lookahead(&mut core, 5), vec![0x8000]);
     }
 
     #[test]

@@ -90,6 +90,7 @@ impl CpiStack {
     }
 
     /// Records a stall cycle of the given kind.
+    #[inline]
     pub fn record_stall(&mut self, kind: StallKind) {
         self.record_stall_n(kind, 1);
     }
@@ -97,6 +98,7 @@ impl CpiStack {
     /// Records `n` stall cycles of the same kind at once.  The idle-skip
     /// scheduler uses this to account a whole parked span in one call; the
     /// result is identical to calling [`CpiStack::record_stall`] `n` times.
+    #[inline]
     pub fn record_stall_n(&mut self, kind: StallKind, n: u64) {
         match kind {
             StallKind::IcacheLatency => self.icache_latency += n,

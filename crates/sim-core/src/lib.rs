@@ -26,13 +26,21 @@
 //! missing in the I-cache.
 //!
 //! The front-end's lookahead (prefetching the lines of queued fetch blocks)
-//! is event-driven: its scan of the FTQ window re-runs only after a line
-//! fill, any line-buffer allocation (by the head or by the lookahead), an
-//! FTQ push, the head leaving its line or its fetch block, or a change of
-//! the line buffers' LRU victim line.  A scan that issued stays armed; one
-//! that issued nothing stays idle until one of those events.  Any new way
-//! to change the FTQ or the line buffers must re-arm it too; debug builds
-//! check every skipped scan against a full one.
+//! is event-driven.  A scan that issued stays armed.  A scan that issued
+//! nothing records why, and is skipped until an event that can change that
+//! verdict:
+//!
+//! * *pending cap* (every line buffer but one awaits a fill): a line fill;
+//! * *victim in window* (the LRU victim line is one the queued blocks still
+//!   need, so no prefetch may evict it): a different victim line, or the
+//!   victim leaving the window as the head leaves its line or block;
+//! * *no miss* (every window line is resident or requested): an FTQ push
+//!   or the head leaving its line or block, which bring new lines into the
+//!   window.
+//!
+//! A line-buffer allocation by the head re-arms every stop.  Any new way to
+//! change the FTQ or the line buffers must re-arm the stops it affects;
+//! debug builds check every skipped scan against a full one.
 
 pub mod config;
 pub mod core;

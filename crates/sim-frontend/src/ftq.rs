@@ -26,6 +26,7 @@ pub struct FtqEntry {
 
 impl FtqEntry {
     /// Address one past the end of the block.
+    #[inline]
     pub fn end(&self) -> u64 {
         self.start + self.len_bytes as u64
     }
@@ -36,8 +37,6 @@ impl FtqEntry {
 pub struct Ftq {
     entries: VecDeque<FtqEntry>,
     capacity: usize,
-    /// Total entries ever pushed (for statistics).
-    pushed: u64,
 }
 
 impl Ftq {
@@ -51,7 +50,6 @@ impl Ftq {
         Ftq {
             entries: VecDeque::with_capacity(capacity),
             capacity,
-            pushed: 0,
         }
     }
 
@@ -61,23 +59,21 @@ impl Ftq {
     }
 
     /// Current number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Returns `true` when the queue is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Returns `true` when no more fetch blocks can be pushed.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
-    }
-
-    /// Total number of fetch blocks ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 
     /// Pushes a fetch block.
@@ -85,37 +81,36 @@ impl Ftq {
     /// # Panics
     ///
     /// Panics if the queue is full (callers must check [`Ftq::is_full`]).
+    #[inline]
     pub fn push(&mut self, entry: FtqEntry) {
         assert!(!self.is_full(), "pushed into a full FTQ");
         self.entries.push_back(entry);
-        self.pushed += 1;
     }
 
     /// Returns the entry at the head without removing it.
+    #[inline]
     pub fn head(&self) -> Option<&FtqEntry> {
         self.entries.front()
     }
 
     /// Mutable access to the head entry (the fetch engine shrinks it as
     /// lines are consumed).
+    #[inline]
     pub fn head_mut(&mut self) -> Option<&mut FtqEntry> {
         self.entries.front_mut()
     }
 
     /// Removes and returns the head entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<FtqEntry> {
         self.entries.pop_front()
     }
 
     /// Iterates over the queued fetch blocks from head to tail (used by the
     /// fetch engine's line-buffer lookahead).
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = &FtqEntry> {
         self.entries.iter()
-    }
-
-    /// Discards all entries (branch misprediction flush).
-    pub fn flush(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -142,7 +137,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().start, 0x100);
         assert_eq!(q.pop().unwrap().start, 0x200);
         assert!(q.pop().is_none());
-        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]
@@ -160,16 +154,6 @@ mod tests {
         let mut q = Ftq::new(1);
         q.push(entry(0x100));
         q.push(entry(0x200));
-    }
-
-    #[test]
-    fn flush_empties_the_queue() {
-        let mut q = Ftq::new(4);
-        q.push(entry(0x100));
-        q.push(entry(0x200));
-        q.flush();
-        assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2, "flush does not rewrite history");
     }
 
     #[test]

@@ -117,6 +117,7 @@ impl LineBufferFile {
     }
 
     /// Number of buffers.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buffers.len()
     }
@@ -136,10 +137,12 @@ impl LineBufferFile {
         self.line_size
     }
 
+    #[inline]
     fn align(&self, addr: u64) -> u64 {
         addr & !(self.line_size - 1)
     }
 
+    #[inline]
     fn find(&self, line: u64) -> Option<usize> {
         self.buffers
             .iter()
@@ -159,6 +162,7 @@ impl LineBufferFile {
     /// Marks valid buffer `idx` as used at `now`.  Raising a buffer's
     /// recency can only move the LRU slot if that buffer was the LRU one;
     /// the comparison also covers a touch back in time.
+    #[inline]
     fn use_at(&mut self, idx: usize, now: u64) {
         self.buffers[idx].last_use = now;
         match self.lru {
@@ -170,6 +174,7 @@ impl LineBufferFile {
     /// Looks up the line containing `addr` and records the request in the
     /// statistics.  Use [`LineBufferFile::probe`] for a statistics-free
     /// check.
+    #[inline]
     pub fn request(&mut self, addr: u64, now: u64) -> LineLookup {
         let line = self.align(addr);
         self.stats.line_requests += 1;
@@ -191,6 +196,7 @@ impl LineBufferFile {
     }
 
     /// Statistics-free residency check.
+    #[inline]
     pub fn probe(&self, addr: u64) -> LineLookup {
         let line = self.align(addr);
         match self.find(line) {
@@ -207,6 +213,7 @@ impl LineBufferFile {
     /// `addr`.  Returns `false` (and does not count an I-cache access) if
     /// every buffer currently tracks an outstanding request, in which case
     /// the front-end must retry later.
+    #[inline]
     pub fn allocate(&mut self, addr: u64, now: u64) -> bool {
         let line = self.align(addr);
         debug_assert!(
@@ -253,6 +260,7 @@ impl LineBufferFile {
     /// Lets a caller that re-touches the same resident line every cycle
     /// cache the slot for [`LineBufferFile::touch_at`] instead of re-running
     /// the lookup.
+    #[inline]
     pub fn index_of(&self, addr: u64) -> Option<usize> {
         self.find(self.align(addr))
     }
@@ -261,6 +269,7 @@ impl LineBufferFile {
     /// is currently consuming most-recently-used so prefetches never evict
     /// it).  The buffer must still hold the valid line the index was
     /// obtained for.
+    #[inline]
     pub fn touch_at(&mut self, idx: usize, now: u64) {
         debug_assert_eq!(self.buffers[idx].state, State::Valid);
         self.use_at(idx, now);
@@ -269,6 +278,7 @@ impl LineBufferFile {
     /// Returns the line address that the next [`LineBufferFile::allocate`]
     /// would evict, or `None` if an invalid buffer (or none at all, when
     /// every buffer is pending) would be used instead.  O(1).
+    #[inline]
     pub fn victim_line(&self) -> Option<u64> {
         if self.invalid > 0 {
             return None;
@@ -279,6 +289,7 @@ impl LineBufferFile {
     /// Completes the fill of the line containing `addr`.  Returns `true` if
     /// a pending buffer was waiting for it (a fill for a line nobody
     /// requested is ignored and returns `false`).
+    #[inline]
     pub fn fill(&mut self, addr: u64, now: u64) -> bool {
         let line = self.align(addr);
         if let Some(idx) = self.find(line) {
@@ -294,6 +305,7 @@ impl LineBufferFile {
     }
 
     /// Number of buffers with an outstanding request.
+    #[inline]
     pub fn pending_count(&self) -> usize {
         self.pending
     }

@@ -80,6 +80,7 @@ impl Bus {
     }
 
     /// Number of requests waiting for a grant.
+    #[inline]
     pub fn pending_requests(&self) -> usize {
         self.pending.len()
     }
@@ -94,6 +95,7 @@ impl Bus {
     /// # Panics
     ///
     /// Panics if `requester` is out of range.
+    #[inline]
     pub fn submit(&mut self, cycle: u64, requester: usize, line_addr: u64) {
         assert!(
             requester < self.num_requesters,
@@ -109,6 +111,7 @@ impl Bus {
     }
 
     /// Advances arbitration at `cycle`, granting at most one transaction.
+    #[inline]
     pub fn tick(&mut self, cycle: u64) -> Option<Grant> {
         if self.pending.is_empty() || cycle < self.free_at {
             return None;
@@ -144,6 +147,7 @@ impl Bus {
     /// Chooses the index (in the pending queue) of the next request to
     /// grant.  Only requests submitted strictly before or at `cycle` are
     /// eligible.
+    #[inline]
     fn choose(&self, cycle: u64) -> Option<usize> {
         let eligible = |p: &Pending| p.submit_cycle <= cycle;
         match self.config.arbitration {
@@ -155,10 +159,12 @@ impl Bus {
                 .min_by_key(|(pos, p)| (p.requester, *pos))
                 .map(|(pos, _)| pos),
             Arbitration::RoundRobin => {
-                // Rotating priority: requester (last_granted + 1) has the
-                // highest priority, then (last_granted + 2), and so on.
+                // Rotating priority: requester `first = last_granted + 1`
+                // (mod n) has the highest priority, then `first + 1`, and so
+                // on; a requester's rank is its distance after `first`.
                 let n = self.num_requesters;
-                let priority = |r: usize| (r + n - (self.last_granted + 1) % n) % n;
+                let first = (self.last_granted + 1) % n;
+                let priority = |r: usize| if r >= first { r - first } else { r + n - first };
                 self.pending
                     .iter()
                     .enumerate()

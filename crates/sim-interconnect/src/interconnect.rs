@@ -34,6 +34,7 @@ impl IcacheInterconnect {
     }
 
     /// Number of buses.
+    #[inline]
     pub fn num_buses(&self) -> usize {
         self.buses.len()
     }
@@ -44,22 +45,24 @@ impl IcacheInterconnect {
     }
 
     /// Returns the bus index serving the line containing `addr`.
+    #[inline]
     pub fn bus_of(&self, addr: u64) -> usize {
         ((addr / self.line_size) % self.buses.len() as u64) as usize
     }
 
     /// Submits a request for the line containing `addr` from `requester`.
+    #[inline]
     pub fn submit(&mut self, cycle: u64, requester: usize, addr: u64) {
         let bus = self.bus_of(addr);
         self.buses[bus].submit(cycle, requester, addr & !(self.line_size - 1));
     }
 
     /// Advances every bus by one cycle; each bus may grant one transaction.
-    pub fn tick(&mut self, cycle: u64) -> Vec<Grant> {
-        self.buses
-            .iter_mut()
-            .filter_map(|b| b.tick(cycle))
-            .collect()
+    /// The grants are appended to `grants` in bus order, so a caller can
+    /// reuse one buffer every cycle.
+    #[inline]
+    pub fn tick(&mut self, cycle: u64, grants: &mut Vec<Grant>) {
+        grants.extend(self.buses.iter_mut().filter_map(|b| b.tick(cycle)));
     }
 
     /// Returns `true` if no bus has pending or in-flight work at `cycle`.
@@ -68,6 +71,7 @@ impl IcacheInterconnect {
     }
 
     /// Total pending requests across buses.
+    #[inline]
     pub fn pending_requests(&self) -> usize {
         self.buses.iter().map(|b| b.pending_requests()).sum()
     }
@@ -91,15 +95,22 @@ impl IcacheInterconnect {
 mod tests {
     use super::*;
 
+    /// Ticks `ic` once, returning that cycle's grants.
+    fn tick(ic: &mut IcacheInterconnect, cycle: u64) -> Vec<Grant> {
+        let mut grants = Vec::new();
+        ic.tick(cycle, &mut grants);
+        grants
+    }
+
     #[test]
     fn single_bus_serialises_requests() {
         let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 1, 4);
         ic.submit(0, 0, 0x0000);
         ic.submit(0, 1, 0x0040);
-        let g0 = ic.tick(0);
+        let g0 = tick(&mut ic, 0);
         assert_eq!(g0.len(), 1);
-        assert!(ic.tick(1).is_empty());
-        let g1 = ic.tick(2);
+        assert!(tick(&mut ic, 1).is_empty());
+        let g1 = tick(&mut ic, 2);
         assert_eq!(g1.len(), 1);
         assert_eq!(g1[0].wait_cycles, 2);
     }
@@ -112,7 +123,7 @@ mod tests {
         assert_eq!(ic.bus_of(0x0080), 0);
         ic.submit(0, 0, 0x0000);
         ic.submit(0, 1, 0x0040);
-        let grants = ic.tick(0);
+        let grants = tick(&mut ic, 0);
         assert_eq!(grants.len(), 2);
         assert!(grants.iter().all(|g| g.wait_cycles == 0));
     }
@@ -123,9 +134,9 @@ mod tests {
         // Both requests target even lines -> same bus.
         ic.submit(0, 0, 0x0000);
         ic.submit(0, 1, 0x0080);
-        assert_eq!(ic.tick(0).len(), 1);
-        assert!(ic.tick(1).is_empty());
-        assert_eq!(ic.tick(2).len(), 1);
+        assert_eq!(tick(&mut ic, 0).len(), 1);
+        assert!(tick(&mut ic, 1).is_empty());
+        assert_eq!(tick(&mut ic, 2).len(), 1);
     }
 
     #[test]
@@ -133,7 +144,7 @@ mod tests {
         let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 2, 2);
         ic.submit(0, 0, 0x0000);
         ic.submit(0, 1, 0x0040);
-        ic.tick(0);
+        tick(&mut ic, 0);
         let s = ic.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.busy_cycles, 4);
@@ -153,7 +164,7 @@ mod tests {
     fn submitted_addresses_are_line_aligned_in_grants() {
         let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 1, 1);
         ic.submit(0, 0, 0x1234);
-        let g = ic.tick(0);
+        let g = tick(&mut ic, 0);
         assert_eq!(g[0].line_addr, 0x1200 & !0x3f);
     }
 }

@@ -27,7 +27,8 @@
 //! let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 2, 4);
 //! ic.submit(0, 1, 0x0000); // even line -> bus 0
 //! ic.submit(0, 3, 0x0040); // odd line  -> bus 1
-//! let grants = ic.tick(0);
+//! let mut grants = Vec::new();
+//! ic.tick(0, &mut grants);
 //! assert_eq!(grants.len(), 2, "different banks are served in parallel");
 //! ```
 
