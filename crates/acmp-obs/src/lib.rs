@@ -208,7 +208,7 @@ pub fn log_text(text: &str) {
 ///
 /// The one sanctioned way to measure elapsed wall time outside `bench`:
 /// the clock read is concentrated here in `acmp-obs` (which already owns
-/// the process [`epoch`]) so the deterministic simulation and storage
+/// the process epoch) so the deterministic simulation and storage
 /// crates stay free of ambient-time calls — the `nondeterminism` lint
 /// rule enforces exactly that.  Measured durations are *reported*, never
 /// fed back into simulated state.

@@ -2,7 +2,7 @@
 //! catalog's facets, written as index segments beside the data segments.
 //!
 //! An index segment (`idx-<gen>-<pid>-<seq>.idx`) holds the complete
-//! [`ResultRow`](crate::ResultRow) set plus a postings list per *term*:
+//! [`ResultRow`] set plus a postings list per *term*:
 //!
 //! * equality facets — `benchmark=cg`, `family=worker-shared`,
 //!   `design=baseline-2lb`, `scale=<16-hex generator digest>`;

@@ -4,7 +4,7 @@
 //! processes and machines, so `std::hash::Hasher` (randomly seeded, and
 //! explicitly not stable across releases) is out.  This module implements
 //! 64-bit FNV-1a over the canonical JSON encoding of a value: the serde
-//! shim's [`Value`] printer is deterministic (object fields keep insertion
+//! shim's [`Value`](serde::Value) printer is deterministic (object fields keep insertion
 //! order, floats use shortest round-trip formatting), so equal values always
 //! produce equal digests.
 

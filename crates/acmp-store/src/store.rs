@@ -3,7 +3,7 @@
 //! Simulation results are packed into append-only **segment files** (see
 //! [`crate::segment`]) under the store directory (default
 //! `target/sweep-cache/`).  A later run — any process, any worker count —
-//! that derives the same [`StoreKey`](crate::StoreKey) is served from disk
+//! that derives the same [`StoreKey`] is served from disk
 //! instead of re-simulating, which turns repeated figure runs into warm
 //! starts.  The sweep engine stores results only: trace sets are cheaper to
 //! regenerate than to encode, store and decode.  Stores written by older
@@ -210,8 +210,8 @@ impl DiskStore {
 
     /// The default store location: `target/sweep-cache` under the current
     /// directory.  A different location is an explicit choice — `--cache-dir`
-    /// on the CLI, [`store_dir`](crate::SweepEngineBuilder::store_dir) on
-    /// the builder — never an environment variable.
+    /// on the CLI, `SweepEngineBuilder::store_dir` in `acmp-sweep` — never
+    /// an environment variable.
     #[must_use]
     pub fn default_root() -> PathBuf {
         PathBuf::from("target").join("sweep-cache")

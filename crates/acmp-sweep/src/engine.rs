@@ -127,7 +127,7 @@ pub struct SweepEngine {
 /// matter what the process environment looks like.
 ///
 /// ```no_run
-/// use acmp_sweep::prelude::*;
+/// use acmp_sweep::SweepEngine;
 ///
 /// let engine = SweepEngine::builder(hpc_workloads::GeneratorConfig::default())
 ///     .workers(4)
@@ -154,8 +154,17 @@ impl SweepEngineBuilder {
         self
     }
 
-    /// Restricts the engine to one shard of the job keyspace (see
-    /// [`SweepEngine::with_shard`]).  Defaults to the whole keyspace.
+    /// Restricts the engine to the slice of the job keyspace owned by
+    /// `shard`: grid and job-list runs silently skip cells owned by other
+    /// shards and return rows only for owned cells.  Direct
+    /// [`simulate`](SweepEngine::simulate) calls are *not* filtered — the
+    /// shard decides what a grid schedules, not what the engine can
+    /// compute.  Defaults to the whole keyspace.
+    ///
+    /// Ownership is `digest % count` over the job key's stable content
+    /// hash, so N engines configured with the N distinct shards of one
+    /// `count` — in any mix of threads, processes or machines — partition
+    /// the grid exactly: every cell runs in exactly one of them.
     #[must_use]
     pub fn shard(mut self, shard: ShardSpec) -> Self {
         self.shard = shard;
@@ -186,22 +195,33 @@ impl SweepEngineBuilder {
     /// Returns the I/O error if a configured store directory cannot be
     /// created or opened; construction without a store cannot fail.
     pub fn build(self) -> std::io::Result<SweepEngine> {
-        let mut engine = SweepEngine::new(self.generator).with_shard(self.shard);
-        if let Some(workers) = self.workers {
-            engine = engine.with_threads(workers);
-        }
-        if let Some(dir) = self.store_dir {
-            engine = engine.with_disk_store_limited(dir, self.kept_generations)?;
-        }
-        Ok(engine)
+        self.generator.validate();
+        let store = match self.store_dir {
+            Some(dir) => Some(DiskStore::open_limited(dir, self.kept_generations)?),
+            None => None,
+        };
+        Ok(SweepEngine {
+            generator: self.generator,
+            shard: self.shard,
+            pool: self
+                .workers
+                .map_or_else(WorkStealingPool::host_sized, WorkStealingPool::new),
+            traces: ShardedMap::new(),
+            streams: ShardedMap::new(),
+            spare_records: Mutex::new(Vec::new()),
+            results: ShardedMap::new(),
+            store,
+            memory_hits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
+            simulated: AtomicU64::new(0),
+            trace_generated: AtomicU64::new(0),
+        })
     }
 }
 
 impl SweepEngine {
     /// Starts configuring an engine that generates traces with `generator`.
-    ///
-    /// See [`SweepEngineBuilder`] for the knobs; `build()` on the untouched
-    /// builder is equivalent to [`SweepEngine::new`].
+    /// See [`SweepEngineBuilder`] for the knobs.
     #[must_use]
     pub fn builder(generator: GeneratorConfig) -> SweepEngineBuilder {
         SweepEngineBuilder {
@@ -211,75 +231,6 @@ impl SweepEngine {
             store_dir: None,
             kept_generations: None,
         }
-    }
-
-    /// Creates an engine generating traces with `generator`, sized to the
-    /// host, with no disk store.
-    #[must_use]
-    pub fn new(generator: GeneratorConfig) -> Self {
-        generator.validate();
-        SweepEngine {
-            generator,
-            shard: ShardSpec::whole(),
-            pool: WorkStealingPool::host_sized(),
-            traces: ShardedMap::new(),
-            streams: ShardedMap::new(),
-            spare_records: Mutex::new(Vec::new()),
-            results: ShardedMap::new(),
-            store: None,
-            memory_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            simulated: AtomicU64::new(0),
-            trace_generated: AtomicU64::new(0),
-        }
-    }
-
-    /// Sets the number of pool threads (≥ 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.pool = WorkStealingPool::new(threads);
-        self
-    }
-
-    /// Restricts the engine to the slice of the job keyspace owned by
-    /// `shard`: grid and job-list runs silently skip cells owned by other
-    /// shards and return rows only for owned cells.  Direct
-    /// [`simulate`](Self::simulate) calls are *not* filtered — the shard
-    /// decides what a grid schedules, not what the engine can compute.
-    ///
-    /// Ownership is `digest % count` over the job key's stable content
-    /// hash, so N engines configured with the N distinct shards of one
-    /// `count` — in any mix of threads, processes or machines — partition
-    /// the grid exactly: every cell runs in exactly one of them.
-    #[must_use]
-    pub fn with_shard(mut self, shard: ShardSpec) -> Self {
-        self.shard = shard;
-        self
-    }
-
-    /// Attaches a content-addressed disk store rooted at `root`, keeping
-    /// every generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the store directory cannot be created.
-    pub fn with_disk_store(self, root: impl Into<std::path::PathBuf>) -> std::io::Result<Self> {
-        self.with_disk_store_limited(root, None)
-    }
-
-    /// [`with_disk_store`](Self::with_disk_store) with a generation bound:
-    /// all but the newest `limit` store generations are evicted at open.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the store directory cannot be created.
-    pub fn with_disk_store_limited(
-        mut self,
-        root: impl Into<std::path::PathBuf>,
-        limit: Option<u64>,
-    ) -> std::io::Result<Self> {
-        self.store = Some(DiskStore::open_limited(root, limit)?);
-        Ok(self)
     }
 
     /// The trace-generation configuration.
@@ -308,7 +259,7 @@ impl SweepEngine {
     }
 
     /// The keyspace shard this engine runs (the whole keyspace unless
-    /// [`with_shard`](Self::with_shard) narrowed it).
+    /// [`SweepEngineBuilder::shard`] narrowed it).
     #[must_use]
     pub fn shard(&self) -> ShardSpec {
         self.shard
@@ -442,23 +393,26 @@ impl SweepEngine {
 
     /// Runs the full `benchmarks` × `designs` grid on the pool, returning
     /// rows in benchmark-major input order.
-    pub fn run_grid(&self, benchmarks: &[Benchmark], designs: &[DesignPoint]) -> SweepOutcome {
-        self.run_grid_with(benchmarks, designs, |_| {})
-    }
-
-    /// [`run_grid`](Self::run_grid) with a per-row completion callback.
     ///
-    /// `on_row` is invoked from the worker thread that finished the cell,
-    /// as soon as it finishes — this is how the CLI streams live progress.
-    pub fn run_grid_with<C>(
-        &self,
-        benchmarks: &[Benchmark],
-        designs: &[DesignPoint],
-        on_row: C,
-    ) -> SweepOutcome
-    where
-        C: Fn(&SweepRow) + Sync,
-    {
+    /// ```
+    /// use acmp_sweep::{DesignPoint, SweepEngine};
+    /// use hpc_workloads::{Benchmark, GeneratorConfig};
+    ///
+    /// let engine = SweepEngine::builder(GeneratorConfig::small()).build()?;
+    /// let benchmarks = [Benchmark::Cg, Benchmark::Lu];
+    /// let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
+    /// let outcome = engine.run_grid(&benchmarks, &designs);
+    /// let cells: Vec<_> = outcome.rows.iter().map(|r| (r.benchmark, &r.design)).collect();
+    /// assert_eq!(cells[1], (Benchmark::Cg, &designs[1]));
+    /// assert_eq!(cells[2], (Benchmark::Lu, &designs[0]));
+    ///
+    /// // The same grid again is served from the memory cache.
+    /// engine.run_grid(&benchmarks, &designs);
+    /// assert_eq!(engine.stats().simulated, 4);
+    /// assert_eq!(engine.stats().memory_hits, 4);
+    /// # std::io::Result::Ok(())
+    /// ```
+    pub fn run_grid(&self, benchmarks: &[Benchmark], designs: &[DesignPoint]) -> SweepOutcome {
         let jobs: Vec<SweepJob> = benchmarks
             .iter()
             .flat_map(|&benchmark| {
@@ -468,15 +422,13 @@ impl SweepEngine {
                 })
             })
             .collect();
-        self.run_jobs_with(jobs, on_row)
-    }
-
-    /// Runs an explicit job list on the pool, returning rows in input order.
-    pub fn run_jobs(&self, jobs: Vec<SweepJob>) -> SweepOutcome {
         self.run_jobs_with(jobs, |_| {})
     }
 
-    /// [`run_jobs`](Self::run_jobs) with a per-row completion callback.
+    /// Runs an explicit job list on the pool, returning rows in input order.
+    ///
+    /// `on_row` is invoked from the worker thread that finished the cell,
+    /// as soon as it finishes — this is how the CLI streams live progress.
     pub fn run_jobs_with<C>(&self, jobs: Vec<SweepJob>, on_row: C) -> SweepOutcome
     where
         C: Fn(&SweepRow) + Sync,
@@ -543,6 +495,20 @@ impl SweepEngine {
     /// other than plain grid simulation (trace analysis, replay models);
     /// `f` may itself call [`simulate`](Self::simulate) and will hit the
     /// shared caches.
+    ///
+    /// ```
+    /// use acmp_sweep::SweepEngine;
+    /// use hpc_workloads::{Benchmark, GeneratorConfig};
+    ///
+    /// let engine = SweepEngine::builder(GeneratorConfig::small()).build()?;
+    /// let lengths = engine.run_per_benchmark(&[Benchmark::Ep, Benchmark::Cg], |b| {
+    ///     engine.traces(b).total_instructions()
+    /// });
+    /// assert_eq!(lengths[0].0, Benchmark::Ep);
+    /// assert_eq!(lengths[1].1, engine.traces(Benchmark::Cg).total_instructions());
+    /// assert_eq!(engine.stats().trace_generated, 2, "each set once");
+    /// # std::io::Result::Ok(())
+    /// ```
     pub fn run_per_benchmark<T, F>(&self, benchmarks: &[Benchmark], f: F) -> Vec<(Benchmark, T)>
     where
         T: Send,
@@ -568,13 +534,21 @@ impl SweepEngine {
 mod tests {
     use super::*;
 
-    fn small_engine() -> SweepEngine {
-        SweepEngine::new(GeneratorConfig {
+    fn small_config() -> GeneratorConfig {
+        GeneratorConfig {
             num_workers: 2,
             parallel_instructions_per_thread: 5_000,
             num_phases: 1,
             seed: 3,
-        })
+        }
+    }
+
+    fn small() -> SweepEngineBuilder {
+        SweepEngine::builder(small_config())
+    }
+
+    fn small_engine() -> SweepEngine {
+        small().build().unwrap()
     }
 
     #[test]
@@ -609,6 +583,8 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.simulated, 1);
         assert_eq!(stats.memory_hits, 1);
+        assert!(engine.store().is_none(), "no `store_dir`, no store");
+        assert_eq!(stats.store, None);
     }
 
     #[test]
@@ -625,7 +601,7 @@ mod tests {
 
     #[test]
     fn run_grid_covers_the_cross_product_in_order() {
-        let engine = small_engine().with_threads(3);
+        let engine = small().workers(3).build().unwrap();
         let benchmarks = [Benchmark::Cg, Benchmark::Is];
         let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
         let outcome = engine.run_grid(&benchmarks, &designs);
@@ -678,7 +654,7 @@ mod tests {
             let mut simulated = 0;
             for index in 0..count {
                 let shard = ShardSpec::new(index, count).unwrap();
-                let engine = small_engine().with_shard(shard);
+                let engine = small().shard(shard).build().unwrap();
                 assert_eq!(engine.shard(), shard);
                 let outcome = engine.run_grid(&benchmarks, &designs);
                 assert_eq!(outcome.pool.jobs, outcome.rows.len());
@@ -699,12 +675,12 @@ mod tests {
             std::env::temp_dir().join(format!("acmp-sweep-engine-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        let cold = small_engine().with_disk_store(&dir).unwrap();
+        let cold = small().store_dir(&dir).build().unwrap();
         let a = cold.simulate(Benchmark::Cg, &DesignPoint::baseline());
         assert_eq!(cold.stats().disk_hits, 0);
 
         // A fresh engine (fresh memory cache) over the same store.
-        let warm = small_engine().with_disk_store(&dir).unwrap();
+        let warm = small().store_dir(&dir).build().unwrap();
         let b = warm.simulate(Benchmark::Cg, &DesignPoint::baseline());
         assert_eq!(warm.stats().disk_hits, 1);
         assert_eq!(warm.stats().simulated, 0);
@@ -752,7 +728,7 @@ mod tests {
         let benchmarks = [Benchmark::Cg, Benchmark::Lu];
         let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
 
-        let cold = small_engine().with_disk_store(&dir).unwrap();
+        let cold = small().store_dir(&dir).build().unwrap();
         let cold_rows = cold.run_grid(&benchmarks, &designs);
         assert_eq!(cold.stats().trace_generated, 2, "one per benchmark");
         // The store holds results only: one entry per cell, no trace sets.
@@ -760,7 +736,7 @@ mod tests {
 
         // A fresh engine (fresh process stand-in) over the same store: all
         // cells hit the disk store, so no traces are generated.
-        let warm = small_engine().with_disk_store(&dir).unwrap();
+        let warm = small().store_dir(&dir).build().unwrap();
         let warm_rows = warm.run_grid(&benchmarks, &designs);
         let stats = warm.stats();
         assert_eq!(stats.simulated, 0);
@@ -771,7 +747,7 @@ mod tests {
 
         // A partially warm grid (one new design) regenerates the traces of
         // exactly the benchmarks whose new cells it simulates.
-        let wider = small_engine().with_disk_store(&dir).unwrap();
+        let wider = small().store_dir(&dir).build().unwrap();
         let mut designs3 = designs.to_vec();
         designs3.push(DesignPoint::all_shared());
         wider.run_grid(&benchmarks, &designs3);
@@ -784,20 +760,45 @@ mod tests {
     }
 
     #[test]
+    fn warm_stores_transfer_between_engines_via_export_import() {
+        // Machine A runs a grid cold; its store is exported, shipped and
+        // imported into machine B's empty store; B's run is fully warm.
+        let dir = store_dir("transfer");
+        let benchmarks = [Benchmark::Cg, Benchmark::Lu];
+        let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
+
+        let a = small().store_dir(dir.join("machine-a")).build().unwrap();
+        let rows_a = a.run_grid(&benchmarks, &designs);
+        assert_eq!(a.stats().simulated, 4);
+        let mut bundle = Vec::new();
+        a.store().unwrap().export_segments(&mut bundle).unwrap();
+
+        let b = small().store_dir(dir.join("machine-b")).build().unwrap();
+        b.store()
+            .unwrap()
+            .import_segments(std::io::Cursor::new(&bundle))
+            .unwrap();
+        let rows_b = b.run_grid(&benchmarks, &designs);
+        assert_eq!(b.stats().simulated, 0, "imported store must be fully warm");
+        assert_eq!(b.stats().trace_generated, 0);
+        let jsonl =
+            |o: &SweepOutcome| -> Vec<String> { o.rows.iter().map(SweepRow::to_jsonl).collect() };
+        assert_eq!(jsonl(&rows_a), jsonl(&rows_b));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_result_entries_resimulate_with_one_trace_generation() {
         let dir = store_dir("corrupt-result");
         let benchmarks = [Benchmark::Cg];
         let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
-        let cold = small_engine().with_disk_store(&dir).unwrap();
+        let cold = small().store_dir(&dir).build().unwrap();
         let cold_rows = cold.run_grid(&benchmarks, &designs);
 
         // Corrupt both result entries, which is the whole store.
         assert_eq!(corrupt_records(&dir, |_| true), 2);
 
-        let warm = small_engine()
-            .with_threads(4)
-            .with_disk_store(&dir)
-            .unwrap();
+        let warm = small().workers(4).store_dir(&dir).build().unwrap();
         let warm_rows = warm.run_grid(&benchmarks, &designs);
         let stats = warm.stats();
         assert_eq!(stats.simulated, 2, "corrupt entries must re-simulate");
@@ -824,16 +825,13 @@ mod tests {
             DesignPoint::proposed(),
             DesignPoint::all_shared(),
         ];
-        let cold = small_engine().with_disk_store(&dir).unwrap();
+        let cold = small().store_dir(&dir).build().unwrap();
         cold.run_grid(&benchmarks, &designs);
 
         // Corrupt every result record.
         assert_eq!(corrupt_records(&dir, |_| true), 3);
 
-        let warm = small_engine()
-            .with_threads(4)
-            .with_disk_store(&dir)
-            .unwrap();
+        let warm = small().workers(4).store_dir(&dir).build().unwrap();
         warm.run_grid(&benchmarks, &designs);
         let stats = warm.stats();
         assert_eq!(stats.simulated, 3);
@@ -852,6 +850,126 @@ mod tests {
         let again = engine.run_grid(&[Benchmark::Cg], &[DesignPoint::baseline()]);
         assert_eq!(outcome.rows[0].to_jsonl(), again.rows[0].to_jsonl());
         assert!(outcome.rows[0].to_jsonl().starts_with("{\"key\":\""));
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn build_rejects_an_invalid_generator() {
+        let _ = SweepEngine::builder(GeneratorConfig {
+            num_workers: 0,
+            ..small_config()
+        })
+        .build();
+    }
+
+    #[test]
+    fn build_reports_a_store_dir_it_cannot_open() {
+        // A regular file stands where the store directory should be.
+        let path = store_dir("not-a-directory");
+        std::fs::write(&path, b"").unwrap();
+        assert!(small().store_dir(&path).build().is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn workers_size_the_host_pool_not_the_simulated_machine() {
+        let engine = small().workers(3).build().unwrap();
+        assert_eq!(engine.threads(), 3);
+        assert_eq!(engine.simulated_workers(), 2);
+        assert_eq!(*engine.generator(), small_config());
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(small_engine().threads(), host, "the default is host-sized");
+    }
+
+    #[test]
+    fn kept_generations_evicts_older_store_generations_at_build() {
+        let dir = store_dir("kept-generations");
+        // Two sessions, one cell each: generations 1 and 2.
+        let first = small().store_dir(&dir).build().unwrap();
+        first.simulate(Benchmark::Cg, &DesignPoint::baseline());
+        drop(first);
+        let second = small().store_dir(&dir).build().unwrap();
+        second.simulate(Benchmark::Cg, &DesignPoint::proposed());
+        drop(second);
+
+        let bounded = small().store_dir(&dir).kept_generations(1).build().unwrap();
+        assert_eq!(bounded.stats().store.unwrap().evicted, 1);
+        bounded.run_grid(
+            &[Benchmark::Cg],
+            &[DesignPoint::baseline(), DesignPoint::proposed()],
+        );
+        let stats = bounded.stats();
+        assert_eq!(stats.disk_hits, 1, "the newest generation survives");
+        assert_eq!(stats.simulated, 1, "the evicted cell runs again");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The shard of `count` that owns `benchmark` on `design`.
+    fn owner(benchmark: Benchmark, design: &DesignPoint, count: u32) -> u32 {
+        let job = SweepJob {
+            benchmark,
+            design: design.clone(),
+        };
+        (job.key(&small_config()).digest() % u64::from(count)) as u32
+    }
+
+    #[test]
+    fn only_the_owning_shard_schedules_a_cell() {
+        let design = DesignPoint::proposed();
+        let owner = owner(Benchmark::Lu, &design, 4);
+        for shard in ShardSpec::all(4) {
+            let engine = small().shard(shard).build().unwrap();
+            let outcome = engine.run_grid(&[Benchmark::Lu], std::slice::from_ref(&design));
+            let stats = engine.stats();
+            let owned = usize::from(shard.index() == owner);
+            assert_eq!(outcome.rows.len(), owned, "{shard}");
+            assert_eq!(outcome.pool.jobs, owned, "{shard}");
+            // A shard that owns no cell of a benchmark never generates its
+            // traces.
+            assert_eq!(stats.trace_generated as usize, owned, "{shard}");
+            assert_eq!(stats.simulated as usize, owned, "{shard}");
+        }
+    }
+
+    #[test]
+    fn direct_simulate_ignores_the_shard() {
+        let design = DesignPoint::baseline();
+        let foreign = 1 - owner(Benchmark::Cg, &design, 2);
+        let engine = small()
+            .shard(ShardSpec::new(foreign, 2).unwrap())
+            .build()
+            .unwrap();
+        let result = engine.simulate(Benchmark::Cg, &design);
+        assert_eq!(engine.stats().simulated, 1);
+        assert_eq!(*result, *small_engine().simulate(Benchmark::Cg, &design));
+        // The grid still leaves the cell to its owner.
+        let outcome = engine.run_grid(&[Benchmark::Cg], &[design]);
+        assert!(outcome.rows.is_empty());
+    }
+
+    #[test]
+    fn run_jobs_with_reports_every_row_once_and_keeps_input_order() {
+        let engine = small().workers(2).build().unwrap();
+        let job = |benchmark, design: DesignPoint| SweepJob { benchmark, design };
+        let jobs = vec![
+            job(Benchmark::Lu, DesignPoint::baseline()),
+            job(Benchmark::Cg, DesignPoint::proposed()),
+            job(Benchmark::Lu, DesignPoint::proposed()),
+        ];
+        let reported = Mutex::new(Vec::new());
+        let outcome =
+            engine.run_jobs_with(jobs.clone(), |row| reported.lock().push(row.key.clone()));
+        let cells: Vec<SweepJob> = outcome
+            .rows
+            .iter()
+            .map(|r| job(r.benchmark, r.design.clone()))
+            .collect();
+        assert_eq!(cells, jobs);
+        let mut reported = reported.into_inner();
+        let mut keys: Vec<String> = outcome.rows.iter().map(|r| r.key.clone()).collect();
+        reported.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(reported, keys, "one callback per finished row");
     }
 
     #[test]

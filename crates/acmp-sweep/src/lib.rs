@@ -21,7 +21,8 @@
 //!   [`StoreStats`], which its engine API returns, and implements
 //!   [`StoreKey`](acmp_store::StoreKey) for [`JobKey`];
 //! * [`SweepEngine`] — ties the three together behind
-//!   [`simulate`](SweepEngine::simulate) / [`run_grid`](SweepEngine::run_grid);
+//!   [`simulate`](SweepEngine::simulate) / [`run_grid`](SweepEngine::run_grid),
+//!   built one way only, by [`SweepEngine::builder`];
 //! * [`GridSpec`] — the `benchmarks × designs` spec grammar of the `sweep`
 //!   CLI binary (`cargo run -p acmp-sweep --release --bin sweep`);
 //! * [`ShardSpec`] + [`merge`] — multi-process sharding: jobs partition by
@@ -64,26 +65,6 @@ pub use manifest::{scale_generator, SweepManifest};
 pub use merge::MergeError;
 pub use scheduler::{PoolStats, WorkStealingPool};
 pub use sharded::{relay_prefixed, ShardedMap};
-
-/// Everything a sweep caller needs in one `use`.
-///
-/// ```no_run
-/// use acmp_sweep::prelude::*;
-///
-/// let generator = hpc_workloads::GeneratorConfig::default();
-/// let engine = SweepEngine::builder(generator)
-///     .workers(4)
-///     .build()
-///     .expect("engine construction only fails on store I/O errors");
-/// # let _ = engine;
-/// ```
-pub mod prelude {
-    pub use crate::design_point::{DesignPoint, DesignPointError};
-    pub use crate::engine::{EngineStats, SweepEngine, SweepEngineBuilder, SweepOutcome, SweepRow};
-    pub use crate::grid::GridSpec;
-    pub use crate::job::{JobKey, ShardSpec, SweepJob};
-    pub use acmp_store::DiskStore;
-}
 
 #[cfg(test)]
 mod crate_tests {

@@ -43,10 +43,10 @@ pub const MANIFEST_FORMAT_VERSION: u32 = 1;
 ///
 /// The grid travels as the original *spec strings*, not as expanded design
 /// lists: every machine re-parses them and re-derives the job keys, and the
-/// recomputed schedule must match the one recorded here ([`validate_grid`]
-/// (Self::validate_grid)) — so agreement is checked against what each
-/// binary would actually simulate, not just against what the planner wrote
-/// down.
+/// recomputed schedule must match the one recorded here
+/// ([`validate_grid`](Self::validate_grid)) — so agreement is checked
+/// against what each binary would actually simulate, not just against what
+/// the planner wrote down.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepManifest {
     /// Manifest format version ([`MANIFEST_FORMAT_VERSION`]).

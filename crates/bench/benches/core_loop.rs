@@ -7,7 +7,7 @@
 //! shrink.  The trajectory lands in `BENCH_core_loop.json` at the workspace
 //! root; its `machine_cycles` is deterministic (CI pins it).
 
-use acmp_sweep::prelude::*;
+use acmp_sweep::DesignPoint;
 use bench_harness::{bench_samples, enable_bench_metrics, write_bench_report};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};

@@ -6,9 +6,10 @@
 //! The full-scale tables for `EXPERIMENTS.md` are produced by the `figures`
 //! binary instead.
 
+use acmp_sweep::SweepEngine;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::{figures, DesignPoint, ExperimentContext};
+use shared_icache::{figures, DesignPoint};
 
 /// A small but representative benchmark subset so a full `cargo bench`
 /// stays in the minutes range.
@@ -23,8 +24,10 @@ fn bench_generator() -> GeneratorConfig {
     }
 }
 
-fn fresh_context() -> ExperimentContext {
-    ExperimentContext::new(bench_generator())
+fn fresh_engine() -> SweepEngine {
+    SweepEngine::builder(bench_generator())
+        .build()
+        .expect("building without a disk store cannot fail")
 }
 
 fn bench_fig01(c: &mut Criterion) {
@@ -36,8 +39,8 @@ fn bench_fig01(c: &mut Criterion) {
 fn bench_fig02(c: &mut Criterion) {
     c.bench_function("fig02/basic_block_lengths", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig02::compute(&ctx, &BENCHMARKS)
+            let engine = fresh_engine();
+            figures::fig02::compute(&engine, &BENCHMARKS)
         })
     });
 }
@@ -45,8 +48,8 @@ fn bench_fig02(c: &mut Criterion) {
 fn bench_fig03(c: &mut Criterion) {
     c.bench_function("fig03/mpki_replay", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig03::compute(&ctx, &BENCHMARKS)
+            let engine = fresh_engine();
+            figures::fig03::compute(&engine, &BENCHMARKS)
         })
     });
 }
@@ -54,8 +57,8 @@ fn bench_fig03(c: &mut Criterion) {
 fn bench_fig04(c: &mut Criterion) {
     c.bench_function("fig04/instruction_sharing", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig04::compute(&ctx, &BENCHMARKS)
+            let engine = fresh_engine();
+            figures::fig04::compute(&engine, &BENCHMARKS)
         })
     });
 }
@@ -69,8 +72,8 @@ fn bench_table01(c: &mut Criterion) {
 fn bench_fig07(c: &mut Criterion) {
     c.bench_function("fig07/naive_sharing_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig07::compute(&ctx, &[Benchmark::Cg])
+            let engine = fresh_engine();
+            figures::fig07::compute(&engine, &[Benchmark::Cg])
         })
     });
 }
@@ -78,8 +81,8 @@ fn bench_fig07(c: &mut Criterion) {
 fn bench_fig08(c: &mut Criterion) {
     c.bench_function("fig08/cpi_stack_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig08::compute(&ctx, &[Benchmark::Lu])
+            let engine = fresh_engine();
+            figures::fig08::compute(&engine, &[Benchmark::Lu])
         })
     });
 }
@@ -87,8 +90,8 @@ fn bench_fig08(c: &mut Criterion) {
 fn bench_fig09(c: &mut Criterion) {
     c.bench_function("fig09/access_ratio_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig09::compute(&ctx, &[Benchmark::Ua])
+            let engine = fresh_engine();
+            figures::fig09::compute(&engine, &[Benchmark::Ua])
         })
     });
 }
@@ -96,8 +99,8 @@ fn bench_fig09(c: &mut Criterion) {
 fn bench_fig10(c: &mut Criterion) {
     c.bench_function("fig10/buffers_vs_bandwidth_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig10::compute(&ctx, &[Benchmark::Lu])
+            let engine = fresh_engine();
+            figures::fig10::compute(&engine, &[Benchmark::Lu])
         })
     });
 }
@@ -105,8 +108,8 @@ fn bench_fig10(c: &mut Criterion) {
 fn bench_fig11(c: &mut Criterion) {
     c.bench_function("fig11/miss_analysis_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig11::compute(&ctx, &[Benchmark::CoEvp])
+            let engine = fresh_engine();
+            figures::fig11::compute(&engine, &[Benchmark::CoEvp])
         })
     });
 }
@@ -114,8 +117,8 @@ fn bench_fig11(c: &mut Criterion) {
 fn bench_fig12(c: &mut Criterion) {
     c.bench_function("fig12/area_energy_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig12::compute(&ctx, &[Benchmark::Cg])
+            let engine = fresh_engine();
+            figures::fig12::compute(&engine, &[Benchmark::Cg])
         })
     });
 }
@@ -123,8 +126,8 @@ fn bench_fig12(c: &mut Criterion) {
 fn bench_fig13(c: &mut Criterion) {
     c.bench_function("fig13/all_shared_sim", |b| {
         b.iter(|| {
-            let ctx = fresh_context();
-            figures::fig13::compute(&ctx, &[Benchmark::CoMd])
+            let engine = fresh_engine();
+            figures::fig13::compute(&engine, &[Benchmark::CoMd])
         })
     });
 }
@@ -136,8 +139,8 @@ fn bench_single_simulation(c: &mut Criterion) {
     for design in [DesignPoint::baseline(), DesignPoint::proposed()] {
         group.bench_function(design.name.clone(), |b| {
             b.iter(|| {
-                let ctx = fresh_context();
-                ctx.simulate(Benchmark::Lu, &design)
+                let engine = fresh_engine();
+                engine.simulate(Benchmark::Lu, &design)
             })
         });
     }

@@ -15,7 +15,7 @@
 //!   no disk store and empty in-memory caches, so neither arm warm-starts
 //!   from the other's work.
 
-use acmp_sweep::prelude::*;
+use acmp_sweep::{DesignPoint, SweepEngine};
 use bench_harness::{bench_samples, enable_bench_metrics, throughput, write_bench_report};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpc_workloads::{Benchmark, GeneratorConfig};

@@ -5,9 +5,7 @@
 //! evaluation; the Criterion benches in `benches/figures.rs` time the
 //! underlying simulations.
 
-use acmp_sweep::prelude::*;
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::ExperimentContext;
 
 /// Scale of a harness run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,32 +33,6 @@ impl Scale {
         match self {
             Scale::Quick => GeneratorConfig::quick(),
             Scale::Paper => GeneratorConfig::paper(),
-        }
-    }
-
-    /// Builds an experiment context at this scale (memory caches only).
-    pub fn context(self) -> ExperimentContext {
-        ExperimentContext::new(self.generator())
-    }
-
-    /// Builds a sweep engine at this scale (memory caches only).
-    pub fn engine(self) -> SweepEngine {
-        SweepEngine::builder(self.generator())
-            .build()
-            .expect("building without a disk store cannot fail")
-    }
-
-    /// Builds an experiment context backed by the default on-disk result
-    /// store (`target/sweep-cache`), so repeated harness runs warm-start.
-    /// Falls back to a memory-only context if the store directory cannot be
-    /// created.
-    pub fn warm_context(self) -> ExperimentContext {
-        let warm = SweepEngine::builder(self.generator())
-            .store_dir(DiskStore::default_root())
-            .build();
-        match warm {
-            Ok(engine) => ExperimentContext::from_engine(engine),
-            Err(_) => self.context(),
         }
     }
 

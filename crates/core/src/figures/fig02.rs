@@ -2,7 +2,7 @@
 //! parallel code, per benchmark, plus the arithmetic mean.
 
 use crate::report::{arithmetic_mean, TextTable};
-use crate::ExperimentContext;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use sim_trace::TraceStats;
@@ -27,10 +27,10 @@ pub struct Figure2 {
 
 /// Computes the figure by characterising the master thread's trace of each
 /// benchmark, exactly as the paper instruments only the master thread.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure2 {
-    let rows = ctx
-        .run_parallel(benchmarks, |b| {
-            let traces = ctx.traces(b);
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure2 {
+    let rows = engine
+        .run_per_benchmark(benchmarks, |b| {
+            let traces = engine.traces(b);
             let stats = TraceStats::from_trace(traces.master());
             Figure2Row {
                 benchmark: b,
@@ -85,12 +85,12 @@ impl std::fmt::Display for Figure2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::{tiny_benchmarks, tiny_context};
+    use crate::figures::test_support::{tiny_benchmarks, tiny_engine};
 
     #[test]
     fn parallel_blocks_are_longer_except_for_the_known_exceptions() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &tiny_benchmarks());
+        let engine = tiny_engine();
+        let fig = compute(&engine, &tiny_benchmarks());
         assert_eq!(fig.rows.len(), 3);
         for r in &fig.rows {
             match r.benchmark {

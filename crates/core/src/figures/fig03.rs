@@ -2,7 +2,7 @@
 //! private 32 KB, 8-way, 64 B-line, LRU I-cache.
 
 use crate::report::TextTable;
-use crate::ExperimentContext;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use sim_cache::{CacheConfig, SetAssocCache};
@@ -28,10 +28,10 @@ pub struct Figure3 {
 
 /// Replays the master thread's instruction addresses through a standard
 /// 32 KB I-cache, split by region, and reports misses per kilo-instruction.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure3 {
-    let rows = ctx
-        .run_parallel(benchmarks, |b| {
-            let traces = ctx.traces(b);
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure3 {
+    let rows = engine
+        .run_per_benchmark(benchmarks, |b| {
+            let traces = engine.traces(b);
             let (serial_mpki, parallel_mpki) = replay_mpki(traces.master());
             Figure3Row {
                 benchmark: b,
@@ -100,12 +100,12 @@ impl std::fmt::Display for Figure3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::{tiny_benchmarks, tiny_context};
+    use crate::figures::test_support::{tiny_benchmarks, tiny_engine};
 
     #[test]
     fn parallel_mpki_is_negligible_except_for_coevp() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &tiny_benchmarks());
+        let engine = tiny_engine();
+        let fig = compute(&engine, &tiny_benchmarks());
         // At the tiny test scale cold misses are not fully amortised, so the
         // absolute MPKI levels are checked by the paper-scale integration
         // test; here we check the qualitative ordering.

@@ -2,7 +2,7 @@
 //! all threads of an eight-core run (parallel sections only).
 
 use crate::report::TextTable;
-use crate::ExperimentContext;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use sim_trace::SharingStats;
@@ -27,10 +27,10 @@ pub struct Figure4 {
 }
 
 /// Computes the sharing percentages across all generated threads.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure4 {
-    let rows = ctx
-        .run_parallel(benchmarks, |b| {
-            let traces = ctx.traces(b);
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure4 {
+    let rows = engine
+        .run_per_benchmark(benchmarks, |b| {
+            let traces = engine.traces(b);
             let sharing = SharingStats::from_trace_set(&traces);
             Figure4Row {
                 benchmark: b,
@@ -78,12 +78,12 @@ impl std::fmt::Display for Figure4 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::{tiny_benchmarks, tiny_context};
+    use crate::figures::test_support::{tiny_benchmarks, tiny_engine};
 
     #[test]
     fn dynamic_sharing_is_about_99_percent() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &tiny_benchmarks());
+        let engine = tiny_engine();
+        let fig = compute(&engine, &tiny_benchmarks());
         for r in &fig.rows {
             assert!(
                 r.dynamic_sharing_percent > 90.0,

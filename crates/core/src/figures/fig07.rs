@@ -3,7 +3,8 @@
 //! private-I-cache baseline.
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -30,7 +31,7 @@ pub struct Figure7 {
 }
 
 /// Runs the baseline and the three naive-sharing configurations.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure7 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure7 {
     // One grid sweep at (benchmark × design) job granularity; the row
     // assembly below reads the warm cache.
     let designs = [
@@ -39,13 +40,13 @@ pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure7 {
         DesignPoint::naive_shared(4).expect("figure cpc is valid"),
         DesignPoint::naive_shared(8).expect("figure cpc is valid"),
     ];
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
     let rows = benchmarks
         .iter()
         .map(|&b| {
-            let baseline = ctx.simulate(b, &DesignPoint::baseline());
+            let baseline = engine.simulate(b, &DesignPoint::baseline());
             let norm = |cpc: usize| {
-                let r = ctx.simulate(
+                let r = engine.simulate(
                     b,
                     &DesignPoint::naive_shared(cpc).expect("figure cpc is valid"),
                 );
@@ -93,12 +94,12 @@ impl std::fmt::Display for Figure7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn sharing_degree_monotonically_costs_performance_or_is_neutral() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::Cg, Benchmark::Lu]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::Cg, Benchmark::Lu]);
         for r in &fig.rows {
             assert!(r.baseline_cycles > 0);
             // Small tolerance: sharing can be neutral or mildly beneficial.

@@ -8,7 +8,8 @@
 //! misses and the rest.
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -54,8 +55,8 @@ pub struct Figure8 {
 
 /// Runs the baseline and the cpc = 8 naive-sharing configuration and splits
 /// the cycle difference by stall cause.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure8 {
-    ctx.sweep(
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure8 {
+    engine.run_grid(
         benchmarks,
         &[
             DesignPoint::baseline(),
@@ -65,8 +66,8 @@ pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure8 {
     let rows = benchmarks
         .iter()
         .map(|&b| {
-            let baseline = ctx.simulate(b, &DesignPoint::baseline());
-            let shared = ctx.simulate(
+            let baseline = engine.simulate(b, &DesignPoint::baseline());
+            let shared = engine.simulate(
                 b,
                 &DesignPoint::naive_shared(8).expect("figure cpc is valid"),
             );
@@ -137,12 +138,12 @@ impl std::fmt::Display for Figure8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn stack_total_matches_normalized_execution_time() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::Lu]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::Lu]);
         let row = &fig.rows[0];
         assert!(
             row.total() >= 1.0,

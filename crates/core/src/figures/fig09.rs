@@ -2,7 +2,8 @@
 //! the total number of line fetch requests) for 2, 4 and 8 line buffers.
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +29,7 @@ pub struct Figure9 {
 
 /// Measures the worker cores' access ratio on the baseline machine with 2,
 /// 4 and 8 line buffers.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure9 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure9 {
     let designs: Vec<DesignPoint> = [2, 4, 8]
         .iter()
         .map(|&n| {
@@ -37,7 +38,7 @@ pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure9 {
                 .expect("figure line-buffer count is valid")
         })
         .collect();
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
     let rows = benchmarks
         .iter()
         .map(|&b| {
@@ -45,7 +46,7 @@ pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure9 {
                 let design = DesignPoint::baseline()
                     .with_line_buffers(n)
                     .expect("figure line-buffer count is valid");
-                let r = ctx.simulate(b, &design);
+                let r = engine.simulate(b, &design);
                 r.worker_access_ratio() * 100.0
             };
             Figure9Row {
@@ -81,12 +82,12 @@ impl std::fmt::Display for Figure9 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn more_line_buffers_never_increase_the_access_ratio() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::Cg, Benchmark::Lu, Benchmark::Ua]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::Cg, Benchmark::Lu, Benchmark::Ua]);
         for r in &fig.rows {
             assert!(
                 r.lb8_percent <= r.lb4_percent + 2.0 && r.lb4_percent <= r.lb2_percent + 2.0,

@@ -3,7 +3,8 @@
 //! private-32 KB baseline.
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use sim_acmp::BusWidth;
@@ -30,20 +31,20 @@ pub struct Figure10 {
 }
 
 /// Runs the three cpc = 8 / 16 KB design alternatives against the baseline.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure10 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure10 {
     let designs = [
         DesignPoint::baseline(),
         DesignPoint::shared(16, 4, BusWidth::Single).expect("figure design is valid"),
         DesignPoint::shared(16, 8, BusWidth::Single).expect("figure design is valid"),
         DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
     ];
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
     let rows = benchmarks
         .iter()
         .map(|&b| {
-            let baseline = ctx.simulate(b, &DesignPoint::baseline());
+            let baseline = engine.simulate(b, &DesignPoint::baseline());
             let norm = |design: &DesignPoint| {
-                ctx.simulate(b, design).cycles as f64 / baseline.cycles as f64
+                engine.simulate(b, design).cycles as f64 / baseline.cycles as f64
             };
             Figure10Row {
                 benchmark: b,
@@ -103,12 +104,12 @@ impl std::fmt::Display for Figure10 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn both_remedies_help_or_are_neutral_relative_to_naive_sharing() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::Lu, Benchmark::Ua]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::Lu, Benchmark::Ua]);
         for r in &fig.rows {
             assert!(
                 r.more_bandwidth_4lb_double <= r.naive_4lb_single + 0.02,

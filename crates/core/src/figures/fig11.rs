@@ -4,7 +4,8 @@
 //! to each benchmark (the labels above the paper's bars).
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 use sim_acmp::BusWidth;
@@ -32,22 +33,22 @@ pub struct Figure11 {
 
 /// Runs the baseline and the two shared-capacity configurations (cpc = 8,
 /// double bus so bandwidth does not perturb the miss behaviour).
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure11 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure11 {
     let designs = [
         DesignPoint::baseline(),
         DesignPoint::shared(32, 4, BusWidth::Double).expect("figure design is valid"),
         DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
     ];
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
     let rows = benchmarks
         .iter()
         .map(|&b| {
-            let private = ctx.simulate(b, &DesignPoint::baseline());
-            let shared32 = ctx.simulate(
+            let private = engine.simulate(b, &DesignPoint::baseline());
+            let shared32 = engine.simulate(
                 b,
                 &DesignPoint::shared(32, 4, BusWidth::Double).expect("figure design is valid"),
             );
-            let shared16 = ctx.simulate(
+            let shared16 = engine.simulate(
                 b,
                 &DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
             );
@@ -114,12 +115,12 @@ impl std::fmt::Display for Figure11 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn sharing_reduces_the_mpki_of_the_miss_heavy_benchmark() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::CoEvp, Benchmark::Cg]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::CoEvp, Benchmark::Cg]);
         let coevp = fig
             .rows
             .iter()

@@ -3,7 +3,8 @@
 //! benchmarks and normalized to the private-I-cache baseline.
 
 use crate::report::{arithmetic_mean, TextTable};
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use power_model::ClusterActivity;
 use serde::{Deserialize, Serialize};
@@ -47,7 +48,7 @@ fn activity(result: &SimResult) -> ClusterActivity {
 
 /// Runs every benchmark on the baseline and the four cpc = 8 design points
 /// and averages the normalized metrics.
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure12 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure12 {
     let designs = [
         DesignPoint::baseline(),
         DesignPoint::shared(16, 4, BusWidth::Single).expect("figure design is valid"),
@@ -57,24 +58,24 @@ pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure12 {
     ];
     // One engine-level fan-out over the whole 5-design grid; the per-design
     // loop below then reads the warm cache.
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
 
-    let num_workers = ctx.num_workers();
+    let num_workers = engine.simulated_workers();
     let baseline_design = designs[0].cluster_design(num_workers);
     let baseline_area = baseline_design.area().total_mm2();
 
     let mut rows = Vec::new();
     for design in &designs {
         let cluster = design.cluster_design(num_workers);
-        let results = ctx.simulate_all(benchmarks, design);
+        let outcome = engine.run_grid(benchmarks, std::slice::from_ref(design));
 
         let mut time_ratios = Vec::new();
         let mut energy_ratios = Vec::new();
-        for (b, result) in &results {
-            let baseline = ctx.simulate(*b, &designs[0]);
+        for row in &outcome.rows {
+            let baseline = engine.simulate(row.benchmark, &designs[0]);
             let base_energy = baseline_design.energy(&activity(&baseline)).total_mj();
-            let energy = cluster.energy(&activity(result)).total_mj();
-            time_ratios.push(result.cycles as f64 / baseline.cycles as f64);
+            let energy = cluster.energy(&activity(&row.result)).total_mj();
+            time_ratios.push(row.result.cycles as f64 / baseline.cycles as f64);
             energy_ratios.push(energy / base_energy);
         }
 
@@ -120,12 +121,12 @@ impl std::fmt::Display for Figure12 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn proposed_design_saves_area_without_large_slowdown() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::Cg, Benchmark::Lu]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::Cg, Benchmark::Lu]);
         assert_eq!(fig.rows.len(), 5);
         let baseline = &fig.rows[0];
         assert!((baseline.execution_time - 1.0).abs() < 1e-9);

@@ -3,7 +3,8 @@
 //! fraction.
 
 use crate::report::TextTable;
-use crate::{DesignPoint, ExperimentContext};
+use crate::DesignPoint;
+use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
 
@@ -60,19 +61,19 @@ pub fn group_of(benchmark: Benchmark) -> Figure13Group {
 
 /// Runs the worker-shared and all-shared configurations (32 KB shared cache
 /// so capacity does not confound the master's join).
-pub fn compute(ctx: &ExperimentContext, benchmarks: &[Benchmark]) -> Figure13 {
+pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure13 {
     let designs = [
         DesignPoint::worker_shared_32k_double(),
         DesignPoint::all_shared(),
         DesignPoint::all_shared_single_bus(),
     ];
-    ctx.sweep(benchmarks, &designs);
+    engine.run_grid(benchmarks, &designs);
     let rows = benchmarks
         .iter()
         .map(|&b| {
-            let worker_shared = ctx.simulate(b, &DesignPoint::worker_shared_32k_double());
-            let all_shared = ctx.simulate(b, &DesignPoint::all_shared());
-            let all_shared_single = ctx.simulate(b, &DesignPoint::all_shared_single_bus());
+            let worker_shared = engine.simulate(b, &DesignPoint::worker_shared_32k_double());
+            let all_shared = engine.simulate(b, &DesignPoint::all_shared());
+            let all_shared_single = engine.simulate(b, &DesignPoint::all_shared_single_bus());
             Figure13Row {
                 benchmark: b,
                 serial_percent: b.profile().serial_fraction * 100.0,
@@ -114,12 +115,12 @@ impl std::fmt::Display for Figure13 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::test_support::tiny_context;
+    use crate::figures::test_support::tiny_engine;
 
     #[test]
     fn all_shared_is_never_dramatically_faster_and_groups_are_stable() {
-        let ctx = tiny_context();
-        let fig = compute(&ctx, &[Benchmark::CoMd, Benchmark::Lu]);
+        let engine = tiny_engine();
+        let fig = compute(&engine, &[Benchmark::CoMd, Benchmark::Lu]);
         for r in &fig.rows {
             assert!(
                 r.ratio_double_bus > 0.95,

@@ -1,8 +1,8 @@
 //! One module per table/figure of the paper.
 //!
-//! Every module exposes a `compute` function that takes an
-//! [`ExperimentContext`](crate::ExperimentContext) (and, where applicable,
-//! the list of benchmarks) and returns a typed result table whose rows match
+//! Every module exposes a `compute` function that takes a
+//! [`SweepEngine`](acmp_sweep::SweepEngine) (and, where applicable, the
+//! list of benchmarks) and returns a typed result table whose rows match
 //! the series the paper plots.  The harness binaries in `bench-harness`
 //! print these tables; `EXPERIMENTS.md` records a reference run next to the
 //! paper's reported values.
@@ -37,17 +37,19 @@ pub mod table01;
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use crate::ExperimentContext;
+    use acmp_sweep::SweepEngine;
     use hpc_workloads::{Benchmark, GeneratorConfig};
 
-    /// A deliberately tiny context so figure unit tests stay fast.
-    pub fn tiny_context() -> ExperimentContext {
-        ExperimentContext::new(GeneratorConfig {
+    /// A deliberately tiny engine so figure unit tests stay fast.
+    pub fn tiny_engine() -> SweepEngine {
+        SweepEngine::builder(GeneratorConfig {
             num_workers: 2,
             parallel_instructions_per_thread: 5_000,
             num_phases: 1,
             seed: 5,
         })
+        .build()
+        .expect("an engine without a store always builds")
     }
 
     /// A small but representative benchmark subset.

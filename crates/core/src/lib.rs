@@ -15,43 +15,43 @@
 //!   (work-stealing scheduler, sharded result cache, persistent
 //!   content-addressed store, the `sweep` CLI),
 //!
-//! and exposes the experiment layer used by the examples, the integration
+//! and exposes the figure layer used by the examples, the integration
 //! tests and the benchmark harness:
 //!
 //! * [`DesignPoint`] — the machine configurations evaluated in the paper
 //!   (baseline, naive sharing, more line buffers, more bandwidth, the
 //!   proposed 16 KB double-bus design, all-shared), re-exported from
 //!   `acmp-sweep`,
-//! * [`ExperimentContext`] — the figure modules' view of the sweep engine:
-//!   traces once per benchmark, grid runs fanned out over the
-//!   work-stealing pool, results cached by content hash,
 //! * [`figures`] — one module per table/figure of the paper, each computing
-//!   the same rows/series the paper reports.
+//!   the same rows/series the paper reports from a
+//!   [`SweepEngine`](acmp_sweep::SweepEngine): traces once per benchmark,
+//!   grid runs fanned out over the work-stealing pool, results cached by
+//!   content hash.
 //!
 //! # Quick start
 //!
 //! ```
-//! use shared_icache::{DesignPoint, ExperimentContext};
+//! use acmp_sweep::SweepEngine;
+//! use shared_icache::DesignPoint;
 //! use hpc_workloads::{Benchmark, GeneratorConfig};
 //!
-//! // A reduced-scale context so the example runs quickly.
-//! let ctx = ExperimentContext::new(GeneratorConfig::small());
-//! let baseline = ctx.simulate(Benchmark::Cg, &DesignPoint::baseline());
-//! let proposed = ctx.simulate(Benchmark::Cg, &DesignPoint::proposed());
+//! // A reduced-scale engine so the example runs quickly.
+//! let engine = SweepEngine::builder(GeneratorConfig::small())
+//!     .build()
+//!     .expect("an engine without a store always builds");
+//! let baseline = engine.simulate(Benchmark::Cg, &DesignPoint::baseline());
+//! let proposed = engine.simulate(Benchmark::Cg, &DesignPoint::proposed());
 //! let slowdown = proposed.cycles as f64 / baseline.cycles as f64;
 //! assert!(slowdown < 1.2);
 //! ```
 
-pub mod experiment;
 pub mod figures;
 pub mod report;
 
 // `DesignPoint` lives in `acmp-sweep` (the execution engine needs to name
 // design points without depending on this crate); re-exported here so
 // downstream code keeps using `shared_icache::DesignPoint`.
-pub use acmp_sweep::design_point;
 pub use acmp_sweep::{DesignPoint, DesignPointError};
-pub use experiment::ExperimentContext;
 pub use report::{arithmetic_mean, geometric_mean, TextTable};
 
 // Re-export the crates a downstream user needs to drive the library.
@@ -70,6 +70,5 @@ mod crate_tests {
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DesignPoint>();
-        assert_send_sync::<ExperimentContext>();
     }
 }

@@ -43,7 +43,7 @@ pub struct ClusterDesign {
 }
 
 /// Per-run activity counters fed into the energy model (taken from the
-/// simulator's [`sim_acmp::SimResult`]-level statistics).
+/// simulator's `sim_acmp::SimResult`-level statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ClusterActivity {
     /// Execution time of the run in cycles.

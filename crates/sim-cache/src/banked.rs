@@ -11,7 +11,6 @@
 //! line-to-bank mapping plus per-bank statistics.
 
 use crate::config::CacheConfig;
-use crate::replacement::ReplacementPolicy;
 use crate::set_assoc::{AccessOutcome, SetAssocCache};
 use crate::stats::CacheStats;
 
@@ -36,27 +35,6 @@ impl BankedCache {
         );
         BankedCache {
             inner: SetAssocCache::new(config),
-            num_banks,
-            per_bank: vec![CacheStats::default(); num_banks as usize],
-        }
-    }
-
-    /// Creates a banked cache with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_banks` is zero or not a power of two.
-    pub fn with_policy(
-        config: CacheConfig,
-        num_banks: u32,
-        policy: &dyn ReplacementPolicy,
-    ) -> Self {
-        assert!(
-            num_banks > 0 && num_banks.is_power_of_two(),
-            "number of banks must be a non-zero power of two, got {num_banks}"
-        );
-        BankedCache {
-            inner: SetAssocCache::with_policy(config, policy),
             num_banks,
             per_bank: vec![CacheStats::default(); num_banks as usize],
         }

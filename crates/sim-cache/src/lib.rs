@@ -3,8 +3,8 @@
 //! This crate provides the storage-side building blocks of the simulated
 //! machine:
 //!
-//! * [`SetAssocCache`] — a set-associative cache with pluggable replacement
-//!   ([`replacement`]), per-access hit/miss classification (including
+//! * [`SetAssocCache`] — a set-associative cache with LRU replacement
+//!   ([`LruPolicy`]), per-access hit/miss classification (including
 //!   compulsory vs non-compulsory misses, needed for the paper's Fig. 11
 //!   analysis) and statistics.
 //! * [`BankedCache`] — a multi-banked wrapper interleaving lines across
@@ -48,7 +48,7 @@ pub use dram::{Dram, DramConfig};
 pub use hashing::{LineHashBuilder, LineHasher};
 pub use l2::{L2Cache, L2Config};
 pub use mshr::{Mshr, MshrAllocation};
-pub use replacement::{FifoPolicy, LruPolicy, PseudoLruPolicy, ReplacementPolicy};
+pub use replacement::LruPolicy;
 pub use set_assoc::{AccessOutcome, MissKind, SetAssocCache};
 pub use stats::CacheStats;
 

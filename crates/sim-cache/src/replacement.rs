@@ -1,32 +1,11 @@
-//! Replacement policies for set-associative caches.
-//!
-//! The paper's I-cache uses LRU (Table I); [`FifoPolicy`] and
-//! [`PseudoLruPolicy`] are provided for the ablation benchmarks that check
-//! how sensitive the shared-I-cache result is to the replacement policy.
+//! Least-recently-used replacement, the I-cache policy of the paper's
+//! Table I.
 
-use std::fmt::Debug;
-
-/// A replacement policy for one cache set of a fixed associativity.
+/// True least-recently-used replacement state for one cache set of a fixed
+/// associativity.
 ///
 /// The policy only tracks metadata; the cache itself stores tags.  Ways are
 /// identified by their index `0..associativity`.
-pub trait ReplacementPolicy: Debug + Send + Sync {
-    /// Called when `way` is accessed (hit) or filled (miss completion).
-    fn touch(&mut self, way: u32);
-
-    /// Returns the way to evict next.  Must not be called on an empty set
-    /// (the cache fills invalid ways first).
-    fn victim(&self) -> u32;
-
-    /// Resets the policy state (all ways become equally old).
-    fn reset(&mut self);
-
-    /// Creates a boxed clone of this policy with the same associativity but
-    /// fresh state, used when constructing the per-set policy array.
-    fn clone_fresh(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-/// True least-recently-used replacement.
 #[derive(Debug, Clone)]
 pub struct LruPolicy {
     /// `stack[0]` is the most recently used way; the last entry is the LRU.
@@ -45,10 +24,12 @@ impl LruPolicy {
             stack: (0..ways).collect(),
         }
     }
-}
 
-impl ReplacementPolicy for LruPolicy {
-    fn touch(&mut self, way: u32) {
+    /// Marks `way` as the most recently used: called when it is accessed
+    /// (hit) or filled (miss completion).  Panics if `way` is outside the
+    /// set.
+    #[inline]
+    pub fn touch(&mut self, way: u32) {
         let pos = self
             .stack
             .iter()
@@ -58,157 +39,17 @@ impl ReplacementPolicy for LruPolicy {
         self.stack.insert(0, w);
     }
 
-    fn victim(&self) -> u32 {
+    /// Returns the way to evict next.  Only meaningful on a full set (the
+    /// cache fills invalid ways first).
+    #[inline]
+    pub fn victim(&self) -> u32 {
         *self.stack.last().expect("LRU stack is never empty")
     }
 
-    fn reset(&mut self) {
+    /// Resets the policy state (all ways become equally old).
+    pub fn reset(&mut self) {
         let ways = self.stack.len() as u32;
         self.stack = (0..ways).collect();
-    }
-
-    fn clone_fresh(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(LruPolicy::new(self.stack.len() as u32))
-    }
-}
-
-/// First-in first-out replacement (insertion order, ignores hits).
-#[derive(Debug, Clone)]
-pub struct FifoPolicy {
-    order: Vec<u32>,
-    filled: Vec<bool>,
-}
-
-impl FifoPolicy {
-    /// Creates a FIFO policy for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    pub fn new(ways: u32) -> Self {
-        assert!(ways > 0, "a set needs at least one way");
-        FifoPolicy {
-            order: (0..ways).collect(),
-            filled: vec![false; ways as usize],
-        }
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn touch(&mut self, way: u32) {
-        // Only a fill (first touch of the way) changes FIFO order.
-        if !self.filled[way as usize] {
-            self.filled[way as usize] = true;
-            let pos = self
-                .order
-                .iter()
-                .position(|&w| w == way)
-                .expect("touched way outside the set");
-            let w = self.order.remove(pos);
-            self.order.insert(0, w);
-        }
-    }
-
-    fn victim(&self) -> u32 {
-        let victim = *self.order.last().expect("FIFO order is never empty");
-        victim
-    }
-
-    fn reset(&mut self) {
-        let ways = self.order.len() as u32;
-        self.order = (0..ways).collect();
-        self.filled = vec![false; ways as usize];
-    }
-
-    fn clone_fresh(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(FifoPolicy::new(self.order.len() as u32))
-    }
-}
-
-/// Tree-based pseudo-LRU, the common hardware approximation of LRU.
-///
-/// Requires a power-of-two associativity.
-#[derive(Debug, Clone)]
-pub struct PseudoLruPolicy {
-    ways: u32,
-    /// Tree bits: node i has children 2i+1 and 2i+2; a bit of 0 means "the
-    /// colder half is the left subtree".
-    bits: Vec<bool>,
-}
-
-impl PseudoLruPolicy {
-    /// Creates a tree PLRU policy for a set with `ways` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero or not a power of two.
-    pub fn new(ways: u32) -> Self {
-        assert!(ways > 0, "a set needs at least one way");
-        assert!(
-            ways.is_power_of_two(),
-            "tree pseudo-LRU requires a power-of-two associativity, got {ways}"
-        );
-        PseudoLruPolicy {
-            ways,
-            bits: vec![false; (ways as usize).saturating_sub(1)],
-        }
-    }
-}
-
-impl ReplacementPolicy for PseudoLruPolicy {
-    fn touch(&mut self, way: u32) {
-        assert!(way < self.ways, "touched way outside the set");
-        if self.ways == 1 {
-            return;
-        }
-        // Walk from the root towards the accessed leaf, pointing each node
-        // away from the path taken (so the victim search goes elsewhere).
-        let mut node = 0usize;
-        let mut lo = 0u32;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_right = way >= mid;
-            // Bit true means "victim search goes left"; since we went to one
-            // side, point the victim search at the other side.
-            self.bits[node] = go_right;
-            node = 2 * node + if go_right { 2 } else { 1 };
-            if go_right {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-    }
-
-    fn victim(&self) -> u32 {
-        if self.ways == 1 {
-            return 0;
-        }
-        let mut node = 0usize;
-        let mut lo = 0u32;
-        let mut hi = self.ways;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let go_left = self.bits[node];
-            node = 2 * node + if go_left { 1 } else { 2 };
-            if go_left {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        lo
-    }
-
-    fn reset(&mut self) {
-        for b in &mut self.bits {
-            *b = false;
-        }
-    }
-
-    fn clone_fresh(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(PseudoLruPolicy::new(self.ways))
     }
 }
 
@@ -237,60 +78,28 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits() {
-        let mut p = FifoPolicy::new(2);
-        p.touch(0); // fill way 0
-        p.touch(1); // fill way 1
-        p.touch(0); // hit on way 0: FIFO order unchanged
-        assert_eq!(p.victim(), 0);
-    }
-
-    #[test]
-    fn fifo_reset() {
-        let mut p = FifoPolicy::new(4);
-        p.touch(2);
-        p.reset();
-        // After reset nothing is filled; initial order has way 3 as victim.
-        assert_eq!(p.victim(), 3);
-    }
-
-    #[test]
-    fn plru_victim_is_not_most_recent() {
-        let mut p = PseudoLruPolicy::new(8);
-        for w in 0..8 {
+    fn lru_victim_is_never_the_just_touched_way() {
+        // Any way count works, not only powers of two.
+        let mut p = LruPolicy::new(6);
+        for w in (0..6).chain([3, 0, 5]) {
             p.touch(w);
-            assert_ne!(p.victim(), w, "PLRU must never pick the just-touched way");
+            assert_ne!(p.victim(), w, "LRU must never pick the just-touched way");
         }
     }
 
     #[test]
-    fn plru_single_way() {
-        let mut p = PseudoLruPolicy::new(1);
+    fn lru_single_way_always_evicts_way_zero() {
+        // A direct-mapped set has nothing to choose between.
+        let mut p = LruPolicy::new(1);
+        assert_eq!(p.victim(), 0);
         p.touch(0);
         assert_eq!(p.victim(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn plru_requires_power_of_two() {
-        PseudoLruPolicy::new(6);
-    }
-
-    #[test]
-    fn clone_fresh_produces_reset_state() {
-        let mut p = LruPolicy::new(4);
-        p.touch(3);
-        assert_eq!(
-            p.victim(),
-            2,
-            "after touching 3, way 2 is at the LRU position"
-        );
-        let fresh = p.clone_fresh();
-        assert_eq!(
-            fresh.victim(),
-            3,
-            "fresh clone starts from the initial order (last way is LRU)"
-        );
+    #[should_panic(expected = "at least one way")]
+    fn lru_needs_at_least_one_way() {
+        LruPolicy::new(0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::CacheConfig;
 use crate::hashing::LineHashBuilder;
-use crate::replacement::{LruPolicy, ReplacementPolicy};
+use crate::replacement::LruPolicy;
 use crate::stats::CacheStats;
 use std::collections::HashSet;
 
@@ -37,7 +37,8 @@ impl AccessOutcome {
     }
 }
 
-/// A set-associative cache with allocate-on-miss fill policy.
+/// A set-associative cache with allocate-on-miss fill policy and LRU
+/// replacement.
 ///
 /// Addresses passed to [`SetAssocCache::access`] may be arbitrary byte
 /// addresses; they are aligned down to the configured line size internally.
@@ -51,8 +52,8 @@ pub struct SetAssocCache {
     /// `tags[set * assoc + way]` is `Some(tag)` when the way holds a valid
     /// line.
     tags: Vec<Option<u64>>,
-    /// One replacement policy per set.
-    policies: Vec<Box<dyn ReplacementPolicy>>,
+    /// One LRU state per set.
+    policies: Vec<LruPolicy>,
     stats: CacheStats,
     /// All line addresses ever referenced, for compulsory-miss
     /// classification.
@@ -60,19 +61,14 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates a cache with LRU replacement.
+    /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
-        Self::with_policy(config, &LruPolicy::new(config.associativity))
-    }
-
-    /// Creates a cache with the given replacement policy (cloned per set).
-    pub fn with_policy(config: CacheConfig, policy: &dyn ReplacementPolicy) -> Self {
         let num_sets = config.num_sets() as usize;
         let assoc = config.associativity as usize;
         SetAssocCache {
             config,
             tags: vec![None; num_sets * assoc],
-            policies: (0..num_sets).map(|_| policy.clone_fresh()).collect(),
+            policies: vec![LruPolicy::new(config.associativity); num_sets],
             stats: CacheStats::default(),
             ever_seen: HashSet::default(),
         }
@@ -178,7 +174,6 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replacement::FifoPolicy;
 
     fn tiny_cache() -> SetAssocCache {
         // 2 sets x 2 ways x 64 B lines = 256 B.
@@ -239,6 +234,49 @@ mod tests {
         assert!(c.probe(a));
         assert!(!c.probe(b));
         assert!(c.probe(d));
+    }
+
+    #[test]
+    fn a_refilled_way_becomes_the_newest() {
+        // After d replaces a, the next miss in the set must evict b, the
+        // line left untouched longest, and never the line just filled.
+        let mut c = tiny_cache();
+        let a = 0x0000;
+        let b = 0x0100;
+        let d = 0x0200;
+        let e = 0x0300;
+        c.access(a);
+        c.access(b);
+        c.access(d); // evicts a, refills its way
+        match c.access(e) {
+            AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(b)),
+            other => panic!("expected miss, got {other:?}"),
+        }
+        assert!(c.probe(d));
+        assert!(c.probe(e));
+    }
+
+    #[test]
+    fn sets_keep_independent_recency() {
+        let mut c = tiny_cache();
+        // Set 0 holds a and b; set 1 (the odd lines) holds x and y.
+        let (a, b) = (0x0000, 0x0100);
+        let (x, y) = (0x0040, 0x0140);
+        c.access(a);
+        c.access(x);
+        c.access(b);
+        c.access(y);
+        c.access(a); // b is set 0's LRU line; set 1's order is untouched
+        match c.access(0x0240) {
+            AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(x)),
+            other => panic!("expected miss, got {other:?}"),
+        }
+        match c.access(0x0200) {
+            AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(b)),
+            other => panic!("expected miss, got {other:?}"),
+        }
+        assert!(c.probe(a));
+        assert!(c.probe(y));
     }
 
     #[test]
@@ -312,21 +350,6 @@ mod tests {
             AccessOutcome::Miss { kind, .. } => assert_eq!(kind, MissKind::Compulsory),
             other => panic!("expected miss, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn fifo_policy_integration() {
-        let cfg = CacheConfig::new(256, 2, 64, 1);
-        let mut c = SetAssocCache::with_policy(cfg, &FifoPolicy::new(2));
-        let a = 0x0000;
-        let b = 0x0100;
-        let d = 0x0200;
-        c.access(a);
-        c.access(b);
-        c.access(a); // hit does not refresh FIFO order
-        c.access(d); // evicts a (oldest insertion)
-        assert!(!c.probe(a));
-        assert!(c.probe(b));
     }
 
     #[test]

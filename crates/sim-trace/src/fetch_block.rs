@@ -71,9 +71,9 @@ impl FetchBlock {
 
 /// Builds [`FetchBlock`]s from a stream of [`TraceRecord`]s.
 ///
-/// Non-instruction records (sync events, IPC changes) are passed through via
-/// [`FetchBlockBuilder::drain_pending`]; they flush the block under
-/// construction so that region boundaries never bisect a fetch block.
+/// Non-instruction records (sync events, IPC changes) are passed through as
+/// [`FetchItem::Meta`]; they flush the block under construction so that
+/// region boundaries never bisect a fetch block.
 #[derive(Debug)]
 pub struct FetchBlockBuilder<I> {
     records: I,

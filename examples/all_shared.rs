@@ -8,17 +8,19 @@
 //! cargo run --release --example all_shared
 //! ```
 
+use acmp_sweep::SweepEngine;
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use shared_icache::figures::fig13;
-use shared_icache::ExperimentContext;
 
 fn main() {
-    let ctx = ExperimentContext::new(GeneratorConfig {
+    let engine = SweepEngine::builder(GeneratorConfig {
         num_workers: 8,
         parallel_instructions_per_thread: 30_000,
         num_phases: 2,
         seed: 4,
-    });
+    })
+    .build()
+    .expect("an engine without a store always builds");
 
     // A spread of serial-code fractions: from almost fully parallel (LU,
     // ilbdc) to the most serial workloads (nab, CoMD).
@@ -34,7 +36,7 @@ fn main() {
         Benchmark::CoMd,
     ];
 
-    let fig = fig13::compute(&ctx, &benchmarks);
+    let fig = fig13::compute(&engine, &benchmarks);
     println!("{fig}");
 
     // Sort by serial fraction to make the trend readable.
@@ -58,11 +60,11 @@ fn main() {
          performance as the serial fraction grows, so the master keeps its private I-cache."
     );
 
-    let stats = ctx.stats();
+    let stats = engine.stats();
     println!(
         "[engine] {} simulations across {} threads, {} memory hits",
         stats.simulated,
-        ctx.engine().threads(),
+        engine.threads(),
         stats.memory_hits
     );
 }

@@ -8,21 +8,24 @@
 //! cargo run --release --example characterize_workloads
 //! ```
 
+use acmp_sweep::SweepEngine;
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::{figures, ExperimentContext, TextTable};
+use shared_icache::{figures, TextTable};
 
 fn main() {
-    let ctx = ExperimentContext::new(GeneratorConfig {
+    let engine = SweepEngine::builder(GeneratorConfig {
         num_workers: 8,
         parallel_instructions_per_thread: 40_000,
         num_phases: 2,
         seed: 3,
-    });
+    })
+    .build()
+    .expect("an engine without a store always builds");
     let benchmarks = Benchmark::ALL;
 
-    let fig2 = figures::fig02::compute(&ctx, &benchmarks);
-    let fig3 = figures::fig03::compute(&ctx, &benchmarks);
-    let fig4 = figures::fig04::compute(&ctx, &benchmarks);
+    let fig2 = figures::fig02::compute(&engine, &benchmarks);
+    let fig3 = figures::fig03::compute(&engine, &benchmarks);
+    let fig4 = figures::fig04::compute(&engine, &benchmarks);
 
     let mut table = TextTable::new(vec![
         "benchmark",
@@ -67,6 +70,6 @@ fn main() {
     println!("\nThese three properties motivate sharing the I-cache among lean cores.");
     println!(
         "[engine] characterisation fanned out over {} threads",
-        ctx.engine().threads()
+        engine.threads()
     );
 }

@@ -9,9 +9,10 @@
 //! cargo run --release --example design_space
 //! ```
 
+use acmp_sweep::SweepEngine;
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use power_model::ClusterActivity;
-use shared_icache::{arithmetic_mean, DesignPoint, ExperimentContext, TextTable};
+use shared_icache::{arithmetic_mean, DesignPoint, TextTable};
 use sim_acmp::{BusWidth, SimResult};
 
 fn activity(result: &SimResult) -> ClusterActivity {
@@ -30,12 +31,14 @@ fn activity(result: &SimResult) -> ClusterActivity {
 }
 
 fn main() {
-    let ctx = ExperimentContext::new(GeneratorConfig {
+    let engine = SweepEngine::builder(GeneratorConfig {
         num_workers: 8,
         parallel_instructions_per_thread: 30_000,
         num_phases: 2,
         seed: 2,
-    });
+    })
+    .build()
+    .expect("an engine without a store always builds");
     let benchmarks = [
         Benchmark::Cg,
         Benchmark::Lu,
@@ -59,7 +62,7 @@ fn main() {
     // design) cell is its own job on the work-stealing pool, so the sweep
     // scales with cores rather than with the benchmark count.
     let sweep_start = acmp_obs::Stopwatch::start();
-    let outcome = ctx.sweep(&benchmarks, &designs);
+    let outcome = engine.run_grid(&benchmarks, &designs);
     let sweep_secs = sweep_start.elapsed_secs();
 
     let baseline_design = DesignPoint::baseline();
@@ -74,14 +77,15 @@ fn main() {
     ]);
 
     for design in &designs {
-        let results = ctx.simulate_all(&benchmarks, design);
+        let results = engine.run_grid(&benchmarks, std::slice::from_ref(design));
         let cluster = design.cluster_design(8);
 
         let mut times = Vec::new();
         let mut energies = Vec::new();
         let mut utilisation = Vec::new();
-        for (b, r) in &results {
-            let base = ctx.simulate(*b, &baseline_design);
+        for row in &results.rows {
+            let r = &row.result;
+            let base = engine.simulate(row.benchmark, &baseline_design);
             times.push(r.cycles as f64 / base.cycles as f64);
             let e = cluster.energy(&activity(r)).total_mj();
             let e0 = baseline_design
@@ -111,13 +115,13 @@ fn main() {
         "The paper's pick is cpc8-16K-4lb-double: area and energy savings at no performance cost."
     );
 
-    let stats = ctx.stats();
+    let stats = engine.stats();
     println!();
     println!(
         "[engine] {} jobs in {sweep_secs:.2}s on {} threads ({} simulated, {} steals); \
          table assembly was {} memory hits",
         outcome.rows.len(),
-        ctx.engine().threads(),
+        engine.threads(),
         stats.simulated,
         outcome.pool.steals,
         stats.memory_hits,

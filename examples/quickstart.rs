@@ -7,8 +7,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use acmp_sweep::SweepEngine;
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::{DesignPoint, ExperimentContext};
+use shared_icache::DesignPoint;
 
 fn main() {
     // A reduced scale so the example finishes in a few seconds; use
@@ -19,7 +20,9 @@ fn main() {
         num_phases: 2,
         seed: 1,
     };
-    let ctx = ExperimentContext::new(generator);
+    let engine = SweepEngine::builder(generator)
+        .build()
+        .expect("an engine without a store always builds");
     let benchmark = Benchmark::Lu;
 
     println!("benchmark: {benchmark} ({})", benchmark.suite());
@@ -32,12 +35,12 @@ fn main() {
 
     // Prefetch both design points in one engine sweep (two jobs in
     // parallel); the `simulate` calls below are then cache hits.
-    ctx.sweep(
+    engine.run_grid(
         &[benchmark],
         &[DesignPoint::baseline(), DesignPoint::proposed()],
     );
-    let baseline = ctx.simulate(benchmark, &DesignPoint::baseline());
-    let proposed = ctx.simulate(benchmark, &DesignPoint::proposed());
+    let baseline = engine.simulate(benchmark, &DesignPoint::baseline());
+    let proposed = engine.simulate(benchmark, &DesignPoint::proposed());
 
     println!(
         "                         baseline (private 32KB)   proposed (16KB shared, double bus)"

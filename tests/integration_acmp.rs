@@ -3,21 +3,24 @@
 
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
 use proptest::prelude::*;
+use shared_icache::acmp_sweep::SweepEngine;
 use shared_icache::sim_acmp::{AcmpConfig, BusWidth, Machine, SharingMode};
-use shared_icache::{DesignPoint, ExperimentContext};
+use shared_icache::DesignPoint;
 
-fn context(workers: usize, instrs: u64) -> ExperimentContext {
-    ExperimentContext::new(GeneratorConfig {
+fn build_engine(workers: usize, instrs: u64) -> SweepEngine {
+    SweepEngine::builder(GeneratorConfig {
         num_workers: workers,
         parallel_instructions_per_thread: instrs,
         num_phases: 2,
         seed: 21,
     })
+    .build()
+    .expect("an engine without a store always builds")
 }
 
 #[test]
 fn every_design_point_executes_the_full_trace_set() {
-    let ctx = context(4, 10_000);
+    let engine = build_engine(4, 10_000);
     let designs = [
         DesignPoint::baseline(),
         DesignPoint::naive_shared(2).expect("valid core count"),
@@ -27,9 +30,9 @@ fn every_design_point_executes_the_full_trace_set() {
         DesignPoint::all_shared(),
     ];
     for b in [Benchmark::Cg, Benchmark::CoEvp] {
-        let expected = ctx.traces(b).total_instructions();
+        let expected = engine.traces(b).total_instructions();
         for d in &designs {
-            let r = ctx.simulate(b, d);
+            let r = engine.simulate(b, d);
             assert_eq!(r.instructions, expected, "{b} on {d}");
             assert!(r.cycles > 0);
         }
@@ -40,7 +43,7 @@ fn every_design_point_executes_the_full_trace_set() {
 fn proposed_design_has_no_meaningful_performance_cost() {
     // The paper's headline claim: 16 KB shared + double bus + 4 line buffers
     // performs like the private baseline.
-    let ctx = context(8, 25_000);
+    let engine = build_engine(8, 25_000);
     let benchmarks = [
         Benchmark::Cg,
         Benchmark::Lu,
@@ -49,8 +52,8 @@ fn proposed_design_has_no_meaningful_performance_cost() {
     ];
     let mut ratios = Vec::new();
     for b in benchmarks {
-        let base = ctx.simulate(b, &DesignPoint::baseline());
-        let prop = ctx.simulate(b, &DesignPoint::proposed());
+        let base = engine.simulate(b, &DesignPoint::baseline());
+        let prop = engine.simulate(b, &DesignPoint::proposed());
         ratios.push(prop.cycles as f64 / base.cycles as f64);
     }
     let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
@@ -62,14 +65,14 @@ fn proposed_design_has_no_meaningful_performance_cost() {
 
 #[test]
 fn naive_sharing_hurts_most_at_the_highest_sharing_degree() {
-    let ctx = context(8, 25_000);
+    let engine = build_engine(8, 25_000);
     // UA is the paper's worst case for naive sharing (18% at cpc = 8).
-    let base = ctx.simulate(Benchmark::Ua, &DesignPoint::baseline());
-    let cpc2 = ctx.simulate(
+    let base = engine.simulate(Benchmark::Ua, &DesignPoint::baseline());
+    let cpc2 = engine.simulate(
         Benchmark::Ua,
         &DesignPoint::naive_shared(2).expect("valid core count"),
     );
-    let cpc8 = ctx.simulate(
+    let cpc8 = engine.simulate(
         Benchmark::Ua,
         &DesignPoint::naive_shared(8).expect("valid core count"),
     );
@@ -91,13 +94,13 @@ fn naive_sharing_hurts_most_at_the_highest_sharing_degree() {
 
 #[test]
 fn double_bus_recovers_the_naive_sharing_loss() {
-    let ctx = context(8, 25_000);
-    let base = ctx.simulate(Benchmark::Ua, &DesignPoint::baseline());
-    let naive = ctx.simulate(
+    let engine = build_engine(8, 25_000);
+    let base = engine.simulate(Benchmark::Ua, &DesignPoint::baseline());
+    let naive = engine.simulate(
         Benchmark::Ua,
         &DesignPoint::shared(16, 4, BusWidth::Single).expect("valid design"),
     );
-    let double = ctx.simulate(
+    let double = engine.simulate(
         Benchmark::Ua,
         &DesignPoint::shared(16, 4, BusWidth::Double).expect("valid design"),
     );
@@ -117,10 +120,10 @@ fn double_bus_recovers_the_naive_sharing_loss() {
 fn shared_icache_reduces_worker_misses() {
     // Fig. 11: sharing the I-cache reduces MPKI thanks to cross-thread
     // prefetching of the common code.
-    let ctx = context(8, 25_000);
+    let engine = build_engine(8, 25_000);
     for b in [Benchmark::Lu, Benchmark::CoEvp] {
-        let private = ctx.simulate(b, &DesignPoint::baseline());
-        let shared = ctx.simulate(
+        let private = engine.simulate(b, &DesignPoint::baseline());
+        let shared = engine.simulate(
             b,
             &DesignPoint::shared(32, 4, BusWidth::Double).expect("valid design"),
         );
@@ -136,10 +139,10 @@ fn shared_icache_reduces_worker_misses() {
 #[test]
 fn all_shared_is_worse_for_serial_heavy_benchmarks_than_for_parallel_ones() {
     // Fig. 13: the all-shared penalty grows with the serial-code fraction.
-    let ctx = context(8, 25_000);
+    let engine = build_engine(8, 25_000);
     let ratio = |b: Benchmark| {
-        let ws = ctx.simulate(b, &DesignPoint::worker_shared_32k_double());
-        let all = ctx.simulate(b, &DesignPoint::all_shared());
+        let ws = engine.simulate(b, &DesignPoint::worker_shared_32k_double());
+        let all = engine.simulate(b, &DesignPoint::all_shared());
         all.cycles as f64 / ws.cycles as f64
     };
     let parallel_heavy = ratio(Benchmark::Lu); // ~0.5% serial
@@ -152,8 +155,8 @@ fn all_shared_is_worse_for_serial_heavy_benchmarks_than_for_parallel_ones() {
 
 #[test]
 fn cpi_stacks_account_for_every_cycle() {
-    let ctx = context(4, 10_000);
-    let r = ctx.simulate(
+    let engine = build_engine(4, 10_000);
+    let r = engine.simulate(
         Benchmark::Ft,
         &DesignPoint::naive_shared(4).expect("valid core count"),
     );
@@ -176,12 +179,14 @@ fn every_design_point_variant_simulates_without_panicking() {
     // for CI while still exercising every machine topology the paper
     // evaluates (private, naive shared, resized/buffered/double-bus shared,
     // and both all-shared variants).
-    let ctx = ExperimentContext::new(GeneratorConfig {
+    let engine = SweepEngine::builder(GeneratorConfig {
         num_workers: 4,
         parallel_instructions_per_thread: 4_000,
         num_phases: 1,
         seed: 5,
-    });
+    })
+    .build()
+    .expect("an engine without a store always builds");
     let designs = [
         DesignPoint::baseline(),
         DesignPoint::naive_shared(2).expect("valid core count"),
@@ -197,9 +202,9 @@ fn every_design_point_variant_simulates_without_panicking() {
             .with_line_buffers(8)
             .expect("valid line-buffer count"),
     ];
-    let expected = ctx.traces(Benchmark::Cg).total_instructions();
+    let expected = engine.traces(Benchmark::Cg).total_instructions();
     for design in &designs {
-        let result = ctx.simulate(Benchmark::Cg, design);
+        let result = engine.simulate(Benchmark::Cg, design);
         assert_eq!(result.instructions, expected, "{design}");
         assert!(result.cycles > 0, "{design}");
     }

@@ -3,17 +3,20 @@
 //! paper reports must hold for every figure.
 
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::{figures, ExperimentContext};
+use shared_icache::acmp_sweep::SweepEngine;
+use shared_icache::figures;
 
 /// Eight workers, enough instructions to amortise cold effects, a subset of
 /// benchmarks covering the interesting corners.
-fn context() -> ExperimentContext {
-    ExperimentContext::new(GeneratorConfig {
+fn build_engine() -> SweepEngine {
+    SweepEngine::builder(GeneratorConfig {
         num_workers: 8,
         parallel_instructions_per_thread: 25_000,
         num_phases: 2,
         seed: 77,
     })
+    .build()
+    .expect("an engine without a store always builds")
 }
 
 const SUBSET: [Benchmark; 6] = [
@@ -41,8 +44,8 @@ fn figure1_acmp_wins_beyond_two_percent_serial_code() {
 
 #[test]
 fn figure2_parallel_blocks_are_longer_with_known_exceptions() {
-    let ctx = context();
-    let fig = figures::fig02::compute(&ctx, &SUBSET);
+    let engine = build_engine();
+    let fig = figures::fig02::compute(&engine, &SUBSET);
     assert!(fig.mean_parallel() > 2.0 * fig.mean_serial() / 1.5);
     for row in &fig.rows {
         match row.benchmark {
@@ -54,8 +57,8 @@ fn figure2_parallel_blocks_are_longer_with_known_exceptions() {
 
 #[test]
 fn figure3_parallel_mpki_is_far_below_serial_mpki() {
-    let ctx = context();
-    let fig = figures::fig03::compute(&ctx, &SUBSET);
+    let engine = build_engine();
+    let fig = figures::fig03::compute(&engine, &SUBSET);
     for row in &fig.rows {
         assert!(
             row.parallel_mpki < row.serial_mpki,
@@ -90,15 +93,15 @@ fn figure3_parallel_mpki_is_far_below_serial_mpki() {
 
 #[test]
 fn figure4_dynamic_sharing_is_about_99_percent() {
-    let ctx = context();
-    let fig = figures::fig04::compute(&ctx, &SUBSET);
+    let engine = build_engine();
+    let fig = figures::fig04::compute(&engine, &SUBSET);
     assert!(fig.mean_dynamic_sharing() > 95.0);
 }
 
 #[test]
 fn figure7_and_10_sharing_cost_is_recovered_by_bandwidth() {
-    let ctx = context();
-    let fig7 = figures::fig07::compute(&ctx, &SUBSET);
+    let engine = build_engine();
+    let fig7 = figures::fig07::compute(&engine, &SUBSET);
     for row in &fig7.rows {
         assert!(
             row.cpc8 >= 0.97,
@@ -112,7 +115,7 @@ fn figure7_and_10_sharing_cost_is_recovered_by_bandwidth() {
         );
     }
 
-    let fig10 = figures::fig10::compute(&ctx, &SUBSET);
+    let fig10 = figures::fig10::compute(&engine, &SUBSET);
     for row in &fig10.rows {
         assert!(
             row.more_bandwidth_4lb_double <= row.naive_4lb_single + 0.01,
@@ -129,8 +132,8 @@ fn figure7_and_10_sharing_cost_is_recovered_by_bandwidth() {
 
 #[test]
 fn figure8_extra_cycles_are_dominated_by_bus_effects() {
-    let ctx = context();
-    let fig = figures::fig08::compute(&ctx, &[Benchmark::Ua, Benchmark::Lu]);
+    let engine = build_engine();
+    let fig = figures::fig08::compute(&engine, &[Benchmark::Ua, Benchmark::Lu]);
     for row in &fig.rows {
         let extra = row.total() - 1.0;
         let bus = row.ibus_latency + row.ibus_congestion;
@@ -158,8 +161,8 @@ fn figure8_extra_cycles_are_dominated_by_bus_effects() {
 
 #[test]
 fn figure9_access_ratio_tracks_loop_working_set() {
-    let ctx = context();
-    let fig = figures::fig09::compute(&ctx, &SUBSET);
+    let engine = build_engine();
+    let fig = figures::fig09::compute(&engine, &SUBSET);
     let by_name = |b: Benchmark| fig.rows.iter().find(|r| r.benchmark == b).unwrap();
     // Streaming kernels (LU, LULESH) access the I-cache on almost every
     // fetch; small-kernel benchmarks (CG) mostly hit in the line buffers.
@@ -177,8 +180,8 @@ fn figure9_access_ratio_tracks_loop_working_set() {
 
 #[test]
 fn figure11_sharing_reduces_misses_for_miss_heavy_benchmarks() {
-    let ctx = context();
-    let fig = figures::fig11::compute(&ctx, &[Benchmark::CoEvp, Benchmark::Lu, Benchmark::Sp]);
+    let engine = build_engine();
+    let fig = figures::fig11::compute(&engine, &[Benchmark::CoEvp, Benchmark::Lu, Benchmark::Sp]);
     let coevp = fig
         .rows
         .iter()
@@ -195,8 +198,8 @@ fn figure11_sharing_reduces_misses_for_miss_heavy_benchmarks() {
 
 #[test]
 fn figure13_the_master_should_keep_its_private_icache() {
-    let ctx = context();
-    let fig = figures::fig13::compute(&ctx, &[Benchmark::Lu, Benchmark::Nab, Benchmark::CoMd]);
+    let engine = build_engine();
+    let fig = figures::fig13::compute(&engine, &[Benchmark::Lu, Benchmark::Nab, Benchmark::CoMd]);
     for row in &fig.rows {
         assert!(
             row.ratio_double_bus > 0.97,

@@ -80,7 +80,10 @@ fn trace_and_metrics_reconcile_exactly_with_engine_stats() {
     acmp_obs::registry().reset();
     let _ = acmp_obs::drain_events();
 
-    let engine = SweepEngine::new(tiny_generator()).with_threads(2);
+    let engine = SweepEngine::builder(tiny_generator())
+        .workers(2)
+        .build()
+        .unwrap();
     let benchmarks = [Benchmark::Cg, Benchmark::Lu];
     let designs = [DesignPoint::baseline(), DesignPoint::proposed()];
     let outcome = engine.run_grid(&benchmarks, &designs);

@@ -4,15 +4,18 @@
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use power_model::{BusAreaModel, CacheCostModel, ClusterActivity, LeanCoreModel};
 use proptest::prelude::*;
-use shared_icache::{figures, DesignPoint, ExperimentContext};
+use shared_icache::acmp_sweep::SweepEngine;
+use shared_icache::{figures, DesignPoint};
 
-fn context() -> ExperimentContext {
-    ExperimentContext::new(GeneratorConfig {
+fn build_engine() -> SweepEngine {
+    SweepEngine::builder(GeneratorConfig {
         num_workers: 8,
         parallel_instructions_per_thread: 20_000,
         num_phases: 2,
         seed: 31,
     })
+    .build()
+    .expect("an engine without a store always builds")
 }
 
 fn activity_of(result: &shared_icache::sim_acmp::SimResult) -> ClusterActivity {
@@ -35,9 +38,9 @@ fn proposed_design_saves_area_and_energy_at_no_performance_cost() {
     // The paper's headline numbers: ~11% area and ~5% energy savings with no
     // performance loss.  The shapes (direction and rough magnitude) must
     // hold on the synthetic workloads.
-    let ctx = context();
+    let engine = build_engine();
     let benchmarks = [Benchmark::Cg, Benchmark::Lu, Benchmark::Lulesh];
-    let fig12 = figures::fig12::compute(&ctx, &benchmarks);
+    let fig12 = figures::fig12::compute(&engine, &benchmarks);
     let proposed = fig12.proposed().expect("proposed design present");
 
     assert!(
@@ -59,9 +62,9 @@ fn proposed_design_saves_area_and_energy_at_no_performance_cost() {
 
 #[test]
 fn single_bus_design_saves_most_area_but_costs_performance() {
-    let ctx = context();
+    let engine = build_engine();
     let benchmarks = [Benchmark::Ua, Benchmark::Lu];
-    let fig12 = figures::fig12::compute(&ctx, &benchmarks);
+    let fig12 = figures::fig12::compute(&engine, &benchmarks);
     let single = fig12
         .rows
         .iter()
@@ -81,8 +84,8 @@ fn single_bus_design_saves_most_area_but_costs_performance() {
 
 #[test]
 fn energy_model_reacts_to_execution_time_and_activity() {
-    let ctx = context();
-    let base = ctx.simulate(Benchmark::Lu, &DesignPoint::baseline());
+    let engine = build_engine();
+    let base = engine.simulate(Benchmark::Lu, &DesignPoint::baseline());
     let design = DesignPoint::baseline().cluster_design(8);
 
     let normal = design.energy(&activity_of(&base)).total_mj();

@@ -59,7 +59,7 @@ fn sorted_jsonl(engine: &SweepEngine) -> Vec<String> {
 
 #[test]
 fn same_grid_twice_is_byte_identical() {
-    let engine = SweepEngine::new(tiny_generator());
+    let engine = SweepEngine::builder(tiny_generator()).build().unwrap();
     let first = sorted_jsonl(&engine);
     let second = sorted_jsonl(&engine);
     assert_eq!(first.len(), 9);
@@ -68,8 +68,18 @@ fn same_grid_twice_is_byte_identical() {
 
 #[test]
 fn worker_count_does_not_change_the_rows() {
-    let serial = sorted_jsonl(&SweepEngine::new(tiny_generator()).with_threads(1));
-    let parallel = sorted_jsonl(&SweepEngine::new(tiny_generator()).with_threads(8));
+    let serial = sorted_jsonl(
+        &SweepEngine::builder(tiny_generator())
+            .workers(1)
+            .build()
+            .unwrap(),
+    );
+    let parallel = sorted_jsonl(
+        &SweepEngine::builder(tiny_generator())
+            .workers(8)
+            .build()
+            .unwrap(),
+    );
     assert_eq!(
         serial, parallel,
         "scheduling must never leak into simulation results"
@@ -81,8 +91,9 @@ fn disk_store_round_trip_preserves_the_rows() {
     let dir = std::env::temp_dir().join(format!("acmp-sweep-integration-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cold = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let cold = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let cold_rows = sorted_jsonl(&cold);
     assert_eq!(cold.stats().disk_hits, 0);
@@ -90,8 +101,9 @@ fn disk_store_round_trip_preserves_the_rows() {
 
     // A fresh engine over the same store: everything is served from disk,
     // and the JSONL is byte-identical to the cold run.
-    let warm = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let warm = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let warm_rows = sorted_jsonl(&warm);
     assert_eq!(warm.stats().simulated, 0, "warm run must not re-simulate");
@@ -109,8 +121,9 @@ fn warm_engine_does_zero_trace_generation_across_processes() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cold = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let cold = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let cold_rows = sorted_jsonl(&cold);
     assert_eq!(cold.stats().trace_generated, 3, "one per benchmark");
@@ -118,8 +131,9 @@ fn warm_engine_does_zero_trace_generation_across_processes() {
     // A fresh engine is a stand-in for a fresh process: nothing in memory,
     // everything from the segment store — no simulations and no trace
     // generation (warm cells never touch traces).
-    let warm = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let warm = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let warm_rows = sorted_jsonl(&warm);
     assert_eq!(warm.stats().simulated, 0);
@@ -137,8 +151,9 @@ fn compaction_preserves_rows_and_packs_the_directory() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let cold = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let cold = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let cold_rows = sorted_jsonl(&cold);
 
@@ -154,8 +169,9 @@ fn compaction_preserves_rows_and_packs_the_directory() {
 
     // The compacted store serves a fresh engine byte-identically, still
     // with zero simulations and zero trace generations.
-    let warm = SweepEngine::new(tiny_generator())
-        .with_disk_store(&dir)
+    let warm = SweepEngine::builder(tiny_generator())
+        .store_dir(&dir)
+        .build()
         .unwrap();
     let warm_rows = sorted_jsonl(&warm);
     assert_eq!(warm.stats().simulated, 0);
@@ -185,9 +201,10 @@ fn sharded_engines_over_one_store_cover_the_grid_without_double_work() {
         let mut union: Vec<String> = Vec::new();
         let mut simulated = 0;
         for index in 0..count {
-            let engine = SweepEngine::new(tiny_generator())
-                .with_shard(ShardSpec::new(index, count).unwrap())
-                .with_disk_store(&shard_dir)
+            let engine = SweepEngine::builder(tiny_generator())
+                .shard(ShardSpec::new(index, count).unwrap())
+                .store_dir(&shard_dir)
+                .build()
                 .unwrap();
             union.extend(
                 engine
@@ -211,8 +228,9 @@ fn sharded_engines_over_one_store_cover_the_grid_without_double_work() {
 
         // Fully warm: a fresh unsharded engine over the store the shards
         // filled serves everything from disk.
-        let warm = SweepEngine::new(tiny_generator())
-            .with_disk_store(&shard_dir)
+        let warm = SweepEngine::builder(tiny_generator())
+            .store_dir(&shard_dir)
+            .build()
             .unwrap();
         let mut warm_rows: Vec<String> = warm
             .run_grid(&benchmarks, &designs)
@@ -276,8 +294,9 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Cold, with a store attached.
-    let cold = SweepEngine::new(generator)
-        .with_disk_store(dir.join("store"))
+    let cold = SweepEngine::builder(generator)
+        .store_dir(dir.join("store"))
+        .build()
         .unwrap();
     assert_eq!(
         fig09_bytes(&cold),
@@ -286,8 +305,9 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
     );
 
     // Warm, from a fresh engine over the same store.
-    let warm = SweepEngine::new(generator)
-        .with_disk_store(dir.join("store"))
+    let warm = SweepEngine::builder(generator)
+        .store_dir(dir.join("store"))
+        .build()
         .unwrap();
     assert_eq!(
         fig09_bytes(&warm),
@@ -302,9 +322,10 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
     let schedule = shard_key_schedule(&keys, 2);
     let mut validated = Vec::new();
     for index in 0..2u32 {
-        let engine = SweepEngine::new(generator)
-            .with_shard(ShardSpec::new(index, 2).unwrap())
-            .with_disk_store(dir.join(format!("machine-{index}")))
+        let engine = SweepEngine::builder(generator)
+            .shard(ShardSpec::new(index, 2).unwrap())
+            .store_dir(dir.join(format!("machine-{index}")))
+            .build()
             .unwrap();
         let stream = fig09_bytes(&engine);
         for line in stream.lines() {
@@ -344,11 +365,14 @@ fn partially_warm_grid_over_a_legacy_store_finishes_at_quick_scale() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let reference = SweepEngine::new(generator);
+    let reference = SweepEngine::builder(generator).build().unwrap();
     let want = sorted_rows(&reference, &wide.benchmarks, &wide.designs);
 
     // A cold grid on a fresh store leaves one entry per cell: results only.
-    let engine = SweepEngine::new(generator).with_disk_store(&dir).unwrap();
+    let engine = SweepEngine::builder(generator)
+        .store_dir(&dir)
+        .build()
+        .unwrap();
     engine.run_grid(&cold.benchmarks, &cold.designs);
     let store = engine.store().unwrap();
     assert_eq!(store.stats().entries, cold.cells() as u64);
@@ -367,8 +391,9 @@ fn partially_warm_grid_over_a_legacy_store_finishes_at_quick_scale() {
     let warm_dir = dir.clone();
     let worker = std::thread::spawn(move || {
         let _done = done;
-        let warm = SweepEngine::new(generator)
-            .with_disk_store(&warm_dir)
+        let warm = SweepEngine::builder(generator)
+            .store_dir(&warm_dir)
+            .build()
             .unwrap();
         let rows = sorted_rows(&warm, &wide.benchmarks, &wide.designs);
         (rows, warm.stats())
@@ -390,7 +415,7 @@ fn partially_warm_grid_over_a_legacy_store_finishes_at_quick_scale() {
 #[test]
 fn grid_spec_drives_the_engine() {
     let spec = GridSpec::parse("cg,lu", "baseline,lb:8").unwrap();
-    let engine = SweepEngine::new(tiny_generator());
+    let engine = SweepEngine::builder(tiny_generator()).build().unwrap();
     let outcome = engine.run_grid(&spec.benchmarks, &spec.designs);
     assert_eq!(outcome.rows.len(), spec.cells());
     // Keys are unique across cells.
