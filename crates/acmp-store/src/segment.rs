@@ -200,10 +200,21 @@ pub fn scan_record(line: &str) -> Option<String> {
 /// key, the value checksum, and the raw value JSON slice.
 #[must_use]
 pub fn scan_record_parts(line: &str) -> Option<(String, u64, &str)> {
-    let rest = line.strip_prefix("{\"key\":\"")?;
-    let (canonical, consumed) = unescape_string_body(rest)?;
-    let rest = &rest[consumed..];
-    let rest = rest.strip_prefix("\",\"crc\":\"")?;
+    let (canonical, crc, value) = split_record(line)?;
+    (stable_hash::fnv1a(value.as_bytes()) == crc).then_some((canonical, crc, value))
+}
+
+/// Cuts a record line into its unescaped canonical key, its checksum and
+/// its raw value JSON, checking the [`encode_record`] layout but not the
+/// checksum: for a record [`scan_record_parts`] already verified.
+pub(crate) fn split_record(line: &str) -> Option<(String, u64, &str)> {
+    let rest = line.strip_prefix("{\"key\":")?;
+    if !rest.starts_with('"') {
+        return None;
+    }
+    let mut key = serde::Parser::new(rest);
+    let canonical = key.parse_str().ok()?.into_owned();
+    let rest = rest[key.offset()..].strip_prefix(",\"crc\":\"")?;
     if rest.len() < 16 || !rest.is_char_boundary(16) {
         return None;
     }
@@ -213,50 +224,7 @@ pub fn scan_record_parts(line: &str) -> Option<(String, u64, &str)> {
     }
     let value = rest.strip_prefix("\",\"value\":")?.strip_suffix('}')?;
     let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-    if stable_hash::fnv1a(value.as_bytes()) != crc {
-        return None;
-    }
     Some((canonical, crc, value))
-}
-
-/// Unescapes a JSON string body up to (not including) its closing quote.
-/// Returns the unescaped text and the number of input bytes consumed.
-fn unescape_string_body(s: &str) -> Option<(String, usize)> {
-    let bytes = s.as_bytes();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some((out, i)),
-            b'\\' => {
-                let esc = *bytes.get(i + 1)?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = s.get(i + 2..i + 6)?;
-                        let c = u32::from_str_radix(hex, 16).ok().and_then(char::from_u32)?;
-                        out.push(c);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                i += 2;
-            }
-            _ => {
-                let c = s[i..].chars().next()?;
-                out.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    None
 }
 
 /// Scans a whole segment's bytes, yielding every verified record with its

@@ -40,7 +40,7 @@
 use crate::segment::{self, SegmentName, SEGMENT_TARGET_BYTES, TMP_EXT};
 use crate::StoreKey;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -194,9 +194,14 @@ impl DiskStore {
             generation: max_generation + 1,
             ..Inner::default()
         };
+        let (mut bytes, mut records) = (0, 0);
         for (name, path) in found {
-            fold_segment(&mut inner, name, path, None);
+            let folded = fold_segment(&mut inner, name, path, None);
+            bytes += folded.bytes;
+            records += folded.records;
         }
+        span.record_field("bytes", bytes);
+        span.record_field("records", records);
 
         Ok(DiskStore {
             root,
@@ -285,7 +290,7 @@ impl DiskStore {
             .enumerate()
             .map(|(id, path)| (path.clone(), id))
             .collect();
-        let mut indexed = 0;
+        let (mut indexed, mut bytes) = (0, 0);
         for (name, path) in found {
             let id = known.get(&path).copied();
             // A known segment is re-read only once it has grown past what
@@ -293,11 +298,16 @@ impl DiskStore {
             let grew = id.is_none_or(|id| {
                 std::fs::metadata(&path).is_ok_and(|m| m.len() > inner.folded[id])
             });
-            if grew && fold_segment(&mut inner, name, path, id) {
-                indexed += 1;
+            if grew {
+                let folded = fold_segment(&mut inner, name, path, id);
+                bytes += folded.bytes;
+                if folded.records > 0 {
+                    indexed += 1;
+                }
             }
         }
         span.record_field("segments_indexed", indexed);
+        span.record_field("bytes", bytes);
         indexed
     }
 
@@ -315,15 +325,15 @@ impl DiskStore {
             )
         };
         acmp_obs::counter!(acmp_obs::names::STORE_VALUE_READS, 1);
-        let text = read_span(&path, offset, len).ok()?;
-        let envelope: Value = serde_json::from_str(&text).ok()?;
-        let fields = envelope.as_object()?;
-        let stored_key = serde::get_field(fields, "key").ok()?.as_str()?;
+        let line = read_span(&path, offset, len).ok()?;
+        // Open verified this record's layout and value checksum, and
+        // segments are append-only: cut the key and value out of the same
+        // bytes and decode only the value, without hashing it again.
+        let (stored_key, _, value_json) = segment::split_record(&line)?;
         if stored_key != key.canonical() {
             return None;
         }
-        let value = serde::get_field(fields, "value").ok()?;
-        V::deserialize(value).ok()
+        serde_json::from_str(value_json).ok()
     }
 
     /// Persists `value` under `key`, appending a checksummed record to the
@@ -633,6 +643,16 @@ pub(crate) fn next_segment_seq() -> u64 {
     SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
+/// What one [`fold_segment`] call scanned.
+#[derive(Debug, Clone, Copy, Default)]
+struct Folded {
+    /// Segment bytes read.
+    bytes: u64,
+    /// Verified records found, including any that a record replaying
+    /// later overrides.
+    records: u64,
+}
+
 /// Folds one segment file into the index: the whole file when it is new
 /// (`known` is `None`), otherwise the bytes past what is already folded.
 /// Raw bytes, not UTF-8: a corrupt (even non-UTF-8) line must read as
@@ -641,8 +661,7 @@ pub(crate) fn next_segment_seq() -> u64 {
 /// still-growing tail is read again by the next refresh.  An unreadable
 /// new segment — e.g. deleted by a concurrent open's eviction between a
 /// directory listing and this read — likewise reads as absent (and is not
-/// registered, so a later refresh may retry it).  Returns whether any
-/// record was folded.
+/// registered, so a later refresh may retry it).
 ///
 /// Which duplicate of a key wins follows segment replay order, not
 /// discovery order: a refresh can discover a segment that *sorts before*
@@ -651,10 +670,15 @@ pub(crate) fn next_segment_seq() -> u64 {
 /// override the later-replaying ones a fresh open would prefer.  Within
 /// one segment a later record wins.  An open's own scan passes segments
 /// pre-sorted, so the guard never fires there.
-fn fold_segment(inner: &mut Inner, name: SegmentName, path: PathBuf, known: Option<usize>) -> bool {
+fn fold_segment(
+    inner: &mut Inner,
+    name: SegmentName,
+    path: PathBuf,
+    known: Option<usize>,
+) -> Folded {
     let from = known.map_or(0, |id| inner.folded[id]);
     let Ok(bytes) = read_from(&path, from) else {
-        return false;
+        return Folded::default();
     };
     let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
     let segment_id = known.unwrap_or_else(|| {
@@ -664,7 +688,10 @@ fn fold_segment(inner: &mut Inner, name: SegmentName, path: PathBuf, known: Opti
     });
     inner.folded[segment_id] = from + complete as u64;
     let records = segment::scan_segment(&bytes[..complete]);
-    let folded_any = !records.is_empty();
+    let folded = Folded {
+        bytes: bytes.len() as u64,
+        records: records.len() as u64,
+    };
     for record in records {
         let digest = crate::stable_hash::fnv1a(record.canonical.as_bytes());
         let later_already_indexed = inner.index.get(&digest).is_some_and(|existing| {
@@ -686,7 +713,7 @@ fn fold_segment(inner: &mut Inner, name: SegmentName, path: PathBuf, known: Opti
         }
         inner.live_bytes += record.len;
     }
-    folded_any
+    folded
 }
 
 /// The replay-order identity of an indexed segment file, parsed back from

@@ -1450,6 +1450,26 @@ fn observability_artifacts_validate_and_rows_stay_byte_identical() {
             "trace lacks `{expected}` spans; saw {span_names:?}"
         );
     }
+    // Each cold miss refreshes the index, which finds nothing new to read:
+    // this run's own appends are folded as they are written.
+    let refreshes: Vec<&serde::Value> = events
+        .iter()
+        .filter(|e| {
+            serde::get_field(as_object(e), "name").ok()
+                == Some(&serde::Value::String("store.refresh".to_string()))
+        })
+        .collect();
+    assert_eq!(
+        refreshes.len() as u64,
+        summary_stat(&run.stderr, "simulated")
+    );
+    for refresh in refreshes {
+        let fields = as_object(serde::get_field(as_object(refresh), "fields").unwrap());
+        assert_eq!(
+            serde::get_field(fields, "bytes").unwrap(),
+            &serde::Value::UInt(0)
+        );
+    }
     // A cold 2-benchmark × 3-degree grid simulates all six cells.
     let sim_spans = span_names
         .iter()
@@ -1486,6 +1506,8 @@ fn observability_artifacts_validate_and_rows_stay_byte_identical() {
         dir.join("cache").to_str().unwrap(),
         "--metrics-out",
         metrics.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
     ]);
     assert_eq!(rerun.stdout, fixture_bytes());
     let value =
@@ -1493,6 +1515,33 @@ fn observability_artifacts_validate_and_rows_stay_byte_identical() {
     let warm = acmp_obs::MetricsSnapshot::from_value(&value).unwrap();
     assert_eq!(warm.counter("engine.simulated"), 0);
     assert_eq!(warm.counter("engine.disk_hits"), 6);
+
+    // The warm open says what it scanned: every segment byte, and the six
+    // verified records it indexed.
+    let segment_bytes: u64 = std::fs::read_dir(dir.join("cache"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "seg"))
+        .map(|path| std::fs::metadata(path).unwrap().len())
+        .sum();
+    let events = acmp_obs::read_trace_values(&std::fs::read_to_string(&trace).unwrap())
+        .expect("warm trace validates");
+    let open = events
+        .iter()
+        .find(|e| {
+            serde::get_field(as_object(e), "name").ok()
+                == Some(&serde::Value::String("store.open".to_string()))
+        })
+        .expect("the warm trace has a store.open span");
+    let fields = as_object(serde::get_field(as_object(open), "fields").unwrap());
+    assert_eq!(
+        serde::get_field(fields, "records").unwrap(),
+        &serde::Value::UInt(6)
+    );
+    assert_eq!(
+        serde::get_field(fields, "bytes").unwrap(),
+        &serde::Value::UInt(segment_bytes)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -24,7 +24,10 @@ fn main() {
         );
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let scale = Scale::from_env();
+    let scale = Scale::from_env().unwrap_or_else(|e| {
+        acmp_obs::logline!("figures: {e}");
+        std::process::exit(2);
+    });
     let requested: Vec<String> = if args.iter().any(|a| a == "all") {
         EXPERIMENT_IDS
             .iter()

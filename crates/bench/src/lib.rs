@@ -19,12 +19,26 @@ pub enum Scale {
 
 impl Scale {
     /// Reads the scale from the `FIGURE_SCALE` environment variable
-    /// (`quick` or `paper`); defaults to `Paper`.
-    pub fn from_env() -> Self {
+    /// (`quick` or `paper`); defaults to `Paper` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the value and both accepted names when the
+    /// variable holds anything else.
+    pub fn from_env() -> Result<Self, String> {
         // acmp-lint: allow(env-side-channel) -- FIGURE_SCALE is the harness's documented scale knob, read once at startup
-        match std::env::var("FIGURE_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Paper,
+        let value = std::env::var_os("FIGURE_SCALE");
+        Self::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// Parses a `FIGURE_SCALE` value; `None` (unset) means `Paper`.
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("paper") => Ok(Scale::Paper),
+            Some("quick") => Ok(Scale::Quick),
+            Some(other) => Err(format!(
+                "unknown FIGURE_SCALE `{other}` (accepted: quick, paper; unset means paper)"
+            )),
         }
     }
 
@@ -143,6 +157,21 @@ mod tests {
         assert!(q.num_workers <= p.num_workers);
         assert!(Scale::Quick.benchmarks().len() < Scale::Paper.benchmarks().len());
         assert_eq!(Scale::Paper.benchmarks().len(), 24);
+    }
+
+    #[test]
+    fn figure_scale_accepts_quick_and_paper_and_names_anything_else() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Paper));
+        assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        for typo in ["Quick", "quik", "paper ", "", "PAPER"] {
+            let message = Scale::parse(Some(typo)).unwrap_err();
+            assert!(message.contains(&format!("`{typo}`")), "{message}");
+            assert!(
+                message.contains("quick") && message.contains("paper"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

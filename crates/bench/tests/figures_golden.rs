@@ -99,3 +99,22 @@ fn an_unopenable_store_logs_why_and_runs_without_it() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_misspelt_scale_exits_2_without_running() {
+    let dir = temp_dir("bad-scale");
+    let output = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .arg("table01")
+        .env("FIGURE_SCALE", "Quick")
+        .current_dir(&dir)
+        .output()
+        .expect("figures binary runs");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(output.stdout.is_empty(), "no table is printed");
+    assert!(
+        stderr.contains("`Quick`") && stderr.contains("quick, paper"),
+        "the error names the value and the accepted scales: {stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

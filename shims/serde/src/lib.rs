@@ -4,18 +4,23 @@
 //! registry, so the handful of external dependencies are replaced by small
 //! in-tree shims providing exactly the API surface the simulator uses.
 //!
-//! This crate implements serialisation through a concrete JSON-shaped
-//! [`Value`] data model instead of serde's visitor architecture: a type is
-//! [`Serialize`] if it can convert itself into a [`Value`] and
-//! [`Deserialize`] if it can reconstruct itself from one.  The
+//! Serialisation goes through a concrete JSON-shaped [`Value`] data model:
+//! a type is [`Serialize`] if it can convert itself into a [`Value`], which
+//! [`Value::write_json`] prints.  Deserialisation is reader-driven: a type
+//! is [`Deserialize`] if it can read itself from a streaming JSON
+//! [`Parser`], so a typed decode builds no intermediate tree, and
+//! [`Value`]'s own impl is the tree builder.  The
 //! `#[derive(Serialize, Deserialize)]` macros (re-exported from the
-//! `serde_derive` shim when the `derive` feature is on) generate those
-//! conversions with the same externally-tagged representation the real
-//! serde uses for enums, so swapping the shim for the real crates keeps the
-//! on-disk format compatible for the types in this workspace.
+//! `serde_derive` shim when the `derive` feature is on) generate both sides
+//! with the same externally-tagged representation the real serde uses for
+//! enums, so swapping the shim for the real crates keeps the on-disk format
+//! compatible for the types in this workspace.
 
 use std::fmt;
 
+mod parser;
+
+pub use parser::Parser;
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -59,66 +64,109 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Appends the value to `out` as compact JSON.  Float formatting uses
+    /// Rust's shortest round-trip representation, so printed numbers parse
+    /// back to the same bits.
+    pub fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(true) => out.push_str("true"),
+            Value::Bool(false) => out.push_str("false"),
+            Value::UInt(n) => write_u64(out, *n),
+            Value::Int(n) => {
+                if *n < 0 {
+                    out.push('-');
+                }
+                write_u64(out, n.unsigned_abs());
+            }
+            // Non-finite floats have no JSON representation; like the real
+            // serde_json, they are printed as null.
+            Value::Float(x) if !x.is_finite() => out.push_str("null"),
+            Value::Float(x) => {
+                use fmt::Write;
+                // Writing into a `String` cannot fail.
+                let _ = write!(out, "{x}");
+            }
+            Value::String(s) => write_json_string(out, s),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_json(out);
+                }
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (key, item)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json_string(out, key);
+                    out.push(':');
+                    item.write_json(out);
+                }
+                out.push('}');
+            }
+        }
+    }
 }
 
 impl fmt::Display for Value {
-    /// Formats the value as compact JSON.  Float formatting uses Rust's
-    /// shortest round-trip representation, so printed numbers parse back to
-    /// the same bits.
+    /// Formats the value as compact JSON (see [`Value::write_json`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(true) => f.write_str("true"),
-            Value::Bool(false) => f.write_str("false"),
-            Value::UInt(n) => write!(f, "{n}"),
-            Value::Int(n) => write!(f, "{n}"),
-            // Non-finite floats have no JSON representation; like the real
-            // serde_json, they are printed as null.
-            Value::Float(x) if !x.is_finite() => f.write_str("null"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::String(s) => write_json_string(f, s),
-            Value::Array(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(fields) => {
-                f.write_str("{")?;
-                for (i, (key, item)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_json_string(f, key)?;
-                    write!(f, ":{item}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_json(&mut out);
+        f.write_str(&out)
     }
 }
 
-fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => {
-                let mut buf = [0u8; 4];
-                f.write_str(c.encode_utf8(&mut buf))?;
-            }
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    f.write_str("\"")
+    for &d in &digits[start..] {
+        out.push(char::from(d));
+    }
+}
+
+fn write_json_string(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    // Copy each run of bytes that need no escape in one step; every byte
+    // that does is ASCII, so the runs end on char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// Error produced by (de)serialisation.
@@ -167,17 +215,20 @@ pub trait Serialize {
     fn serialize(&self) -> Value;
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types that read themselves from JSON text.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from the dynamic value model.
+    /// Reads one value of `Self` from `parser`, consuming exactly that
+    /// value when it succeeds.
     ///
     /// # Errors
     ///
-    /// Returns an error if `value` does not have the expected shape.
-    fn deserialize(value: &Value) -> Result<Self, Error>;
+    /// Returns an error if the next value is malformed or does not have the
+    /// expected shape.  Shape errors may leave the parser anywhere inside
+    /// the value (see the [`Parser`] docs on error precedence).
+    fn deserialize(parser: &mut Parser<'_>) -> Result<Self, Error>;
 }
 
-/// Looks up a field of an object by name (derive-macro support).
+/// Looks up a field of an object by name.
 ///
 /// # Errors
 ///
@@ -187,33 +238,36 @@ pub fn get_field<'a>(fields: &'a [(String, Value)], name: &str) -> Result<&'a Va
         .iter()
         .find(|(k, _)| k == name)
         .map(|(_, v)| v)
-        .ok_or_else(|| Error::custom(format!("missing field `{name}`")))
+        .ok_or_else(|| missing_field(name))
 }
 
-macro_rules! impl_serde_uint {
+/// The value a [`Parser::decode_field`] slot holds (derive-macro support).
+///
+/// # Errors
+///
+/// Returns the field's decode error, or ``missing field `name` `` if the
+/// object had no such member.
+pub fn take_field<T>(slot: Option<Result<T, Error>>, name: &str) -> Result<T, Error> {
+    slot.unwrap_or_else(|| Err(missing_field(name)))
+}
+
+fn missing_field(name: &str) -> Error {
+    Error::custom(format!("missing field `{name}`"))
+}
+
+macro_rules! impl_serialize_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
                 Value::UInt(*self as u64)
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
-                }
-            }
-        }
     )*};
 }
 
-impl_serde_uint!(u8, u16, u32, u64, usize);
+impl_serialize_uint!(u8, u16, u32, u64, usize);
 
-macro_rules! impl_serde_int {
+macro_rules! impl_serialize_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Value {
@@ -224,36 +278,14 @@ macro_rules! impl_serde_int {
                 }
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(value: &Value) -> Result<Self, Error> {
-                match value {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::custom(concat!("integer out of range for ", stringify!($t)))),
-                    _ => Err(Error::custom(concat!("expected integer for ", stringify!($t)))),
-                }
-            }
-        }
     )*};
 }
 
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serialize_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn serialize(&self) -> Value {
         Value::Float(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Float(x) => Ok(*x),
-            Value::UInt(n) => Ok(*n as f64),
-            Value::Int(n) => Ok(*n as f64),
-            _ => Err(Error::custom("expected number for f64")),
-        }
     }
 }
 
@@ -263,39 +295,15 @@ impl Serialize for f32 {
     }
 }
 
-impl Deserialize for f32 {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        f64::deserialize(value).map(|x| x as f32)
-    }
-}
-
 impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::custom("expected boolean")),
-        }
-    }
-}
-
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) => Ok(s.clone()),
-            _ => Err(Error::custom("expected string")),
-        }
     }
 }
 
@@ -311,27 +319,9 @@ impl Serialize for char {
     }
 }
 
-impl Deserialize for char {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            _ => Err(Error::custom("expected single-character string")),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
         Value::Array(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Array(items) => items.iter().map(T::deserialize).collect(),
-            _ => Err(Error::custom("expected array")),
-        }
     }
 }
 
@@ -340,15 +330,6 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(v) => v.serialize(),
             None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
         }
     }
 }
@@ -362,11 +343,5 @@ impl<T: Serialize + ?Sized> Serialize for &T {
 impl Serialize for Value {
     fn serialize(&self) -> Value {
         self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        Ok(value.clone())
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Implements `#[derive(Serialize)]` and `#[derive(Deserialize)]` for the
 //! shim `serde` crate without `syn`/`quote` (neither is available offline):
-//! the item is parsed directly from the raw token stream.  Supported shapes
-//! cover everything this workspace derives —
+//! the item is parsed directly from the raw token stream.  `Serialize`
+//! builds the shim's `Value` tree; `Deserialize` reads the type straight
+//! from the shim's streaming JSON `Parser`, with no tree in between.
+//! Supported shapes cover everything this workspace derives —
 //!
 //! * structs with named fields,
 //! * tuple structs (a single field serialises transparently; the
@@ -54,7 +56,16 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-/// Derives `serde::Deserialize` via the shim's `Value` data model.
+/// Derives `serde::Deserialize` by driving the shim's streaming
+/// `serde::Parser`.
+///
+/// A struct with named fields dispatches on each key: unknown keys are
+/// skipped, a repeated key keeps its first value, and once the object ends
+/// the fields are taken in declaration order, so the first missing
+/// (``missing field `x` ``) or failing field in that order is the error.
+/// Enums, tuple structs and tuple variants read the externally tagged
+/// forms `Serialize` writes, with the same error messages as a decode from
+/// a `Value` tree.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
@@ -358,120 +369,110 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-fn named_fields_ctor(type_path: &str, fields: &[String], source: &str) -> String {
+/// Reads the members of an object into one slot per field, then builds
+/// `type_path` from the slots in declaration order, so the first missing
+/// or failing field in that order is the error reported.  Evaluates to the
+/// constructed value (or returns the error).
+fn named_fields_body(type_path: &str, fields: &[String]) -> String {
+    let slots: String = (0..fields.len())
+        .map(|k| format!("let mut __f{k} = ::std::option::Option::None; "))
+        .collect();
+    let arms: String = fields
+        .iter()
+        .enumerate()
+        .map(|(k, f)| format!("{f:?} => __p.decode_field(&mut __f{k})?, "))
+        .collect();
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!("{f}: ::serde::Deserialize::deserialize(::serde::get_field({source}, {f:?})?)?")
-        })
+        .enumerate()
+        .map(|(k, f)| format!("{f}: ::serde::take_field(__f{k}, {f:?})?"))
         .collect();
-    format!("{type_path} {{ {} }}", inits.join(", "))
+    format!(
+        "{{ {slots}\
+         let mut __key = __p.begin_object(\"expected object for {type_path}\")?; \
+         while let ::std::option::Option::Some(__k) = __key {{ \
+         match &*__k {{ {arms}_ => __p.skip_value()?, }} \
+         __key = __p.next_key()?; }} \
+         {type_path} {{ {inits} }} }}",
+        inits = inits.join(", ")
+    )
+}
+
+/// Reads the `arity`-element array form of a tuple struct or variant and
+/// evaluates to `ctor(...)` over its elements.
+fn tuple_body(ctor: &str, arity: usize) -> String {
+    let reads: String = (0..arity)
+        .map(|k| format!("let __v{k} = __p.element()?; "))
+        .collect();
+    let args: Vec<String> = (0..arity).map(|k| format!("__v{k}")).collect();
+    format!(
+        "{{ __p.begin_tuple({arity}, \"expected {arity}-element array for {ctor}\")?; \
+         {reads}{ctor}({}) }}",
+        args.join(", ")
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
+    let ok = |value: String| format!("::std::result::Result::Ok({value})");
     let (name, body) = match item {
-        Item::NamedStruct { name, fields } => {
-            let ctor = named_fields_ctor(name, fields, "__fields");
-            (
-                name,
-                format!(
-                    "let __fields = __value.as_object().ok_or_else(|| \
-                     ::serde::Error::custom(\"expected object for {name}\"))?; \
-                     ::std::result::Result::Ok({ctor})"
-                ),
-            )
-        }
-        Item::TupleStruct { name, arity: 0 } => {
-            (name, format!("::std::result::Result::Ok({name}())"))
-        }
+        Item::NamedStruct { name, fields } => (name, ok(named_fields_body(name, fields))),
+        // A field-less struct has nothing to read: any value is skipped.
+        Item::TupleStruct { name, arity: 0 } => (
+            name,
+            format!("__p.skip_value()?; {}", ok(format!("{name}()"))),
+        ),
         Item::TupleStruct { name, arity: 1 } => (
             name,
-            format!(
-                "::std::result::Result::Ok({name}(::serde::Deserialize::deserialize(__value)?))"
-            ),
+            ok(format!("{name}(::serde::Deserialize::deserialize(__p)?)")),
         ),
-        Item::TupleStruct { name, arity } => {
-            let inits: Vec<String> = (0..*arity)
-                .map(|k| format!("::serde::Deserialize::deserialize(&__items[{k}])?"))
-                .collect();
-            (
-                name,
-                format!(
-                    "match __value {{ ::serde::Value::Array(__items) if __items.len() == {arity} => \
-                     ::std::result::Result::Ok({name}({inits})), \
-                     _ => ::std::result::Result::Err(::serde::Error::custom(\
-                     \"expected {arity}-element array for {name}\")) }}",
-                    inits = inits.join(", ")
-                ),
-            )
-        }
-        Item::UnitStruct { name } => (name, format!("::std::result::Result::Ok({name})")),
+        Item::TupleStruct { name, arity } => (name, ok(tuple_body(name, *arity))),
+        Item::UnitStruct { name } => (name, format!("__p.skip_value()?; {}", ok(name.clone()))),
         Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
+            let unknown = format!(
+                "__other => return ::std::result::Result::Err(::serde::Error::custom(\
+                 ::std::format!(\"unknown {name} variant `{{__other}}`\"))),"
+            );
+            let unit_arms: String = variants
                 .iter()
                 .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .map(|v| {
-                    format!(
-                        "{:?} => ::std::result::Result::Ok({name}::{}),",
-                        v.name, v.name
-                    )
-                })
+                .map(|v| format!("{:?} => {name}::{},", v.name, v.name))
                 .collect();
-            let data_arms: Vec<String> = variants
+            let data_arms: String = variants
                 .iter()
                 .filter_map(|v| {
                     let vname = &v.name;
-                    match &v.kind {
-                        VariantKind::Unit => None,
-                        VariantKind::Tuple(1) => Some(format!(
-                            "{vname:?} => ::std::result::Result::Ok({name}::{vname}(\
-                             ::serde::Deserialize::deserialize(__inner)?)),"
-                        )),
-                        VariantKind::Tuple(arity) => {
-                            let inits: Vec<String> = (0..*arity)
-                                .map(|k| format!("::serde::Deserialize::deserialize(&__items[{k}])?"))
-                                .collect();
-                            Some(format!(
-                                "{vname:?} => match __inner {{ \
-                                 ::serde::Value::Array(__items) if __items.len() == {arity} => \
-                                 ::std::result::Result::Ok({name}::{vname}({inits})), \
-                                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                                 \"expected {arity}-element array for {name}::{vname}\")) }},",
-                                inits = inits.join(", ")
-                            ))
+                    let path = format!("{name}::{vname}");
+                    let value = match &v.kind {
+                        VariantKind::Unit => return None,
+                        VariantKind::Tuple(1) => {
+                            format!("{path}(::serde::Deserialize::deserialize(__p)?)")
                         }
-                        VariantKind::Named(fields) => {
-                            let ctor =
-                                named_fields_ctor(&format!("{name}::{vname}"), fields, "__obj");
-                            Some(format!(
-                                "{vname:?} => {{ let __obj = __inner.as_object().ok_or_else(|| \
-                                 ::serde::Error::custom(\"expected object for {name}::{vname}\"))?; \
-                                 ::std::result::Result::Ok({ctor}) }},"
-                            ))
-                        }
-                    }
+                        VariantKind::Tuple(arity) => tuple_body(&path, *arity),
+                        VariantKind::Named(fields) => named_fields_body(&path, fields),
+                    };
+                    Some(format!("{vname:?} => {value},"))
                 })
                 .collect();
+            let expected = format!("expected string or single-key object for {name}");
             let body = format!(
-                "match __value {{ \
-                 ::serde::Value::String(__s) => match __s.as_str() {{ {unit_arms} __other => \
-                 ::std::result::Result::Err(::serde::Error::custom(::std::format!(\
-                 \"unknown {name} variant `{{__other}}`\"))) }}, \
-                 ::serde::Value::Object(__tagged) if __tagged.len() == 1 => {{ \
-                 let (__tag, __inner) = &__tagged[0]; \
-                 match __tag.as_str() {{ {data_arms} __other => \
-                 ::std::result::Result::Err(::serde::Error::custom(::std::format!(\
-                 \"unknown {name} variant `{{__other}}`\"))) }} }}, \
-                 _ => ::std::result::Result::Err(::serde::Error::custom(\
-                 \"expected string or single-key object for {name}\")) }}",
-                unit_arms = unit_arms.join(" "),
-                data_arms = data_arms.join(" "),
+                "match __p.peek() {{ \
+                 ::std::option::Option::Some(b'\"') => {{ \
+                 let __tag = __p.parse_str()?; \
+                 {ok_unit} }} \
+                 ::std::option::Option::Some(b'{{') => {{ \
+                 let __tag = __p.begin_variant({expected:?})?; \
+                 let __value = match &*__tag {{ {data_arms} {unknown} }}; \
+                 __p.end_variant()?; \
+                 ::std::result::Result::Ok(__value) }} \
+                 _ => ::std::result::Result::Err(::serde::Error::custom({expected:?})), }}",
+                ok_unit = ok(format!("match &*__tag {{ {unit_arms} {unknown} }}")),
             );
             (name, body)
         }
     };
     format!(
-        "{}{{ fn deserialize(__value: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}",
+        "{}{{ fn deserialize(__p: &mut ::serde::Parser<'_>) -> \
+         ::std::result::Result<Self, ::serde::Error> {{ {body} }} }}",
         impl_header("Deserialize", name)
     )
 }

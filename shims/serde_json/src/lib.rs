@@ -1,13 +1,14 @@
-//! Offline shim of `serde_json`: prints and parses the shim `serde`
-//! [`Value`] model as JSON.
+//! Offline shim of `serde_json`: prints the shim `serde` [`Value`] model as
+//! JSON and decodes JSON text through the shim's streaming [`Parser`].
 //!
 //! Supports the subset of the real API this workspace uses: [`to_string`],
 //! [`to_writer`], [`from_str`], the [`json!`] macro for object literals, and
-//! an [`Error`] type that wraps I/O and syntax errors.  Number printing uses
-//! Rust's shortest round-trip float formatting, so values survive a
-//! serialise → parse cycle exactly.
+//! an [`Error`] type that wraps I/O and syntax errors.  [`from_str`] reads
+//! typed values straight from the text, without building a [`Value`] tree
+//! first.  Number printing uses Rust's shortest round-trip float
+//! formatting, so values survive a serialise → parse cycle exactly.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Parser, Serialize, Value};
 use std::io::Write;
 
 pub use serde::Error;
@@ -38,7 +39,9 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
 
 /// Serialises `value` to a JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize().to_string())
+    let mut out = String::new();
+    value.serialize().write_json(&mut out);
+    Ok(out)
 }
 
 /// Serialises `value` as JSON into `writer`.
@@ -47,7 +50,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 ///
 /// Returns an error if the underlying writer fails.
 pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<(), Error> {
-    writer.write_all(value.serialize().to_string().as_bytes())?;
+    writer.write_all(to_string(value)?.as_bytes())?;
     Ok(())
 }
 
@@ -55,221 +58,21 @@ pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> R
 ///
 /// # Errors
 ///
-/// Returns an error on malformed JSON or when the parsed value does not
-/// match the shape `T` expects.
+/// Returns an error on malformed JSON, on characters after the value, or
+/// when the value does not match the shape `T` expects — in that order of
+/// precedence, as if the whole text were parsed before `T` looked at it.
 pub fn from_str<T: Deserialize>(input: &str) -> Result<T, Error> {
-    let mut parser = Parser {
-        input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.parse_value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(Error::custom(format!(
-            "trailing characters at offset {}",
-            parser.pos
-        )));
-    }
-    T::deserialize(&value)
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_whitespace(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), Error> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::custom(format!(
-                "expected `{}` at offset {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, keyword: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, Error> {
-        self.skip_whitespace();
-        match self.peek() {
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Null),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::String),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::custom(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::custom(format!("bad array at offset {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::custom(format!("bad object at offset {}", self.pos))),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run of unescaped bytes up to the next `"` or `\` in
-            // one step.  Both delimiters are ASCII, so the run ends on a
-            // char boundary of the input, which is already valid UTF-8.
-            let run = self.bytes[self.pos..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(self.bytes.len() - self.pos);
-            out.push_str(&self.input[self.pos..self.pos + run]);
-            self.pos += run;
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| {
-                                    Error::custom(format!(
-                                        "bad unicode escape at offset {}",
-                                        self.pos
-                                    ))
-                                })?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => {
-                            return Err(Error::custom(format!("bad escape at offset {}", self.pos)))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(Error::custom("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::custom("invalid number"))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| Error::custom(format!("invalid number `{text}`")))
+    let mut parser = Parser::new(input);
+    match T::deserialize(&mut parser) {
+        Ok(value) => parser.end().map(|()| value),
+        Err(shape) => {
+            // A decode stops at its first error; a syntax-only pass over
+            // the whole text finds any syntax error or trailing
+            // characters, which take precedence.
+            let mut syntax = Parser::new(input);
+            syntax.skip_value()?;
+            syntax.end()?;
+            Err(shape)
         }
     }
 }

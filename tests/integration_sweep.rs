@@ -5,11 +5,13 @@
 //! byte-identical JSONL rows modulo row order (rows are sorted by job key
 //! before comparing).
 
+use acmp_store::segment::{scan_record_parts, SegmentName};
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use shared_icache::acmp_sweep::merge::{
     merge_validated, shard_key_schedule, validate_shard_stream,
 };
 use shared_icache::acmp_sweep::{scale_generator, GridSpec, JobKey, ShardSpec, SweepEngine};
+use shared_icache::sim_acmp::SimResult;
 use shared_icache::sim_trace::write_trace_set_json;
 use shared_icache::DesignPoint;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -348,6 +350,52 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
         "offline merge of per-machine streams drifted off the fixture"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The one segment file a cold `sweep run --benchmarks cg,lu --grid fig09`
+/// wrote at `12a84e3`: six result records.  Reading it pins the stored
+/// format.
+fn fig09_store_segment() -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/fig09_store.seg");
+    std::fs::read_to_string(path).expect("committed store segment is readable")
+}
+
+#[test]
+fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
+    let segment = fig09_store_segment();
+    let dir = std::env::temp_dir().join(format!(
+        "acmp-sweep-integration-fixture-store-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let name = SegmentName {
+        generation: 1,
+        pid: 1,
+        seq: 0,
+    };
+    std::fs::write(dir.join(name.file_name()), &segment).unwrap();
+
+    let (_, generator) = fig09_grid();
+    let engine = SweepEngine::builder(generator)
+        .store_dir(&dir)
+        .build()
+        .unwrap();
+    assert_eq!(fig09_bytes(&engine), fig09_fixture());
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.simulated, stats.disk_hits, stats.trace_generated),
+        (0, 6, 0)
+    );
+
+    assert_eq!(segment.lines().count(), 6);
+    for line in segment.lines() {
+        let (_, _, value) = scan_record_parts(line).expect("every record verifies");
+        let result: SimResult = serde_json::from_str(value).unwrap();
+        assert_eq!(serde_json::to_string(&result).unwrap(), value);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
