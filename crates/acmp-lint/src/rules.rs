@@ -123,7 +123,7 @@ impl<'a> Code<'a> {
 /// Wall clocks and thread identity are banned in simulation and storage
 /// code: byte-identical fig09 output across cold/warm/sharded/instrumented
 /// paths depends on nothing reading ambient time.  `acmp-obs` owns the
-/// process clock; `bench` measures wall time by design.
+/// process clock (`acmp_obs::Stopwatch`).
 struct Nondeterminism;
 
 const NONDET_CRATES: &[&str] = &["core", "acmp-sweep", "acmp-store"];

@@ -362,7 +362,11 @@ mod tests {
                 "acmp-obs",
                 FileKind::Test,
             ),
-            ("crates/bench/benches/sweep.rs", "bench", FileKind::Bench),
+            (
+                "crates/sim-cache/benches/lookup.rs",
+                "sim-cache",
+                FileKind::Bench,
+            ),
             ("tests/integration_obs.rs", "core", FileKind::Test),
             ("examples/quickstart.rs", "core", FileKind::Example),
         ];

@@ -36,7 +36,6 @@ fn the_walk_actually_covers_the_workspace() {
         files.len()
     );
     for shim in [
-        "criterion",
         "parking_lot",
         "proptest",
         "rand",

@@ -346,7 +346,7 @@ impl HistogramSnapshot {
 }
 
 /// A frozen, mergeable view of the whole registry — the payload of
-/// `--metrics-out` and of the `metrics` block in `BENCH_*.json`.
+/// `--metrics-out` and of `sweep serve`'s `/stats`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter name → total.

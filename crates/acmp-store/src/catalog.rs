@@ -164,7 +164,9 @@ impl Catalog {
             }
             let digest = meta.digest;
             let line = snapshot.read_record(i)?;
-            let Some((canonical, _, value_json)) = crate::segment::scan_record_parts(&line) else {
+            // Open or refresh verified every record the snapshot pins, and
+            // segments are append-only: cut it without hashing it again.
+            let Some((canonical, _, value_json)) = crate::segment::split_record(&line) else {
                 continue;
             };
             if let Some(row) = row_from_record(digest, &canonical, value_json) {

@@ -552,6 +552,30 @@ mod tests {
     }
 
     #[test]
+    fn a_writer_fingerprints_its_own_records_as_a_fresh_open_does() {
+        let fresh_fingerprint = |store: &DiskStore| {
+            let reopened = DiskStore::open(store.root().to_path_buf()).unwrap();
+            snapshot_fingerprint(&reopened.snapshot().unwrap())
+        };
+        let writer = DiskStore::open(temp_root("fp-writer")).unwrap();
+        writer.save(&result_key("cg", "a"), &value(10)).unwrap();
+        writer.save(&result_key("lu", "a"), &value(20)).unwrap();
+        let saved = snapshot_fingerprint(&writer.snapshot().unwrap());
+        assert_eq!(saved, fresh_fingerprint(&writer), "after save");
+
+        let other = DiskStore::open(temp_root("fp-exporter")).unwrap();
+        other.save(&result_key("ep", "b"), &value(30)).unwrap();
+        other.save(&result_key("cg", "a"), &value(10)).unwrap();
+        let mut bundle = Vec::new();
+        other.export_segments(&mut bundle).unwrap();
+        let stats = writer.import_segments(bundle.as_slice()).unwrap();
+        assert_eq!((stats.imported, stats.skipped), (1, 1));
+        let imported = snapshot_fingerprint(&writer.snapshot().unwrap());
+        assert_ne!(imported, saved);
+        assert_eq!(imported, fresh_fingerprint(&writer), "after import");
+    }
+
+    #[test]
     fn persisted_index_round_trips_and_reports_fresh() {
         let store = DiskStore::open(temp_root("roundtrip")).unwrap();
         for (b, d, c) in [("cg", "a", 10), ("cg", "b", 20), ("lu", "a", 30)] {

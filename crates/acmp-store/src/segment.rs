@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The layout is produced only by [`encode_record`], so readers may rely on
-//! the exact field order and the absence of whitespace: [`scan_record`]
+//! the exact field order and the absence of whitespace: [`scan_record_parts`]
 //! recovers the canonical key and verifies the value checksum *without*
 //! parsing the value, which keeps index construction at store open cheap
 //! however large the values are.  A torn tail (a crash mid-append) or a
@@ -141,19 +141,20 @@ pub fn list_segments(
 }
 
 /// Encodes one record line (no trailing newline) from a canonical key and
-/// the already-serialised value JSON.
+/// the already-serialised value JSON.  Returns the line and the value
+/// checksum it embeds.
 #[must_use]
-pub fn encode_record(canonical: &str, value_json: &str) -> String {
-    let crc = stable_hash::hex(stable_hash::fnv1a(value_json.as_bytes()));
+pub fn encode_record(canonical: &str, value_json: &str) -> (String, u64) {
+    let crc = stable_hash::fnv1a(value_json.as_bytes());
     let mut line = String::with_capacity(canonical.len() + value_json.len() + 48);
     line.push_str("{\"key\":\"");
     escape_into(canonical, &mut line);
     line.push_str("\",\"crc\":\"");
-    line.push_str(&crc);
+    line.push_str(&stable_hash::hex(crc));
     line.push_str("\",\"value\":");
     line.push_str(value_json);
     line.push('}');
-    line
+    (line, crc)
 }
 
 fn escape_into(s: &str, out: &mut String) {
@@ -187,17 +188,11 @@ pub struct ScannedRecord {
     pub crc: u64,
 }
 
-/// Verifies one record line and recovers its canonical key without parsing
-/// the value: the line must have the exact [`encode_record`] layout and the
-/// value bytes must match the embedded checksum.  Returns `None` for torn,
-/// truncated or corrupted lines.
-#[must_use]
-pub fn scan_record(line: &str) -> Option<String> {
-    scan_record_parts(line).map(|(canonical, _, _)| canonical)
-}
-
-/// [`scan_record`], but yielding all three verified parts: the canonical
-/// key, the value checksum, and the raw value JSON slice.
+/// Verifies one record line and cuts it into its canonical key, its value
+/// checksum and its raw value JSON, without parsing the value: the line
+/// must have the exact [`encode_record`] layout and the value bytes must
+/// match the embedded checksum.  Returns `None` for torn, truncated or
+/// corrupted lines.
 #[must_use]
 pub fn scan_record_parts(line: &str) -> Option<(String, u64, &str)> {
     let (canonical, crc, value) = split_record(line)?;
@@ -206,7 +201,8 @@ pub fn scan_record_parts(line: &str) -> Option<(String, u64, &str)> {
 
 /// Cuts a record line into its unescaped canonical key, its checksum and
 /// its raw value JSON, checking the [`encode_record`] layout but not the
-/// checksum: for a record [`scan_record_parts`] already verified.
+/// checksum: for a record [`scan_record_parts`] already verified, such as
+/// any record the store's index holds.
 pub(crate) fn split_record(line: &str) -> Option<(String, u64, &str)> {
     let rest = line.strip_prefix("{\"key\":")?;
     if !rest.starts_with('"') {
@@ -344,22 +340,29 @@ mod tests {
     #[test]
     fn records_encode_and_scan() {
         let canonical = "{\"generator\":{\"seed\":7},\"benchmark\":\"cg\"}";
-        let line = encode_record(canonical, "{\"cycles\":42}");
-        assert_eq!(scan_record(&line).as_deref(), Some(canonical));
+        let (line, crc) = encode_record(canonical, "{\"cycles\":42}");
+        assert_eq!(
+            scan_record_parts(&line),
+            Some((canonical.to_string(), crc, "{\"cycles\":42}"))
+        );
     }
 
     #[test]
     fn corrupted_records_fail_the_scan() {
-        let line = encode_record("{\"k\":1}", "[1,2,3]");
+        let (line, _) = encode_record("{\"k\":1}", "[1,2,3]");
         // Flip a value byte: checksum mismatch.
         let corrupt = line.replace("[1,2,3]", "[1,2,4]");
-        assert_eq!(scan_record(&corrupt), None);
+        assert_eq!(scan_record_parts(&corrupt), None);
         // Torn tail: any truncation breaks the layout or the checksum.
         for cut in 1..line.len() {
-            assert_eq!(scan_record(&line[..line.len() - cut]), None, "cut {cut}");
+            assert_eq!(
+                scan_record_parts(&line[..line.len() - cut]),
+                None,
+                "cut {cut}"
+            );
         }
-        assert_eq!(scan_record(""), None);
-        assert_eq!(scan_record("not a record"), None);
+        assert_eq!(scan_record_parts(""), None);
+        assert_eq!(scan_record_parts("not a record"), None);
     }
 
     #[test]
@@ -367,13 +370,13 @@ mod tests {
         // A crc field corrupted to multibyte text must not panic the
         // scanner on a non-char-boundary split.
         let line = "{\"key\":\"k\",\"crc\":\"ああああああああ\",\"value\":1}";
-        assert_eq!(scan_record(line), None);
+        assert_eq!(scan_record_parts(line), None);
     }
 
     #[test]
     fn scan_segment_skips_bad_lines_and_keeps_offsets() {
-        let a = encode_record("key-a", "1");
-        let b = encode_record("key-b", "[2]");
+        let (a, _) = encode_record("key-a", "1");
+        let (b, _) = encode_record("key-b", "[2]");
         let text = format!("{a}\ngarbage line\n{b}\n{}", &a[..a.len() - 3]);
         let records = scan_segment(text.as_bytes());
         assert_eq!(records.len(), 2);
@@ -391,8 +394,8 @@ mod tests {
 
     #[test]
     fn invalid_utf8_lines_are_skipped_with_exact_offsets() {
-        let a = encode_record("key-a", "1");
-        let b = encode_record("key-b", "2");
+        let (a, _) = encode_record("key-a", "1");
+        let (b, _) = encode_record("key-b", "2");
         let mut bytes = Vec::new();
         bytes.extend_from_slice(a.as_bytes());
         bytes.push(b'\n');
@@ -409,7 +412,10 @@ mod tests {
     #[test]
     fn escaped_keys_survive() {
         let canonical = "line\none\t\"quoted\" \\ backslash \u{1} control";
-        let line = encode_record(canonical, "null");
-        assert_eq!(scan_record(&line).as_deref(), Some(canonical));
+        let (line, crc) = encode_record(canonical, "null");
+        assert_eq!(
+            scan_record_parts(&line),
+            Some((canonical.to_string(), crc, "null"))
+        );
     }
 }

@@ -346,21 +346,24 @@ impl DiskStore {
     /// append is truncated away, so it cannot be observed by later opens.
     pub fn save<V: Serialize>(&self, key: &dyn StoreKey, value: &V) -> Result<(), serde::Error> {
         let value_json = serde_json::to_string(value)?;
-        let mut line = segment::encode_record(key.canonical(), &value_json);
+        let (mut line, crc) = segment::encode_record(key.canonical(), &value_json);
         line.push('\n');
         let mut inner = self.inner.lock();
-        self.append_record_line(&mut inner, key.canonical(), &line)
+        self.append_record_line(&mut inner, key.canonical(), crc, &line)
             .map_err(serde::Error::from)
     }
 
     /// Appends one already-encoded record line (newline included) to the
-    /// active segment and indexes it.  Shared by [`save`](Self::save) and
-    /// [`import_segments`](Self::import_segments), which receives its lines
-    /// pre-encoded from another store's export.
+    /// active segment and indexes it under its value checksum `crc`.
+    /// Shared by [`save`](Self::save), which has just computed `crc` to
+    /// encode the line, and [`import_segments`](Self::import_segments),
+    /// which receives its lines pre-encoded from another store's export
+    /// and has verified each against its `crc`.
     fn append_record_line(
         &self,
         inner: &mut Inner,
         canonical: &str,
+        crc: u64,
         line: &str,
     ) -> std::io::Result<()> {
         let _span = acmp_obs::span!(acmp_obs::names::STORE_APPEND);
@@ -395,9 +398,6 @@ impl DiskStore {
         // a second time.
         inner.folded[segment] = offset + line.len() as u64;
         let record_len = line.len() as u64 - 1;
-        let crc = segment::scan_record_parts(line.trim_end_matches('\n'))
-            .map(|(_, crc, _)| crc)
-            .unwrap_or(0);
         let entry = IndexEntry {
             canonical: canonical.to_string(),
             segment,
@@ -520,7 +520,7 @@ impl DiskStore {
         // String on top of it.
         let mut span = acmp_obs::span!(acmp_obs::names::STORE_IMPORT);
         let mut folded = crate::stable_hash::fnv1a_init();
-        let mut verified: Vec<(String, String)> = Vec::new();
+        let mut verified: Vec<(String, u64, String)> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
         let mut body_bytes = 0u64;
         loop {
@@ -532,15 +532,16 @@ impl DiskStore {
             folded = crate::stable_hash::fnv1a_fold(folded, &buf);
             let bytes = buf.strip_suffix(b"\n").unwrap_or(&buf);
             let record = std::str::from_utf8(bytes).ok().and_then(|text| {
-                segment::scan_record(text).map(|canonical| (canonical, text.to_string()))
+                segment::scan_record_parts(text)
+                    .map(|(canonical, crc, _)| (canonical, crc, text.to_string()))
             });
-            let Some((canonical, line)) = record else {
+            let Some(record) = record else {
                 return Err(invalid(format!(
                     "export record {} fails verification; nothing was imported",
                     verified.len() + 1
                 )));
             };
-            verified.push((canonical, line));
+            verified.push(record);
         }
         if folded != digest {
             return Err(invalid(
@@ -562,7 +563,7 @@ impl DiskStore {
             ..ImportStats::default()
         };
         let mut inner = self.inner.lock();
-        for (canonical, line) in verified {
+        for (canonical, crc, line) in verified {
             let key_digest = crate::stable_hash::fnv1a(canonical.as_bytes());
             let already_live = inner
                 .index
@@ -574,7 +575,7 @@ impl DiskStore {
             }
             let mut line = line;
             line.push('\n');
-            self.append_record_line(&mut inner, &canonical, &line)?;
+            self.append_record_line(&mut inner, &canonical, crc, &line)?;
             stats.imported += 1;
         }
         span.record_field("imported", stats.imported);
@@ -1046,7 +1047,7 @@ mod tests {
         let path = root.join(name.file_name());
         let mut file = File::create(&path).unwrap();
         reader.refresh();
-        let record = segment::encode_record(key("cg").canonical(), "7");
+        let (record, _) = segment::encode_record(key("cg").canonical(), "7");
         let (head, tail) = record.split_at(record.len() / 2);
         file.write_all(head.as_bytes()).unwrap();
         assert_eq!(reader.refresh(), 0, "a torn tail is not folded");

@@ -12,9 +12,8 @@
 //!   * `lb:8` — the baseline with the given number of line buffers
 //!   * `shared:16:4:double` — cpc = 8 sharing with `<KiB>:<line
 //!     buffers>:<single|double>`
-//!   * `figN` presets (`fig07`, `fig09`, `fig10`, `fig11`, `fig12`,
-//!     `fig13`) — exactly the design list the corresponding paper figure
-//!     sweeps.
+//!   * `figNN` presets (`fig07` … `fig13`) — exactly the design list the
+//!     corresponding paper figure sweeps ([`figure_designs`]).
 
 use crate::design_point::DesignPoint;
 use crate::design_point::DesignPointError;
@@ -79,7 +78,7 @@ impl GridSpec {
 }
 
 /// The six-workload subset used by quick/CI runs.  This is the single
-/// definition: `bench_harness::Scale::Quick` delegates here.
+/// definition: the `figures` binary's quick scale delegates here.
 #[must_use]
 pub fn quick_benchmarks() -> Vec<Benchmark> {
     vec![
@@ -128,7 +127,12 @@ fn parse_designs(spec: &str) -> Result<Vec<DesignPoint>, String> {
     Ok(deduped)
 }
 
-fn parse_design_token(token: &str) -> Result<Vec<DesignPoint>, String> {
+/// The design list paper figure `id` (`fig07` … `fig13`) sweeps, in the
+/// order its table reads the columns; `None` for any other id.  This is the
+/// one definition of each list: the `figNN` design-spec presets parse from
+/// it, and `shared_icache::figures` computes each grid figure over it.
+#[must_use]
+pub fn figure_designs(id: &str) -> Option<Vec<DesignPoint>> {
     // Presets use statically known-good parameters, so the fallible
     // constructors cannot fail here.
     // acmp-lint: allow(unwrap-in-lib) -- preset constructor arguments are compile-time constants
@@ -141,38 +145,40 @@ fn parse_design_token(token: &str) -> Result<Vec<DesignPoint>, String> {
             // acmp-lint: allow(unwrap-in-lib) -- preset constructor arguments are compile-time constants
             .expect("preset line-buffer count is valid")
     };
-
-    // Figure presets: the exact design lists the paper's figures sweep.
-    let preset = match token {
-        "fig07" => Some(vec![DesignPoint::baseline(), naive(2), naive(4), naive(8)]),
-        "fig08" => Some(vec![DesignPoint::baseline(), naive(8)]),
-        "fig09" => Some(vec![lb(2), lb(4), lb(8)]),
-        "fig10" => Some(vec![
+    let designs = match id {
+        "fig07" => vec![DesignPoint::baseline(), naive(2), naive(4), naive(8)],
+        "fig08" => vec![DesignPoint::baseline(), naive(8)],
+        "fig09" => vec![lb(2), lb(4), lb(8)],
+        "fig10" => vec![
             DesignPoint::baseline(),
             shared(16, 4, BusWidth::Single),
             shared(16, 8, BusWidth::Single),
             shared(16, 4, BusWidth::Double),
-        ]),
-        "fig11" => Some(vec![
+        ],
+        "fig11" => vec![
             DesignPoint::baseline(),
             shared(32, 4, BusWidth::Double),
             shared(16, 4, BusWidth::Double),
-        ]),
-        "fig12" => Some(vec![
+        ],
+        "fig12" => vec![
             DesignPoint::baseline(),
             shared(16, 4, BusWidth::Single),
             shared(16, 4, BusWidth::Double),
             shared(16, 8, BusWidth::Single),
             shared(16, 8, BusWidth::Double),
-        ]),
-        "fig13" => Some(vec![
+        ],
+        "fig13" => vec![
             DesignPoint::worker_shared_32k_double(),
             DesignPoint::all_shared(),
             DesignPoint::all_shared_single_bus(),
-        ]),
-        _ => None,
+        ],
+        _ => return None,
     };
-    if let Some(points) = preset {
+    Some(designs)
+}
+
+fn parse_design_token(token: &str) -> Result<Vec<DesignPoint>, String> {
+    if let Some(points) = figure_designs(token) {
         return Ok(points);
     }
 

@@ -3,7 +3,6 @@
 //! private-I-cache baseline.
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -32,32 +31,18 @@ pub struct Figure7 {
 
 /// Runs the baseline and the three naive-sharing configurations.
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure7 {
-    // One grid sweep at (benchmark × design) job granularity; the row
-    // assembly below reads the warm cache.
-    let designs = [
-        DesignPoint::baseline(),
-        DesignPoint::naive_shared(2).expect("figure cpc is valid"),
-        DesignPoint::naive_shared(4).expect("figure cpc is valid"),
-        DesignPoint::naive_shared(8).expect("figure cpc is valid"),
-    ];
-    engine.run_grid(benchmarks, &designs);
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let baseline = engine.simulate(b, &DesignPoint::baseline());
-            let norm = |cpc: usize| {
-                let r = engine.simulate(
-                    b,
-                    &DesignPoint::naive_shared(cpc).expect("figure cpc is valid"),
-                );
-                r.cycles as f64 / baseline.cycles as f64
-            };
+    let (designs, cells) = super::run_figure_grid(engine, "fig07", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let baseline = cells[0].result.cycles;
+            let norm = |i: usize| cells[i].result.cycles as f64 / baseline as f64;
             Figure7Row {
-                benchmark: b,
-                baseline_cycles: baseline.cycles,
-                cpc2: norm(2),
-                cpc4: norm(4),
-                cpc8: norm(8),
+                benchmark: cells[0].benchmark,
+                baseline_cycles: baseline,
+                cpc2: norm(1),
+                cpc4: norm(2),
+                cpc8: norm(3),
             }
         })
         .collect();

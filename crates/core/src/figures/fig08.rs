@@ -8,7 +8,6 @@
 //! misses and the rest.
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -56,21 +55,11 @@ pub struct Figure8 {
 /// Runs the baseline and the cpc = 8 naive-sharing configuration and splits
 /// the cycle difference by stall cause.
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure8 {
-    engine.run_grid(
-        benchmarks,
-        &[
-            DesignPoint::baseline(),
-            DesignPoint::naive_shared(8).expect("figure cpc is valid"),
-        ],
-    );
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let baseline = engine.simulate(b, &DesignPoint::baseline());
-            let shared = engine.simulate(
-                b,
-                &DesignPoint::naive_shared(8).expect("figure cpc is valid"),
-            );
+    let (designs, cells) = super::run_figure_grid(engine, "fig08", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let (baseline, shared) = (&cells[0].result, &cells[1].result);
             let base_cycles = baseline.cycles as f64;
 
             let base_stack = baseline.worker_cpi_stack();
@@ -90,7 +79,7 @@ pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure8 {
                 (total - 1.0 - ibus_latency - ibus_congestion - icache_latency - branch_miss)
                     .max(0.0);
             Figure8Row {
-                benchmark: b,
+                benchmark: cells[0].benchmark,
                 baseline_cpi: 1.0,
                 ibus_latency,
                 ibus_congestion,

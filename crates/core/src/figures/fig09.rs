@@ -2,7 +2,6 @@
 //! the total number of line fetch requests) for 2, 4 and 8 line buffers.
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -30,30 +29,16 @@ pub struct Figure9 {
 /// Measures the worker cores' access ratio on the baseline machine with 2,
 /// 4 and 8 line buffers.
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure9 {
-    let designs: Vec<DesignPoint> = [2, 4, 8]
-        .iter()
-        .map(|&n| {
-            DesignPoint::baseline()
-                .with_line_buffers(n)
-                .expect("figure line-buffer count is valid")
-        })
-        .collect();
-    engine.run_grid(benchmarks, &designs);
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let ratio = |n: usize| {
-                let design = DesignPoint::baseline()
-                    .with_line_buffers(n)
-                    .expect("figure line-buffer count is valid");
-                let r = engine.simulate(b, &design);
-                r.worker_access_ratio() * 100.0
-            };
+    let (designs, cells) = super::run_figure_grid(engine, "fig09", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let ratio = |i: usize| cells[i].result.worker_access_ratio() * 100.0;
             Figure9Row {
-                benchmark: b,
-                lb2_percent: ratio(2),
-                lb4_percent: ratio(4),
-                lb8_percent: ratio(8),
+                benchmark: cells[0].benchmark,
+                lb2_percent: ratio(0),
+                lb4_percent: ratio(1),
+                lb8_percent: ratio(2),
             }
         })
         .collect();

@@ -3,11 +3,9 @@
 //! private-32 KB baseline.
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
-use sim_acmp::BusWidth;
 
 /// One benchmark's normalized execution times for the three cpc = 8 design
 /// alternatives.
@@ -32,31 +30,17 @@ pub struct Figure10 {
 
 /// Runs the three cpc = 8 / 16 KB design alternatives against the baseline.
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure10 {
-    let designs = [
-        DesignPoint::baseline(),
-        DesignPoint::shared(16, 4, BusWidth::Single).expect("figure design is valid"),
-        DesignPoint::shared(16, 8, BusWidth::Single).expect("figure design is valid"),
-        DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
-    ];
-    engine.run_grid(benchmarks, &designs);
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let baseline = engine.simulate(b, &DesignPoint::baseline());
-            let norm = |design: &DesignPoint| {
-                engine.simulate(b, design).cycles as f64 / baseline.cycles as f64
-            };
+    let (designs, cells) = super::run_figure_grid(engine, "fig10", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let baseline = cells[0].result.cycles;
+            let norm = |i: usize| cells[i].result.cycles as f64 / baseline as f64;
             Figure10Row {
-                benchmark: b,
-                naive_4lb_single: norm(
-                    &DesignPoint::shared(16, 4, BusWidth::Single).expect("figure design is valid"),
-                ),
-                more_buffers_8lb_single: norm(
-                    &DesignPoint::shared(16, 8, BusWidth::Single).expect("figure design is valid"),
-                ),
-                more_bandwidth_4lb_double: norm(
-                    &DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
-                ),
+                benchmark: cells[0].benchmark,
+                naive_4lb_single: norm(1),
+                more_buffers_8lb_single: norm(2),
+                more_bandwidth_4lb_double: norm(3),
             }
         })
         .collect();

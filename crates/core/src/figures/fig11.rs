@@ -4,11 +4,9 @@
 //! to each benchmark (the labels above the paper's bars).
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
-use sim_acmp::BusWidth;
 
 /// One benchmark's miss-analysis row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,39 +32,25 @@ pub struct Figure11 {
 /// Runs the baseline and the two shared-capacity configurations (cpc = 8,
 /// double bus so bandwidth does not perturb the miss behaviour).
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure11 {
-    let designs = [
-        DesignPoint::baseline(),
-        DesignPoint::shared(32, 4, BusWidth::Double).expect("figure design is valid"),
-        DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
-    ];
-    engine.run_grid(benchmarks, &designs);
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let private = engine.simulate(b, &DesignPoint::baseline());
-            let shared32 = engine.simulate(
-                b,
-                &DesignPoint::shared(32, 4, BusWidth::Double).expect("figure design is valid"),
-            );
-            let shared16 = engine.simulate(
-                b,
-                &DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
-            );
-            let base = private.worker_icache_mpki();
-            let percent = |mpki: f64| {
+    let (designs, cells) = super::run_figure_grid(engine, "fig11", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let base = cells[0].result.worker_icache_mpki();
+            let percent = |i: usize| {
                 if base <= 0.0 {
                     // The paper's bars are also near-meaningless when the
                     // baseline MPKI is 0.00; report 100% (no change).
                     100.0
                 } else {
-                    mpki / base * 100.0
+                    cells[i].result.worker_icache_mpki() / base * 100.0
                 }
             };
             Figure11Row {
-                benchmark: b,
+                benchmark: cells[0].benchmark,
                 private_mpki: base,
-                shared_32k_percent: percent(shared32.worker_icache_mpki()),
-                shared_16k_percent: percent(shared16.worker_icache_mpki()),
+                shared_32k_percent: percent(1),
+                shared_16k_percent: percent(2),
             }
         })
         .collect();

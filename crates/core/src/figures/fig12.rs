@@ -8,7 +8,7 @@ use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use power_model::ClusterActivity;
 use serde::{Deserialize, Serialize};
-use sim_acmp::{BusWidth, SimResult};
+use sim_acmp::SimResult;
 
 /// One design point's normalized execution time, energy and area.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,33 +49,21 @@ fn activity(result: &SimResult) -> ClusterActivity {
 /// Runs every benchmark on the baseline and the four cpc = 8 design points
 /// and averages the normalized metrics.
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure12 {
-    let designs = [
-        DesignPoint::baseline(),
-        DesignPoint::shared(16, 4, BusWidth::Single).expect("figure design is valid"),
-        DesignPoint::shared(16, 4, BusWidth::Double).expect("figure design is valid"),
-        DesignPoint::shared(16, 8, BusWidth::Single).expect("figure design is valid"),
-        DesignPoint::shared(16, 8, BusWidth::Double).expect("figure design is valid"),
-    ];
-    // One engine-level fan-out over the whole 5-design grid; the per-design
-    // loop below then reads the warm cache.
-    engine.run_grid(benchmarks, &designs);
-
+    let (designs, cells) = super::run_figure_grid(engine, "fig12", benchmarks);
     let num_workers = engine.simulated_workers();
     let baseline_design = designs[0].cluster_design(num_workers);
     let baseline_area = baseline_design.area().total_mm2();
 
     let mut rows = Vec::new();
-    for design in &designs {
+    for (d, design) in designs.iter().enumerate() {
         let cluster = design.cluster_design(num_workers);
-        let outcome = engine.run_grid(benchmarks, std::slice::from_ref(design));
-
         let mut time_ratios = Vec::new();
         let mut energy_ratios = Vec::new();
-        for row in &outcome.rows {
-            let baseline = engine.simulate(row.benchmark, &designs[0]);
-            let base_energy = baseline_design.energy(&activity(&baseline)).total_mj();
-            let energy = cluster.energy(&activity(&row.result)).total_mj();
-            time_ratios.push(row.result.cycles as f64 / baseline.cycles as f64);
+        for cells in cells.chunks(designs.len()) {
+            let (baseline, result) = (&cells[0].result, &cells[d].result);
+            let base_energy = baseline_design.energy(&activity(baseline)).total_mj();
+            let energy = cluster.energy(&activity(result)).total_mj();
+            time_ratios.push(result.cycles as f64 / baseline.cycles as f64);
             energy_ratios.push(energy / base_energy);
         }
 

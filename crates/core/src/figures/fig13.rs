@@ -3,7 +3,6 @@
 //! fraction.
 
 use crate::report::TextTable;
-use crate::DesignPoint;
 use acmp_sweep::SweepEngine;
 use hpc_workloads::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -62,23 +61,17 @@ pub fn group_of(benchmark: Benchmark) -> Figure13Group {
 /// Runs the worker-shared and all-shared configurations (32 KB shared cache
 /// so capacity does not confound the master's join).
 pub fn compute(engine: &SweepEngine, benchmarks: &[Benchmark]) -> Figure13 {
-    let designs = [
-        DesignPoint::worker_shared_32k_double(),
-        DesignPoint::all_shared(),
-        DesignPoint::all_shared_single_bus(),
-    ];
-    engine.run_grid(benchmarks, &designs);
-    let rows = benchmarks
-        .iter()
-        .map(|&b| {
-            let worker_shared = engine.simulate(b, &DesignPoint::worker_shared_32k_double());
-            let all_shared = engine.simulate(b, &DesignPoint::all_shared());
-            let all_shared_single = engine.simulate(b, &DesignPoint::all_shared_single_bus());
+    let (designs, cells) = super::run_figure_grid(engine, "fig13", benchmarks);
+    let rows = cells
+        .chunks(designs.len())
+        .map(|cells| {
+            let b = cells[0].benchmark;
+            let worker_shared = cells[0].result.cycles as f64;
             Figure13Row {
                 benchmark: b,
                 serial_percent: b.profile().serial_fraction * 100.0,
-                ratio_double_bus: all_shared.cycles as f64 / worker_shared.cycles as f64,
-                ratio_single_bus: all_shared_single.cycles as f64 / worker_shared.cycles as f64,
+                ratio_double_bus: cells[1].result.cycles as f64 / worker_shared,
+                ratio_single_bus: cells[2].result.cycles as f64 / worker_shared,
                 group: group_of(b),
             }
         })

@@ -5,8 +5,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const COLD_ENGINE: &str = "[engine] simulated 84, memory-hits 234, disk-hits 0, trace-gens 6";
-const WARM_ENGINE: &str = "[engine] simulated 0, memory-hits 234, disk-hits 84, trace-gens 6";
+const COLD_ENGINE: &str = "[engine] simulated 84, memory-hits 60, disk-hits 0, trace-gens 6";
+const WARM_ENGINE: &str = "[engine] simulated 0, memory-hits 60, disk-hits 84, trace-gens 6";
 
 /// A fresh working directory, so `target/sweep-cache` under it starts cold.
 fn temp_dir(tag: &str) -> PathBuf {
@@ -100,21 +100,39 @@ fn an_unopenable_store_logs_why_and_runs_without_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_misspelt_scale_exits_2_without_running() {
-    let dir = temp_dir("bad-scale");
+/// Runs `figures` with `args` at `scale` in a fresh directory, expecting a
+/// refusal: exit 2, nothing on stdout and no result store opened.  Returns
+/// the log.
+fn refused_run(tag: &str, args: &[&str], scale: &str) -> String {
+    let dir = temp_dir(tag);
     let output = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .arg("table01")
-        .env("FIGURE_SCALE", "Quick")
+        .args(args)
+        .env("FIGURE_SCALE", scale)
         .current_dir(&dir)
         .output()
         .expect("figures binary runs");
     let stderr = String::from_utf8(output.stderr).unwrap();
     assert_eq!(output.status.code(), Some(2), "stderr:\n{stderr}");
     assert!(output.stdout.is_empty(), "no table is printed");
+    assert!(!dir.join("target").exists(), "no result store is opened");
+    let _ = std::fs::remove_dir_all(&dir);
+    stderr
+}
+
+#[test]
+fn a_misspelt_scale_exits_2_without_running() {
+    let stderr = refused_run("bad-scale", &["table01"], "Quick");
     assert!(
         stderr.contains("`Quick`") && stderr.contains("quick, paper"),
         "the error names the value and the accepted scales: {stderr}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_id_exits_2_before_running_anything() {
+    let stderr = refused_run("bad-id", &["all", "bogus"], "quick");
+    assert!(
+        stderr.contains("`bogus`") && stderr.contains("fig01") && stderr.contains("table01"),
+        "the error names the id and lists the valid ones: {stderr}"
+    );
 }
