@@ -9,11 +9,11 @@
 //! records and foreign keys are excluded.
 //!
 //! A [`Catalog`] is opened against a [`StoreSnapshot`], so its row set is
-//! one coherent generation view.  Opening first tries the persisted
-//! secondary index (see [`crate::index`]): when the index's fingerprint
-//! matches the snapshot's live result set, rows and postings are loaded
-//! without touching a single segment value; otherwise the catalog is built
-//! by scanning the snapshot's record values (each fetch counted by
+//! one coherent generation view.  Opening first tries the persisted index
+//! (see [`crate::index`]): when the index's fingerprint matches the
+//! snapshot's live result set, the rows are loaded without touching a
+//! single segment value; otherwise the catalog is built by scanning the
+//! snapshot's record values (each fetch counted by
 //! `acmp_obs::names::STORE_VALUE_READS`) and can then be
 //! [persisted](Catalog::persist) for the next opener.
 
@@ -23,7 +23,6 @@ use crate::snapshot::StoreSnapshot;
 use crate::stable_hash;
 use crate::store::DiskStore;
 use serde::Value;
-use std::collections::BTreeMap;
 use std::io;
 
 /// Whether a canonical key names a sweep *result* record (as opposed to a
@@ -100,22 +99,18 @@ pub enum CatalogSource {
     Scan,
 }
 
-/// The typed, queryable view over a snapshot's result records: digest-sorted
-/// [`ResultRow`]s plus the term postings the query planner intersects.
+/// The typed, queryable view over a snapshot's result records: its
+/// digest-sorted [`ResultRow`]s.
 #[derive(Debug)]
 pub struct Catalog {
     rows: Vec<ResultRow>,
-    /// Term → sorted row ordinals.  Terms are the equality facets
-    /// (`benchmark=cg`, `family=private`, `design=…`, `scale=…`) and the
-    /// bucketed metric facets (`cycles#20`).
-    postings: BTreeMap<String, Vec<u32>>,
     fingerprint: u64,
     source: CatalogSource,
 }
 
 impl Catalog {
     /// Opens the catalog for `store`: snapshots the live record set, then
-    /// loads the persisted secondary index if its fingerprint matches, or
+    /// loads the persisted index if its fingerprint matches, or
     /// builds rows by scanning the snapshot's record values otherwise.
     ///
     /// # Errors
@@ -135,19 +130,15 @@ impl Catalog {
     /// a build.
     pub fn open_at(store: &DiskStore, snapshot: &StoreSnapshot) -> io::Result<Catalog> {
         let fingerprint = index::snapshot_fingerprint(snapshot);
-        if let Some((rows, postings)) = index::load_index(store.root(), fingerprint) {
+        if let Some(rows) = index::load_index(store.root(), fingerprint) {
             return Ok(Catalog {
                 rows,
-                postings,
                 fingerprint,
                 source: CatalogSource::Index,
             });
         }
-        let rows = Self::scan_rows(snapshot)?;
-        let postings = index::build_postings(&rows);
         Ok(Catalog {
-            rows,
-            postings,
+            rows: Self::scan_rows(snapshot)?,
             fingerprint,
             source: CatalogSource::Scan,
         })
@@ -183,18 +174,6 @@ impl Catalog {
         &self.rows
     }
 
-    /// Term postings (sorted row ordinals per term).
-    #[must_use]
-    pub(crate) fn postings(&self) -> &BTreeMap<String, Vec<u32>> {
-        &self.postings
-    }
-
-    /// Number of distinct posting terms (facet values plus metric buckets).
-    #[must_use]
-    pub fn terms(&self) -> usize {
-        self.postings.len()
-    }
-
     /// The key-index fingerprint this catalog corresponds to.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -220,9 +199,8 @@ impl Catalog {
         index::write_index(store, self)
     }
 
-    /// Answers `query` entirely from the catalog: postings intersection for
-    /// the facet filters, bucket pruning plus exact comparison for metric
-    /// filters, then top-k ranking by the requested metric.
+    /// Answers `query` entirely from the catalog: one pass keeps the rows
+    /// every filter admits, then top-k ranking by the requested metric.
     #[must_use]
     pub fn query(&self, query: &Query) -> Vec<QueryHit<'_>> {
         crate::query::run(self, query)
@@ -260,14 +238,14 @@ impl Catalog {
         if self.rows.is_empty() {
             return Ok(());
         }
-        let known = self.known_metrics();
+        // The vocabulary is built only for the error message.
         let check = |metric: &str| {
-            if known.binary_search(&metric).is_ok() {
+            if self.rows.iter().any(|row| row.metric_f64(metric).is_some()) {
                 Ok(())
             } else {
                 Err(format!(
                     "unknown metric `{metric}` (no row carries it); known metrics: {}",
-                    known.join(", ")
+                    self.known_metrics().join(", ")
                 ))
             }
         };

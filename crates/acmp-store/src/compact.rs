@@ -25,7 +25,7 @@
 //! them.)
 //!
 //! Compaction copies records byte-identically, so the content fingerprint
-//! the secondary indexes are validated against (see [`crate::index`]) is
+//! the persisted index is validated against (see [`crate::index`]) is
 //! unchanged by it — a persisted index stays valid across a compact, and
 //! `sweep store compact` still rebuilds it afterwards so the on-disk index
 //! segment always reflects a single deterministic build of the current

@@ -1,16 +1,10 @@
-//! Persisted secondary indexes: sorted postings (or bitmaps) over the
-//! catalog's facets, written as index segments beside the data segments.
+//! The persisted catalog: the [`ResultRow`] set written as an index
+//! segment beside the data segments, so a warm opener reads no values.
 //!
-//! An index segment (`idx-<gen>-<pid>-<seq>.idx`) holds the complete
-//! [`ResultRow`] set plus a postings list per *term*:
-//!
-//! * equality facets — `benchmark=cg`, `family=worker-shared`,
-//!   `design=baseline-2lb`, `scale=<16-hex generator digest>`;
-//! * bucketed metric facets — `cycles#20`, where the bucket is the
-//!   metric value's binary exponent (see [`metric_bucket`]).
-//!
-//! Dense terms store their row ordinals as a bitmap of 64-bit words
-//! instead of a sorted list, whichever is smaller.
+//! An index segment (`idx-<gen>-<pid>-<seq>.idx`) is a header line,
+//! `acmp-store-index 2 <rows> <fingerprint> <body digest>`, followed by one
+//! JSON line per digest-sorted row.  The index is only a cache: a file of
+//! any other format version reads as stale, and the next scan replaces it.
 //!
 //! The file is self-validating: its header carries a **fingerprint** of
 //! the key index it was built from (folded over the digest-sorted result
@@ -28,7 +22,6 @@ use crate::snapshot::StoreSnapshot;
 use crate::stable_hash;
 use crate::store::DiskStore;
 use serde::Value;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,9 +33,9 @@ pub const INDEX_EXT: &str = "idx";
 pub const INDEX_MAGIC: &str = "acmp-store-index";
 
 /// Index segment format version.
-pub const INDEX_FORMAT_VERSION: u32 = 1;
+pub const INDEX_FORMAT_VERSION: u32 = 2;
 
-/// Freshness of the persisted secondary index relative to the key index.
+/// Freshness of the persisted index relative to the key index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexStatus {
     /// No index segment exists.
@@ -65,32 +58,15 @@ impl IndexStatus {
     }
 }
 
-/// Shape of the persisted secondary index, as reported by `store stats`.
+/// Size and freshness of the persisted index, as reported by `store stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
     /// Index segment files on disk.
     pub files: u64,
     /// Result rows in the newest index segment.
     pub rows: u64,
-    /// Postings lists in the newest index segment.
-    pub postings: u64,
-    /// Distinct bucketed metric terms among those postings.
-    pub buckets: u64,
     /// Freshness relative to the live key index.
     pub status: IndexStatus,
-}
-
-/// The bucket a metric value indexes under: the value's unbiased binary
-/// exponent for positive values, `-1` for zero, negatives and NaN.  Pure
-/// bit extraction, so identical on every platform — a prerequisite for
-/// byte-stable index segments.
-#[must_use]
-pub fn metric_bucket(v: f64) -> i64 {
-    if v > 0.0 {
-        ((v.to_bits() >> 52) & 0x7ff) as i64 - 1023
-    } else {
-        -1
-    }
 }
 
 /// Fingerprint of a snapshot's result records: an fnv1a fold over the
@@ -109,27 +85,6 @@ pub fn snapshot_fingerprint(snapshot: &StoreSnapshot) -> u64 {
         acc = stable_hash::fnv1a_fold(acc, &meta.crc.to_le_bytes());
     }
     acc
-}
-
-/// Builds the term → sorted-row-ordinals postings for a digest-sorted row
-/// set.  Terms are lowercase; metric terms use `<metric>#<bucket>`.
-#[must_use]
-pub(crate) fn build_postings(rows: &[ResultRow]) -> BTreeMap<String, Vec<u32>> {
-    let mut postings: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        let ordinal = i as u32;
-        let mut add = |term: String| postings.entry(term).or_default().push(ordinal);
-        add(format!("benchmark={}", row.benchmark.to_ascii_lowercase()));
-        add(format!("family={}", row.family.to_ascii_lowercase()));
-        add(format!("design={}", row.design.to_ascii_lowercase()));
-        add(format!("scale={}", row.scale.to_ascii_lowercase()));
-        for (name, value) in &row.metrics {
-            if let Some(v) = crate::catalog::number(value) {
-                add(format!("{name}#{}", metric_bucket(v)));
-            }
-        }
-    }
-    postings
 }
 
 /// File name of an index segment. Mirrors the data segment scheme with a
@@ -160,9 +115,9 @@ fn list_index_files(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// Parsed header of an index segment: `(rows, postings, fingerprint,
-/// body digest)`.
-fn parse_header(line: &str) -> Option<(u64, u64, u64, u64)> {
+/// Parsed header of an index segment: `(rows, fingerprint, body digest)`.
+/// A header of any other format version does not parse.
+fn parse_header(line: &str) -> Option<(u64, u64, u64)> {
     let mut parts = line.split(' ');
     if parts.next() != Some(INDEX_MAGIC) {
         return None;
@@ -171,13 +126,12 @@ fn parse_header(line: &str) -> Option<(u64, u64, u64, u64)> {
         return None;
     }
     let rows = parts.next()?.parse().ok()?;
-    let postings = parts.next()?.parse().ok()?;
     let fingerprint = parse_hex(parts.next()?)?;
     let body = parse_hex(parts.next()?)?;
     if parts.next().is_some() {
         return None;
     }
-    Some((rows, postings, fingerprint, body))
+    Some((rows, fingerprint, body))
 }
 
 fn parse_hex(s: &str) -> Option<u64> {
@@ -233,75 +187,6 @@ fn decode_row(line: &str) -> Option<ResultRow> {
     })
 }
 
-/// Serialises one postings list, choosing the smaller of a sorted ordinal
-/// list (~32 bits per row) and a bitmap over the row universe (1 bit per
-/// row).
-fn encode_posting(term: &str, ordinals: &[u32], universe: usize) -> String {
-    let as_bitmap = ordinals.len() * 32 > universe;
-    let payload = if as_bitmap {
-        let words = universe.div_ceil(64);
-        let mut bits = vec![0u64; words];
-        for &o in ordinals {
-            bits[o as usize / 64] |= 1u64 << (o as usize % 64);
-        }
-        (
-            "bitmap".to_string(),
-            Value::Array(
-                bits.into_iter()
-                    .map(|w| Value::String(stable_hash::hex(w)))
-                    .collect(),
-            ),
-        )
-    } else {
-        (
-            "rows".to_string(),
-            Value::Array(
-                ordinals
-                    .iter()
-                    .map(|&o| Value::UInt(u64::from(o)))
-                    .collect(),
-            ),
-        )
-    };
-    Value::Object(vec![
-        ("term".to_string(), Value::String(term.to_string())),
-        payload,
-    ])
-    .to_string()
-}
-
-fn decode_posting(line: &str) -> Option<(String, Vec<u32>)> {
-    let v: Value = serde_json::from_str(line).ok()?;
-    let fields = v.as_object()?;
-    let term = serde::get_field(fields, "term").ok()?.as_str()?.to_string();
-    if let Ok(rows) = serde::get_field(fields, "rows") {
-        let Value::Array(items) = rows else {
-            return None;
-        };
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                Value::UInt(n) => out.push(u32::try_from(*n).ok()?),
-                _ => return None,
-            }
-        }
-        return Some((term, out));
-    }
-    let Value::Array(words) = serde::get_field(fields, "bitmap").ok()? else {
-        return None;
-    };
-    let mut out = Vec::new();
-    for (w, word) in words.iter().enumerate() {
-        let mut bits = parse_hex(word.as_str()?)?;
-        while bits != 0 {
-            let b = bits.trailing_zeros();
-            out.push(u32::try_from(w * 64 + b as usize).ok()?);
-            bits &= bits - 1;
-        }
-    }
-    Some((term, out))
-}
-
 /// Writes `catalog` as a new index segment under the store directory and
 /// retires every older index segment.  Returns the new file's path.
 ///
@@ -311,20 +196,14 @@ fn decode_posting(line: &str) -> Option<(String, Vec<u32>)> {
 /// place.
 pub(crate) fn write_index(store: &DiskStore, catalog: &Catalog) -> io::Result<PathBuf> {
     let rows = catalog.rows();
-    let postings = catalog.postings();
     let mut body = String::new();
     for row in rows {
         body.push_str(&encode_row(row));
         body.push('\n');
     }
-    for (term, ordinals) in postings {
-        body.push_str(&encode_posting(term, ordinals, rows.len()));
-        body.push('\n');
-    }
     let header = format!(
-        "{INDEX_MAGIC} {INDEX_FORMAT_VERSION} {} {} {} {}\n",
+        "{INDEX_MAGIC} {INDEX_FORMAT_VERSION} {} {} {}\n",
         rows.len(),
-        postings.len(),
         stable_hash::hex(catalog.fingerprint()),
         stable_hash::hex(stable_hash::fnv1a(body.as_bytes())),
     );
@@ -346,21 +225,17 @@ pub(crate) fn write_index(store: &DiskStore, catalog: &Catalog) -> io::Result<Pa
     Ok(final_path)
 }
 
-/// A decoded index body: digest-sorted rows and term-sorted postings.
-pub(crate) type LoadedIndex = (Vec<ResultRow>, BTreeMap<String, Vec<u32>>);
-
-/// Loads the persisted index matching `fingerprint`, if a valid one
-/// exists.  Any header, digest or body inconsistency returns `None` — the
-/// caller falls back to a scan, never to corrupt data.
+/// Loads the rows of the persisted index matching `fingerprint`, if a
+/// valid one exists.  Any header, digest or body inconsistency returns
+/// `None` — the caller falls back to a scan, never to corrupt data.
 #[must_use]
-pub(crate) fn load_index(root: &Path, fingerprint: u64) -> Option<LoadedIndex> {
+pub(crate) fn load_index(root: &Path, fingerprint: u64) -> Option<Vec<ResultRow>> {
     for path in list_index_files(root).into_iter().rev() {
         let Ok(text) = fs::read_to_string(&path) else {
             continue;
         };
         let mut lines = text.lines();
-        let Some((row_count, posting_count, fp, body_digest)) = lines.next().and_then(parse_header)
-        else {
+        let Some((row_count, fp, body_digest)) = lines.next().and_then(parse_header) else {
             continue;
         };
         if fp != fingerprint {
@@ -370,41 +245,18 @@ pub(crate) fn load_index(root: &Path, fingerprint: u64) -> Option<LoadedIndex> {
         if stable_hash::fnv1a(body.as_bytes()) != body_digest {
             continue;
         }
-        let mut rows = Vec::with_capacity(row_count as usize);
-        let mut postings = BTreeMap::new();
-        let mut ok = true;
-        for line in lines {
-            if (rows.len() as u64) < row_count {
-                match decode_row(line) {
-                    Some(row) => rows.push(row),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            } else {
-                match decode_posting(line) {
-                    Some((term, ordinals)) => {
-                        postings.insert(term, ordinals);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if ok && rows.len() as u64 == row_count && postings.len() as u64 == posting_count {
-            return Some((rows, postings));
+        let rows: Option<Vec<ResultRow>> = lines.map(decode_row).collect();
+        if let Some(rows) = rows.filter(|rows| rows.len() as u64 == row_count) {
+            return Some(rows);
         }
     }
     None
 }
 
 impl DiskStore {
-    /// Shape and freshness of the persisted secondary index, for
-    /// `store stats`.  Metadata-only: reads index segment headers and the
-    /// key index, never segment values.
+    /// Size and freshness of the persisted index, for `store stats`.
+    /// Metadata-only: reads index segment headers and the key index, never
+    /// segment values.
     ///
     /// # Errors
     ///
@@ -413,52 +265,28 @@ impl DiskStore {
         let snapshot = self.snapshot()?;
         let fingerprint = snapshot_fingerprint(&snapshot);
         let files = list_index_files(self.root());
-        if files.is_empty() {
-            return Ok(IndexStats {
-                files: 0,
-                rows: 0,
-                postings: 0,
-                buckets: 0,
-                status: IndexStatus::Absent,
-            });
-        }
         let mut stats = IndexStats {
             files: files.len() as u64,
             rows: 0,
-            postings: 0,
-            buckets: 0,
-            status: IndexStatus::Stale,
+            status: if files.is_empty() {
+                IndexStatus::Absent
+            } else {
+                IndexStatus::Stale
+            },
         };
-        // Shape comes from the newest segment; freshness from whichever
+        // Rows come from the newest segment; freshness from whichever
         // segment (if any) matches the live fingerprint.
-        if let Some(newest) = files.last() {
-            if let Ok(text) = fs::read_to_string(newest) {
-                let mut lines = text.lines();
-                if let Some((rows, postings, fp, _)) = lines.next().and_then(parse_header) {
-                    stats.rows = rows;
-                    stats.postings = postings;
-                    stats.buckets = lines
-                        .skip(rows as usize)
-                        .filter_map(decode_posting)
-                        .filter(|(term, _)| term.contains('#'))
-                        .count() as u64;
-                    if fp == fingerprint {
-                        stats.status = IndexStatus::Fresh;
-                    }
-                }
+        for (i, path) in files.iter().rev().enumerate() {
+            let Some((rows, fp, _)) = read_first_line(path).as_deref().and_then(parse_header)
+            else {
+                continue;
+            };
+            if i == 0 {
+                stats.rows = rows;
             }
-        }
-        if stats.status != IndexStatus::Fresh && files.len() > 1 {
-            for path in files.iter().rev().skip(1) {
-                let header = read_first_line(path);
-                if header
-                    .as_deref()
-                    .and_then(parse_header)
-                    .is_some_and(|(_, _, fp, _)| fp == fingerprint)
-                {
-                    stats.status = IndexStatus::Fresh;
-                    break;
-                }
+            if fp == fingerprint {
+                stats.status = IndexStatus::Fresh;
+                break;
             }
         }
         Ok(stats)
@@ -497,39 +325,6 @@ mod tests {
 
     fn value(cycles: u64) -> serde::Value {
         serde_json::from_str(&format!("{{\"cycles\":{cycles},\"ipc\":0.5}}")).unwrap()
-    }
-
-    #[test]
-    fn metric_buckets_follow_the_binary_exponent() {
-        assert_eq!(metric_bucket(1.0), 0);
-        assert_eq!(metric_bucket(2.0), 1);
-        assert_eq!(metric_bucket(3.9), 1);
-        assert_eq!(metric_bucket(1024.0), 10);
-        // 0.5's exponent bucket collides with the non-positive bucket by
-        // construction; pruning stays conservative, so this is harmless.
-        assert_eq!(metric_bucket(0.5), -1);
-        assert_eq!(metric_bucket(0.0), -1);
-        assert_eq!(metric_bucket(-5.0), -1);
-        assert_eq!(metric_bucket(f64::NAN), -1);
-    }
-
-    #[test]
-    fn postings_round_trip_in_both_representations() {
-        // Sparse: a few ordinals in a large universe -> sorted list.
-        let sparse = encode_posting("benchmark=cg", &[0, 17, 40_000], 100_000);
-        assert!(sparse.contains("\"rows\""));
-        assert_eq!(
-            decode_posting(&sparse),
-            Some(("benchmark=cg".to_string(), vec![0, 17, 40_000]))
-        );
-        // Dense: most ordinals of a small universe -> bitmap.
-        let all: Vec<u32> = (0..100).collect();
-        let dense = encode_posting("family=private", &all, 100);
-        assert!(dense.contains("\"bitmap\""));
-        assert_eq!(
-            decode_posting(&dense),
-            Some(("family=private".to_string(), all))
-        );
     }
 
     #[test]
@@ -588,13 +383,56 @@ mod tests {
         let stats = store.index_stats().unwrap();
         assert_eq!(stats.status, IndexStatus::Fresh);
         assert_eq!(stats.rows, 3);
-        assert!(stats.postings > 0);
-        assert!(stats.buckets > 0);
 
         let reopened = Catalog::open(&store).unwrap();
         assert_eq!(reopened.source(), crate::CatalogSource::Index);
         assert_eq!(reopened.rows(), built.rows());
-        assert_eq!(reopened.postings(), built.postings());
+    }
+
+    #[test]
+    fn a_version_1_index_reads_as_stale_and_is_replaced() {
+        let store = DiskStore::open(temp_root("v1")).unwrap();
+        for (b, d, c) in [("cg", "a", 10), ("lu", "a", 3000)] {
+            store.save(&result_key(b, d), &value(c)).unwrap();
+        }
+        let scanned = Catalog::open(&store).unwrap();
+        // The version 1 layout: a term count in the header, and each
+        // term's row ordinals on a line after the rows.  Everything else
+        // about the file is valid for the live key index.
+        let mut body = String::new();
+        for row in scanned.rows() {
+            body.push_str(&encode_row(row));
+            body.push('\n');
+        }
+        body.push_str("{\"term\":\"benchmark=cg\",\"rows\":[0]}\n");
+        body.push_str("{\"term\":\"cycles#3\",\"rows\":[0]}\n");
+        let v1 = store.root().join(index_file_name(1, 1, 0));
+        let header = format!(
+            "{INDEX_MAGIC} 1 {} 2 {} {}\n",
+            scanned.rows().len(),
+            stable_hash::hex(scanned.fingerprint()),
+            stable_hash::hex(stable_hash::fnv1a(body.as_bytes())),
+        );
+        fs::write(&v1, format!("{header}{body}")).unwrap();
+
+        let stats = store.index_stats().unwrap();
+        assert_eq!((stats.files, stats.rows), (1, 0));
+        assert_eq!(stats.status, IndexStatus::Stale);
+        let catalog = Catalog::open(&store).unwrap();
+        assert_eq!(catalog.source(), crate::CatalogSource::Scan);
+        assert_eq!(catalog.rows(), scanned.rows());
+
+        let persisted = catalog.persist(&store).unwrap();
+        assert!(!v1.exists(), "persisting retires the old index file");
+        let stats = store.index_stats().unwrap();
+        assert_eq!((stats.files, stats.rows), (1, 2));
+        assert_eq!(stats.status, IndexStatus::Fresh);
+        assert!(read_first_line(&persisted)
+            .unwrap()
+            .starts_with(&format!("{INDEX_MAGIC} {INDEX_FORMAT_VERSION} 2 ")));
+        let reopened = Catalog::open(&store).unwrap();
+        assert_eq!(reopened.source(), crate::CatalogSource::Index);
+        assert_eq!(reopened.rows(), scanned.rows());
     }
 
     #[test]

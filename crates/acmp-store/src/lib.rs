@@ -16,14 +16,13 @@
 //! 4. **Catalog** ([`catalog`]) — a typed [`ResultRow`] view (benchmark,
 //!    design family, scale, flattened numeric metrics) over the result
 //!    records of a snapshot.
-//! 5. **Secondary indexes** ([`index`]) — the catalog persisted as an
-//!    index segment: digest-sorted rows plus sorted-postings/bitmap lists
-//!    over benchmark × design-family × bucketed metric values, fingerprinted
-//!    against the key index so staleness is detected at open and the index
-//!    is rebuilt deterministically after maintenance.
+//! 5. **Persisted index** ([`index`]) — the catalog's digest-sorted rows
+//!    written as an index segment, fingerprinted against the key index so
+//!    staleness is detected at open and the index is rebuilt
+//!    deterministically after maintenance.
 //! 6. **Queries** ([`query`]) — a conjunctive filter grammar with top-k
-//!    ranking ([`Query`]) answered entirely from the catalog: a warm query
-//!    performs zero segment value reads (counted by
+//!    ranking ([`Query`]) answered by one pass over the catalog's rows: a
+//!    warm query performs zero segment value reads (counted by
 //!    `acmp_obs::names::STORE_VALUE_READS`).
 //!
 //! The store is key-type agnostic: anything implementing [`StoreKey`] — a

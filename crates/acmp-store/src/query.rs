@@ -18,16 +18,15 @@
 //!
 //! # Execution
 //!
-//! Facet filters intersect the catalog's postings lists.  Metric filters
-//! prune via the bucketed metric postings — a comparison against `c` can
-//! only be satisfied in buckets on `c`'s side of [`metric_bucket`]`(c)` —
-//! then apply the exact comparison to the surviving rows' in-catalog
-//! metric values.  Nothing ever touches a segment value: a query over a
-//! warm catalog performs **zero** segment value reads, observable through
+//! One pass over the catalog's rows keeps each row every filter admits:
+//! facets compare case-insensitively, metrics exactly against the row's
+//! in-catalog value.  The design-space tables this ranks hold tens to
+//! hundreds of rows, so no per-term index pays for itself.  Nothing ever
+//! touches a segment value: a query over a warm catalog performs **zero**
+//! segment value reads, observable through
 //! `acmp_obs::names::STORE_VALUE_READS`.
 
 use crate::catalog::{Catalog, ResultRow};
-use crate::index::metric_bucket;
 use std::fmt;
 
 /// Comparison operator of a metric filter.
@@ -142,6 +141,25 @@ impl Filter {
             "filter `{token}`: expected field=value or metric<op>number"
         ))
     }
+
+    /// Whether `row` satisfies this filter.
+    fn admits(&self, row: &ResultRow) -> bool {
+        match self {
+            Filter::Field { field, value } => {
+                let facet = match field.as_str() {
+                    "benchmark" => &row.benchmark,
+                    "family" => &row.family,
+                    "design" => &row.design,
+                    "scale" => &row.scale,
+                    _ => return false,
+                };
+                facet.eq_ignore_ascii_case(value)
+            }
+            Filter::Metric { metric, cmp, value } => row
+                .metric_f64(metric)
+                .is_some_and(|v| cmp.admits(v, *value)),
+        }
+    }
 }
 
 impl fmt::Display for Filter {
@@ -239,107 +257,16 @@ impl QueryHit<'_> {
     }
 }
 
-/// Intersection of two sorted ordinal lists.
-fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-/// Sorted union of several sorted ordinal lists.
-fn union(lists: &[&Vec<u32>]) -> Vec<u32> {
-    let mut out: Vec<u32> = lists.iter().flat_map(|l| l.iter().copied()).collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 /// Runs `query` against `catalog`.  See the module docs for semantics.
 #[must_use]
 pub(crate) fn run<'a>(catalog: &'a Catalog, query: &Query) -> Vec<QueryHit<'a>> {
     let mut span = acmp_obs::span!(acmp_obs::names::STORE_QUERY);
     span.record_field("filters", query.filters.len());
 
-    let rows = catalog.rows();
-    let postings = catalog.postings();
-    // `None` means "all rows" — avoids materialising the universe when the
-    // first filter is already selective.
-    let mut candidates: Option<Vec<u32>> = None;
-    let narrow = |set: Vec<u32>, candidates: &mut Option<Vec<u32>>| {
-        *candidates = Some(match candidates.take() {
-            Some(prev) => intersect(&prev, &set),
-            None => set,
-        });
-    };
-
-    for filter in &query.filters {
-        match filter {
-            Filter::Field { field, value } => {
-                let term = format!("{field}={value}");
-                let set = postings.get(&term).cloned().unwrap_or_default();
-                narrow(set, &mut candidates);
-            }
-            Filter::Metric { metric, cmp, value } => {
-                // Bucket pruning: a row can satisfy the comparison only if
-                // its bucket is on the bound's side of bucket(value).  The
-                // exact comparison below is always applied, so pruning can
-                // be conservative.
-                let pivot = metric_bucket(*value);
-                let prefix = format!("{metric}#");
-                let allowed: Vec<&Vec<u32>> = postings
-                    .range(prefix.clone()..)
-                    .take_while(|(term, _)| term.starts_with(&prefix))
-                    .filter(|(term, _)| {
-                        term[prefix.len()..]
-                            .parse::<i64>()
-                            .is_ok_and(|b| match cmp {
-                                // Bucket -1 (zero/negatives, and 0.5..1 by
-                                // construction) can always hold a value below
-                                // the bound; positive buckets are monotone.
-                                Cmp::Le | Cmp::Lt => b == -1 || b <= pivot,
-                                // A non-positive bound is satisfied by every
-                                // positive value, whatever its bucket.
-                                Cmp::Ge | Cmp::Gt => *value <= 0.0 || b >= pivot,
-                            })
-                    })
-                    .map(|(_, ordinals)| ordinals)
-                    .collect();
-                narrow(union(&allowed), &mut candidates);
-            }
-        }
-    }
-
-    let universe: Vec<u32>;
-    let candidates: &[u32] = match &candidates {
-        Some(c) => c,
-        None => {
-            universe = (0..rows.len() as u32).collect();
-            &universe
-        }
-    };
-
-    let mut hits: Vec<QueryHit<'a>> = candidates
+    let mut hits: Vec<QueryHit<'a>> = catalog
+        .rows()
         .iter()
-        .map(|&o| &rows[o as usize])
-        .filter(|row| {
-            query.filters.iter().all(|f| match f {
-                Filter::Field { .. } => true, // postings are exact
-                Filter::Metric { metric, cmp, value } => row
-                    .metric_f64(metric)
-                    .is_some_and(|v| cmp.admits(v, *value)),
-            })
-        })
+        .filter(|row| query.filters.iter().all(|f| f.admits(row)))
         .filter_map(|row| {
             row.metric_f64(&query.by)
                 .map(|value| QueryHit { row, value })

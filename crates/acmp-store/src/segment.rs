@@ -183,7 +183,7 @@ pub struct ScannedRecord {
     /// Length of the record line in bytes (without the newline).
     pub len: u64,
     /// The record's verified value checksum — the content identity the
-    /// secondary-index fingerprint folds, so an overwrite that changes a
+    /// persisted index's fingerprint folds, so an overwrite that changes a
     /// value without changing its length is still detected as staleness.
     pub crc: u64,
 }

@@ -87,8 +87,8 @@ pub(crate) struct IndexEntry {
     pub(crate) segment: usize,
     pub(crate) offset: u64,
     pub(crate) len: u64,
-    /// The record's verified value checksum — folded into the secondary
-    /// index fingerprint so value changes read as staleness.
+    /// The record's verified value checksum — folded into the persisted
+    /// index's fingerprint so value changes read as staleness.
     pub(crate) crc: u64,
 }
 

@@ -10,8 +10,8 @@
 //!    of the same snapshot, row for row, in order.
 //!
 //! These are the invariants the `sweep query` path trusts: (1) makes the
-//! catalog a coherent generation view, (2) makes the bitmap-indexed warm
-//! path interchangeable with the cold one.
+//! catalog a coherent generation view, (2) makes the index-loaded warm
+//! path interchangeable with the scan-built cold one.
 
 use acmp_store::catalog::{is_result_key, row_from_record};
 use acmp_store::{segment, Catalog, Cmp, DiskStore, Filter, Query, ResultRow, StoreSnapshot};
@@ -91,7 +91,7 @@ fn read_all(snapshot: &StoreSnapshot) -> Vec<String> {
 }
 
 /// Brute-force evaluation of `query` straight off the snapshot's records,
-/// bypassing catalog, postings and buckets entirely.
+/// bypassing the catalog and its filter code entirely.
 fn brute_force(snapshot: &StoreSnapshot, query: &Query) -> Vec<(u64, f64)> {
     let mut rows: Vec<ResultRow> = Vec::new();
     for (i, meta) in snapshot.iter().enumerate() {
@@ -144,22 +144,38 @@ fn brute_force(snapshot: &StoreSnapshot, query: &Query) -> Vec<(u64, f64)> {
     hits
 }
 
-/// The query grid each case checks: facet-only, metric-only, mixed, and an
-/// unfiltered top-k, with the case's cut and direction applied.
+/// The query grid each case checks, with the case's cut and direction
+/// applied: every facet, an upper-case facet value, metric bounds at,
+/// above and below zero (slot 0 stores `bus.transactions` 0), bounds
+/// between 0.5 and 1 against the stored `ipc` of 0.25, strict against
+/// non-strict bounds at an exact power of two (slot 5 stores
+/// `bus.transactions` 4), mixed filters, and an unfiltered top-k.
 fn queries(bound: u64, top: Option<usize>, descending: bool) -> Vec<Query> {
-    let specs: Vec<Vec<String>> = vec![
-        vec!["benchmark=cg".to_string()],
-        vec![format!("cycles<={bound}")],
-        vec![
-            "family=worker-shared".to_string(),
-            "bus.transactions>=1".to_string(),
-        ],
-        Vec::new(),
+    let scale = acmp_store::stable_hash::hex(acmp_store::stable_hash::fnv1a(b"{\"seed\":7}"));
+    let specs = [
+        "benchmark=cg".to_string(),
+        "benchmark=CG".to_string(),
+        "design=D3".to_string(),
+        format!("scale={} family=private", scale.to_ascii_uppercase()),
+        format!("cycles<={bound}"),
+        "family=worker-shared bus.transactions>=1".to_string(),
+        "bus.transactions>0".to_string(),
+        "bus.transactions>=0".to_string(),
+        "cycles>-5".to_string(),
+        "bus.transactions<-1".to_string(),
+        "ipc<=0.5".to_string(),
+        "ipc>0.3".to_string(),
+        "bus.transactions<4".to_string(),
+        "bus.transactions<=4".to_string(),
+        "bus.transactions>4".to_string(),
+        "bus.transactions>=4".to_string(),
+        String::new(),
     ];
     specs
         .iter()
-        .map(|filters| {
-            Query::parse(filters, "cycles", top, descending).expect("filters are well-formed")
+        .map(|spec| {
+            let filters: Vec<String> = spec.split_whitespace().map(str::to_string).collect();
+            Query::parse(&filters, "cycles", top, descending).expect("filters are well-formed")
         })
         .collect()
 }

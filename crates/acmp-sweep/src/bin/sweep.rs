@@ -134,8 +134,8 @@ usage: sweep store compact|stats|export FILE|import FILE [--cache-dir DIR]
   compact             merge the store's live entries into one generation
                       (and rebuild the persisted query index, if any)
   stats               print store contents (entries/segments/bytes) and
-                      secondary-index statistics (files/rows/postings/buckets
-                      and whether the index is fresh or stale)
+                      secondary-index statistics (files/rows and whether
+                      the index is fresh or stale)
   export FILE         write every live record to FILE as a verified bundle
   import FILE         absorb a bundle exported elsewhere (local keys win)
   --cache-dir DIR     the store to operate on (default: target/sweep-cache)";
@@ -883,15 +883,13 @@ fn run_maintenance(action: &StoreAction, cache_dir: Option<&str>) {
             // Compaction copies records verbatim, so a persisted index's
             // content fingerprint stays valid — but rewrite it anyway so the
             // on-disk index is rebuilt deterministically alongside the new
-            // generation (and carries fresh row/posting data if it was stale).
+            // generation (and carries fresh rows if it was stale).
             match store.index_stats() {
                 Ok(istats) if istats.files > 0 => match Catalog::open(&store) {
                     Ok(catalog) => match catalog.persist(&store) {
-                        Ok(_) => println!(
-                            "rebuilt secondary index: {} rows, {} terms",
-                            catalog.rows().len(),
-                            catalog.terms(),
-                        ),
+                        Ok(_) => {
+                            println!("rebuilt secondary index: {} rows", catalog.rows().len())
+                        }
                         Err(e) => {
                             eprintln!("sweep: index rebuild under {} failed: {e}", root.display());
                             std::process::exit(1);
@@ -965,12 +963,10 @@ fn run_maintenance(action: &StoreAction, cache_dir: Option<&str>) {
     );
     match store.index_stats() {
         Ok(istats) => println!(
-            "index {}: files {}, rows {}, postings {}, buckets {}, {}",
+            "index {}: files {}, rows {}, {}",
             root.display(),
             istats.files,
             istats.rows,
-            istats.postings,
-            istats.buckets,
             istats.status.label(),
         ),
         Err(e) => {

@@ -15,7 +15,7 @@
 //! * [`DiskStore`] — the content-addressed on-disk store (stable hash of
 //!   generator config + benchmark + design point) that makes repeated runs
 //!   warm-start across processes.  The store itself — segment log, key
-//!   index, snapshots, catalog, secondary indexes, query planner — lives
+//!   index, snapshots, catalog, persisted index, queries — lives
 //!   in the [`acmp-store`](acmp_store) crate, which callers import
 //!   directly; this crate re-exports only [`DiskStore`] and
 //!   [`StoreStats`], which its engine API returns, and implements

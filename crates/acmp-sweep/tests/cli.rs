@@ -1014,7 +1014,14 @@ fn query_answers_from_the_index_with_zero_value_reads() {
     // same query byte-identically, still without touching values.
     let compacted = run_sweep(&["store", "compact", "--cache-dir", cache]);
     assert!(
-        compacted.stdout.contains("rebuilt secondary index"),
+        compacted.stdout.contains("rebuilt secondary index: 6 rows"),
+        "{}",
+        compacted.stdout
+    );
+    // The stats line compaction ends with: the rebuilt index holds every
+    // row and matches the key index of the new generation.
+    assert!(
+        compacted.stdout.contains(": files 1, rows 6, fresh\n"),
         "{}",
         compacted.stdout
     );

@@ -3,8 +3,7 @@
 //! benchmarks and normalized to the private-I-cache baseline.
 
 use crate::report::{arithmetic_mean, TextTable};
-use crate::DesignPoint;
-use acmp_sweep::SweepEngine;
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::Benchmark;
 use power_model::ClusterActivity;
 use serde::{Deserialize, Serialize};

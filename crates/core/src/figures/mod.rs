@@ -27,8 +27,7 @@
 //! | [`fig12`] | Fig. 12 — execution time, energy and area |
 //! | [`fig13`] | Fig. 13 — all-shared vs worker-shared vs serial fraction |
 
-use crate::DesignPoint;
-use acmp_sweep::{SweepEngine, SweepRow};
+use acmp_sweep::{DesignPoint, SweepEngine, SweepRow};
 use hpc_workloads::Benchmark;
 
 pub mod fig01;

@@ -11,17 +11,16 @@
 //!   buses, runtime),
 //! * [`power_model`] — the McPAT/CACTI-style area and energy model,
 //! * [`acmp_analytic`] — the Hill-Marty model behind Figure 1,
-//! * [`acmp_sweep`] — the parallel design-space exploration engine
+//! * [`acmp_sweep`] — the machine configurations evaluated in the paper
+//!   ([`DesignPoint`](acmp_sweep::DesignPoint): baseline, naive sharing,
+//!   more line buffers, more bandwidth, the proposed 16 KB double-bus
+//!   design, all-shared) and the parallel design-space exploration engine
 //!   (work-stealing scheduler, sharded result cache, persistent
-//!   content-addressed store, the `sweep` CLI),
+//!   content-addressed store, the `sweep` CLI).
 //!
-//! and exposes the figure layer used by the examples, the integration
-//! tests and the benchmark harness:
+//! Callers import those crates directly.  This crate adds the figure layer
+//! used by the examples, the integration tests and the `figures` binary:
 //!
-//! * [`DesignPoint`] — the machine configurations evaluated in the paper
-//!   (baseline, naive sharing, more line buffers, more bandwidth, the
-//!   proposed 16 KB double-bus design, all-shared), re-exported from
-//!   `acmp-sweep`,
 //! * [`figures`] — one module per table/figure of the paper, each computing
 //!   the same rows/series the paper reports from a
 //!   [`SweepEngine`](acmp_sweep::SweepEngine): traces once per benchmark,
@@ -31,8 +30,7 @@
 //! # Quick start
 //!
 //! ```
-//! use acmp_sweep::SweepEngine;
-//! use shared_icache::DesignPoint;
+//! use acmp_sweep::{DesignPoint, SweepEngine};
 //! use hpc_workloads::{Benchmark, GeneratorConfig};
 //!
 //! // A reduced-scale engine so the example runs quickly.
@@ -48,27 +46,13 @@
 pub mod figures;
 pub mod report;
 
-// `DesignPoint` lives in `acmp-sweep` (the execution engine needs to name
-// design points without depending on this crate); re-exported here so
-// downstream code keeps using `shared_icache::DesignPoint`.
-pub use acmp_sweep::{DesignPoint, DesignPointError};
 pub use report::{arithmetic_mean, geometric_mean, TextTable};
-
-// Re-export the crates a downstream user needs to drive the library.
-pub use acmp_analytic;
-pub use acmp_sweep;
-pub use hpc_workloads;
-pub use power_model;
-pub use sim_acmp;
-pub use sim_trace;
 
 #[cfg(test)]
 mod crate_tests {
-    use super::*;
-
     #[test]
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<DesignPoint>();
+        assert_send_sync::<acmp_sweep::DesignPoint>();
     }
 }

@@ -9,10 +9,10 @@
 //! cargo run --release --example design_space
 //! ```
 
-use acmp_sweep::SweepEngine;
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use power_model::ClusterActivity;
-use shared_icache::{arithmetic_mean, DesignPoint, TextTable};
+use shared_icache::{arithmetic_mean, TextTable};
 use sim_acmp::{BusWidth, SimResult};
 
 fn activity(result: &SimResult) -> ClusterActivity {

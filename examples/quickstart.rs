@@ -7,9 +7,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use acmp_sweep::SweepEngine;
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::DesignPoint;
 
 fn main() {
     // A reduced scale so the example finishes in a few seconds; use

@@ -1,11 +1,10 @@
 //! Cross-crate integration tests: the full ACMP simulator driven by the
 //! synthetic workloads, checking the paper's qualitative claims.
 
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
 use proptest::prelude::*;
-use shared_icache::acmp_sweep::SweepEngine;
-use shared_icache::sim_acmp::{AcmpConfig, BusWidth, Machine, SharingMode};
-use shared_icache::DesignPoint;
+use sim_acmp::{AcmpConfig, BusWidth, Machine, SharingMode};
 
 fn build_engine(workers: usize, instrs: u64) -> SweepEngine {
     SweepEngine::builder(GeneratorConfig {

@@ -2,8 +2,8 @@
 //! (eight workers, reduced instruction budget): the qualitative shapes the
 //! paper reports must hold for every figure.
 
+use acmp_sweep::SweepEngine;
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::acmp_sweep::SweepEngine;
 use shared_icache::figures;
 
 /// Eight workers, enough instructions to amortise cold effects, a subset of

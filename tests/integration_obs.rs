@@ -5,9 +5,8 @@
 //! engine computes, and everything it reports must agree with the engine's
 //! own `EngineStats` — same counts, not "roughly the same".
 
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::acmp_sweep::SweepEngine;
-use shared_icache::DesignPoint;
 
 fn tiny_generator() -> GeneratorConfig {
     GeneratorConfig {

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: the area/energy model applied to real
 //! simulation results (the Fig. 12 pipeline).
 
+use acmp_sweep::{DesignPoint, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use power_model::{BusAreaModel, CacheCostModel, ClusterActivity, LeanCoreModel};
 use proptest::prelude::*;
-use shared_icache::acmp_sweep::SweepEngine;
-use shared_icache::{figures, DesignPoint};
+use shared_icache::figures;
 
 fn build_engine() -> SweepEngine {
     SweepEngine::builder(GeneratorConfig {
@@ -18,7 +18,7 @@ fn build_engine() -> SweepEngine {
     .expect("an engine without a store always builds")
 }
 
-fn activity_of(result: &shared_icache::sim_acmp::SimResult) -> ClusterActivity {
+fn activity_of(result: &sim_acmp::SimResult) -> ClusterActivity {
     ClusterActivity {
         cycles: result.cycles,
         instructions: result.worker_instructions(),

@@ -6,14 +6,13 @@
 //! before comparing).
 
 use acmp_store::segment::{scan_record_parts, SegmentName};
+use acmp_store::{Catalog, CatalogSource, DiskStore};
+use acmp_sweep::merge::{merge_validated, shard_key_schedule, validate_shard_stream};
+use acmp_sweep::serve::parse_query_tokens;
+use acmp_sweep::{scale_generator, DesignPoint, GridSpec, JobKey, ShardSpec, SweepEngine};
 use hpc_workloads::{Benchmark, GeneratorConfig};
-use shared_icache::acmp_sweep::merge::{
-    merge_validated, shard_key_schedule, validate_shard_stream,
-};
-use shared_icache::acmp_sweep::{scale_generator, GridSpec, JobKey, ShardSpec, SweepEngine};
-use shared_icache::sim_acmp::SimResult;
-use shared_icache::sim_trace::write_trace_set_json;
-use shared_icache::DesignPoint;
+use sim_acmp::SimResult;
+use sim_trace::write_trace_set_json;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
@@ -362,11 +361,10 @@ fn fig09_store_segment() -> String {
     std::fs::read_to_string(path).expect("committed store segment is readable")
 }
 
-#[test]
-fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
-    let segment = fig09_store_segment();
+/// A fresh store directory holding only the committed fig09 segment.
+fn fig09_store_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
-        "acmp-sweep-integration-fixture-store-{}",
+        "acmp-sweep-integration-{tag}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -376,8 +374,14 @@ fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
         pid: 1,
         seq: 0,
     };
-    std::fs::write(dir.join(name.file_name()), &segment).unwrap();
+    std::fs::write(dir.join(name.file_name()), fig09_store_segment()).unwrap();
+    dir
+}
 
+#[test]
+fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
+    let segment = fig09_store_segment();
+    let dir = fig09_store_dir("fixture-store");
     let (_, generator) = fig09_grid();
     let engine = SweepEngine::builder(generator)
         .store_dir(&dir)
@@ -396,6 +400,55 @@ fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
         let result: SimResult = serde_json::from_str(value).unwrap();
         assert_eq!(serde_json::to_string(&result).unwrap(), value);
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Answers every query of a query-mix text from `catalog`, rendered as the
+/// mix is written: one block per query, a `> TOKENS` line and then the
+/// JSONL hits `sweep query TOKENS` prints.
+fn answer_query_mix(catalog: &Catalog, mix: &str) -> String {
+    let mut out = String::new();
+    for line in mix.lines().filter_map(|line| line.strip_prefix("> ")) {
+        let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let query = parse_query_tokens(&tokens).unwrap();
+        catalog.validate_query(&query).unwrap();
+        out.push_str(&format!("> {line}\n"));
+        for hit in catalog.query(&query) {
+            out.push_str(&hit.to_jsonl(&query.by));
+            out.push('\n');
+        }
+    }
+    out
+}
+
+#[test]
+fn the_query_mix_over_the_fig09_store_matches_its_fixture_from_scan_and_index() {
+    // Written by `sweep query` over a store holding `fig09_store.seg`: the
+    // facet, metric-range, top-k and full-ranking queries of perfbench's
+    // mix, plus zero, negative and case-folded bounds and facets.
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/fig09_query_mix.txt");
+    let mix = std::fs::read_to_string(path).expect("committed query mix is readable");
+    assert_eq!(
+        mix.lines().filter(|line| line.starts_with("> ")).count(),
+        12
+    );
+    let dir = fig09_store_dir("query-mix");
+
+    let store = DiskStore::open(&dir).unwrap();
+    let scanned = Catalog::open(&store).unwrap();
+    assert_eq!(scanned.source(), CatalogSource::Scan);
+    assert_eq!(answer_query_mix(&scanned, &mix), mix, "scan-built catalog");
+    scanned.persist(&store).unwrap();
+
+    let reopened = DiskStore::open(&dir).unwrap();
+    let indexed = Catalog::open(&reopened).unwrap();
+    assert_eq!(indexed.source(), CatalogSource::Index);
+    assert_eq!(
+        answer_query_mix(&indexed, &mix),
+        mix,
+        "index-loaded catalog"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -3,16 +3,9 @@
 
 use hpc_workloads::{Benchmark, CodeLayout, GeneratorConfig, TraceGenerator};
 use proptest::prelude::*;
-use shared_icache::sim_trace::{
-    read_trace_json, write_trace_json, SharingStats, ThreadId, TraceStats,
-};
+use sim_trace::{read_trace_json, write_trace_json, SharingStats, ThreadId, TraceStats};
 
-fn generate(
-    b: Benchmark,
-    workers: usize,
-    instrs: u64,
-    seed: u64,
-) -> shared_icache::sim_trace::TraceSet {
+fn generate(b: Benchmark, workers: usize, instrs: u64, seed: u64) -> sim_trace::TraceSet {
     TraceGenerator::new(
         b.profile(),
         GeneratorConfig {
