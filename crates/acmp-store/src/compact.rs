@@ -101,6 +101,8 @@ impl DiskStore {
 
         inner.folded = sealed_lens;
         inner.segments = new_paths;
+        // Held read handles are indexed by the old segment ids.
+        inner.files.clear();
         inner.index = new_index;
         inner.active = None;
         inner.generation = new_generation;

@@ -223,29 +223,70 @@ pub(crate) fn split_record(line: &str) -> Option<(String, u64, &str)> {
     Some((canonical, crc, value))
 }
 
+/// What [`scan_segment`] found in a segment's bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentScan {
+    /// Every verified record, in file order.
+    pub records: Vec<ScannedRecord>,
+    /// Lines that failed the layout or checksum check, a last line with no
+    /// newline (a torn tail) among them.
+    pub rejected: u64,
+}
+
 /// Scans a whole segment's bytes, yielding every verified record with its
-/// byte span.  Unverifiable lines — torn tails, corruption, even invalid
-/// UTF-8 — are skipped silently (they must read as absent, never abort the
-/// scan), and offsets stay byte-accurate regardless.
+/// byte span: exactly the lines [`scan_record_parts`] accepts.
+/// Unverifiable lines — torn tails, corruption, even invalid UTF-8 — are
+/// skipped (they must read as absent, never abort the scan) and counted,
+/// and offsets stay byte-accurate regardless.
+///
+/// Every line is cut first; the value checksums are then verified four
+/// records at a time with [`stable_hash::fnv1a_4`], and the records left
+/// over one at a time.
 #[must_use]
-pub fn scan_segment(bytes: &[u8]) -> Vec<ScannedRecord> {
-    let mut records = Vec::new();
-    let mut offset = 0u64;
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
+pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
+    // A segment is valid UTF-8 unless a line is damaged.  Its newlines are
+    // then found by the `str` search, several times faster than a
+    // byte-by-byte split; either way each line is checked on its own.
+    let lines: Box<dyn Iterator<Item = &[u8]>> = match std::str::from_utf8(bytes) {
+        Ok(text) => Box::new(text.split_inclusive('\n').map(str::as_bytes)),
+        Err(_) => Box::new(bytes.split_inclusive(|&b| b == b'\n')),
+    };
+    let mut cut: Vec<(ScannedRecord, &[u8])> = Vec::new();
+    let (mut offset, mut count) = (0u64, 0u64);
+    for line in lines {
         let body = line.strip_suffix(b"\n").unwrap_or(line);
-        if let Some((canonical, crc, _)) =
-            std::str::from_utf8(body).ok().and_then(scan_record_parts)
+        if let Some((canonical, crc, value)) = std::str::from_utf8(body).ok().and_then(split_record)
         {
-            records.push(ScannedRecord {
+            let record = ScannedRecord {
                 canonical,
                 offset,
                 len: body.len() as u64,
                 crc,
-            });
+            };
+            cut.push((record, value.as_bytes()));
         }
         offset += line.len() as u64;
+        count += 1;
     }
-    records
+    let mut digests = Vec::with_capacity(cut.len());
+    let quads = cut.chunks_exact(4);
+    let leftover = quads.remainder();
+    for quad in quads {
+        digests.extend(stable_hash::fnv1a_4([
+            quad[0].1, quad[1].1, quad[2].1, quad[3].1,
+        ]));
+    }
+    digests.extend(leftover.iter().map(|(_, value)| stable_hash::fnv1a(value)));
+    let records: Vec<ScannedRecord> = cut
+        .into_iter()
+        .zip(digests)
+        .filter(|((record, _), digest)| record.crc == *digest)
+        .map(|((record, _), _)| record)
+        .collect();
+    SegmentScan {
+        rejected: count - records.len() as u64,
+        records,
+    }
 }
 
 #[cfg(test)]
@@ -378,7 +419,9 @@ mod tests {
         let (a, _) = encode_record("key-a", "1");
         let (b, _) = encode_record("key-b", "[2]");
         let text = format!("{a}\ngarbage line\n{b}\n{}", &a[..a.len() - 3]);
-        let records = scan_segment(text.as_bytes());
+        let scan = scan_segment(text.as_bytes());
+        assert_eq!(scan.rejected, 2, "the garbage line and the torn tail");
+        let records = scan.records;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].canonical, "key-a");
         assert_eq!(records[0].offset, 0);
@@ -392,6 +435,75 @@ mod tests {
         assert_eq!(&text[span], b);
     }
 
+    /// The one-line-at-a-time scan: each line verified on its own by
+    /// [`scan_record_parts`].
+    fn scan_line_by_line(bytes: &[u8]) -> Vec<ScannedRecord> {
+        let mut records = Vec::new();
+        let mut offset = 0u64;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let body = line.strip_suffix(b"\n").unwrap_or(line);
+            if let Some((canonical, crc, _)) =
+                std::str::from_utf8(body).ok().and_then(scan_record_parts)
+            {
+                records.push(ScannedRecord {
+                    canonical,
+                    offset,
+                    len: body.len() as u64,
+                    crc,
+                });
+            }
+            offset += line.len() as u64;
+        }
+        records
+    }
+
+    #[test]
+    fn scan_segment_accepts_what_a_line_by_line_scan_accepts() {
+        // Segments of 0–9 records of unequal lengths, each intact or with
+        // one value damaged at any position, with and without a non-UTF-8
+        // line and a torn tail: every record count modulo four, every
+        // lane of a group of four, and the records left over.
+        let record = |i: usize| {
+            let key = format!("{{\"benchmark\":\"b{i}\"}}");
+            let value = format!(
+                "{{\"cycles\":{},\"pad\":\"{}\"}}",
+                1000 + i,
+                "x".repeat(i * 7)
+            );
+            encode_record(&key, &value).0
+        };
+        for n in 0..=9 {
+            for damaged in std::iter::once(None).chain((0..n).map(Some)) {
+                for (non_utf8, torn) in [(false, false), (true, false), (false, true), (true, true)]
+                {
+                    let mut bytes = Vec::new();
+                    for i in 0..n {
+                        if non_utf8 && i == n / 2 {
+                            bytes.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+                        }
+                        let mut line = record(i);
+                        if damaged == Some(i) {
+                            line = line.replacen("\"cycles\":", "\"cyclez\":", 1);
+                        }
+                        bytes.extend_from_slice(line.as_bytes());
+                        bytes.push(b'\n');
+                    }
+                    if torn {
+                        let tail = record(n);
+                        bytes.extend_from_slice(&tail.as_bytes()[..tail.len() / 2]);
+                    }
+                    let scan = scan_segment(&bytes);
+                    let case = format!("{n} records, damaged {damaged:?}, {non_utf8} {torn}");
+                    assert_eq!(scan.records, scan_line_by_line(&bytes), "{case}");
+                    let damaged = usize::from(damaged.is_some());
+                    assert_eq!(scan.records.len(), n - damaged, "{case}");
+                    let rejected = damaged + usize::from(non_utf8 && n > 0) + usize::from(torn);
+                    assert_eq!(scan.rejected, rejected as u64, "{case}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn invalid_utf8_lines_are_skipped_with_exact_offsets() {
         let (a, _) = encode_record("key-a", "1");
@@ -402,7 +514,9 @@ mod tests {
         bytes.extend_from_slice(&[0xFF, 0xFE, 0x80]); // not UTF-8
         bytes.push(b'\n');
         bytes.extend_from_slice(b.as_bytes());
-        let records = scan_segment(&bytes);
+        let scan = scan_segment(&bytes);
+        assert_eq!(scan.rejected, 1);
+        let records = scan.records;
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].canonical, "key-a");
         assert_eq!(records[1].canonical, "key-b");

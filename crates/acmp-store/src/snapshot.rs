@@ -18,7 +18,7 @@
 //! built over a snapshot for exactly this reason: its row set corresponds
 //! to one coherent generation view even while a sweep keeps writing.
 
-use crate::store::DiskStore;
+use crate::store::{read_exact_at, DiskStore};
 use crate::StoreKey;
 use std::fs::File;
 use std::io;
@@ -168,26 +168,6 @@ impl StoreSnapshot {
             .position(|e| e.canonical == key.canonical())
             .map(|off| self.read_record(i + off))
     }
-}
-
-/// Positional read that never moves a shared file cursor: snapshots share
-/// their handles across threads, so reads must not seek.
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    // No positional read off unix; clone the handle so the shared cursor
-    // is untouched.  (The clone shares the descriptor's offset on some
-    // platforms, but windows `seek_read` semantics are covered by the
-    // unix path in practice — this fallback is best-effort.)
-    use std::io::{Read, Seek, SeekFrom};
-    let mut own = file.try_clone()?;
-    own.seek(SeekFrom::Start(offset))?;
-    own.read_exact(buf)
 }
 
 #[cfg(test)]

@@ -19,6 +19,28 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_fold(fnv1a_init(), bytes)
 }
 
+/// Four 64-bit FNV-1a digests at once: `fnv1a_4([a, b, c, d])` equals
+/// `[fnv1a(a), fnv1a(b), fnv1a(c), fnv1a(d)]`.  FNV-1a is one serial
+/// multiply chain per input, so a single digest waits out the multiply's
+/// latency on every byte; interleaving four independent chains over the
+/// lanes' common length keeps the multiplier busy.  Each lane's tail past
+/// the shortest one is folded on its own.
+#[must_use]
+pub fn fnv1a_4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let common = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..common]);
+    let mut state = [FNV_OFFSET; 4];
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        for (s, byte) in state.iter_mut().zip([a, b, c, d]) {
+            *s = (*s ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (s, lane) in state.iter_mut().zip(lanes) {
+        *s = fnv1a_fold(*s, &lane[common..]);
+    }
+    state
+}
+
 /// The initial FNV-1a state, for incremental hashing with [`fnv1a_fold`].
 #[must_use]
 pub fn fnv1a_init() -> u64 {
@@ -74,6 +96,34 @@ mod tests {
             let state = fnv1a_fold(fnv1a_init(), &data[..split]);
             assert_eq!(fnv1a_fold(state, &data[split..]), fnv1a(data), "{split}");
         }
+    }
+
+    #[test]
+    fn four_lane_digests_equal_one_lane_digests() {
+        // Xorshift64 picks ~2,000 quadruples of lanes with unequal
+        // lengths out of one random buffer; an eighth of the lanes are
+        // empty and an eighth are one byte long.
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buffer: Vec<u8> = (0..4096).map(|_| next() as u8).collect();
+        for case in 0..2000 {
+            let lanes = [(); 4].map(|()| {
+                let len = match next() % 8 {
+                    0 => 0,
+                    1 => 1,
+                    _ => (next() % 1024) as usize,
+                };
+                let start = (next() % (buffer.len() - len) as u64) as usize;
+                &buffer[start..start + len]
+            });
+            assert_eq!(fnv1a_4(lanes), lanes.map(fnv1a), "case {case}");
+        }
+        assert_eq!(fnv1a_4([b""; 4]), [fnv1a(b""); 4]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl std::error::Error for DesignPointError {}
 /// A design point is independent of the number of workers; it is turned into
 /// a concrete [`AcmpConfig`] (for simulation) or [`ClusterDesign`] (for the
 /// area/energy model) when an experiment instantiates it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DesignPoint {
     /// Short label used in result tables and as the cache key.
     pub name: String,

@@ -429,6 +429,13 @@ impl SweepEngine {
     ///
     /// `on_row` is invoked from the worker thread that finished the cell,
     /// as soon as it finishes — this is how the CLI streams live progress.
+    ///
+    /// The job keys are derived with [`JobKey::for_jobs`], which renders
+    /// the generator once and each distinct design once.  Before the cells
+    /// run, one pool pass prefetches the fetch streams of every benchmark
+    /// with a cell in neither the memory cache nor the store; when there is
+    /// none, as in a fully warm re-run, that pass is skipped and no thread
+    /// is started for it.
     pub fn run_jobs_with<C>(&self, jobs: Vec<SweepJob>, on_row: C) -> SweepOutcome
     where
         C: Fn(&SweepRow) + Sync,
@@ -436,12 +443,10 @@ impl SweepEngine {
         // Cells owned by other shards are dropped here, before anything is
         // scheduled: a shard neither simulates them nor prefetches streams
         // a foreign-only benchmark would need.
+        let keys = JobKey::for_jobs(&self.generator, &jobs);
         let keyed: Vec<(SweepJob, JobKey)> = jobs
             .into_iter()
-            .map(|job| {
-                let key = job.key(&self.generator);
-                (job, key)
-            })
+            .zip(keys)
             .filter(|(_, key)| self.shard.owns(key.digest()))
             .collect();
 
@@ -453,12 +458,12 @@ impl SweepEngine {
         // once and each would run the full trace generator (the cache's
         // `make` deliberately runs unlocked).  Cells already resident in
         // memory or on disk don't need streams; a fully warm run must stay
-        // trace-free.  `store.contains` answers from the verified segment
-        // index, so a corrupt or key-mismatched entry reads as absent here
-        // and its benchmark keeps its prefetch job — trusting an unverified
-        // existence check used to let exactly such an entry miss at
-        // simulate time and stampede every worker into regenerating the
-        // same trace set concurrently.
+        // trace-free, and starts no prefetch pool at all.  `store.contains`
+        // answers from the verified segment index, so a corrupt or
+        // key-mismatched entry reads as absent here and its benchmark keeps
+        // its prefetch job — trusting an unverified existence check used to
+        // let exactly such an entry miss at simulate time and stampede
+        // every worker into regenerating the same trace set concurrently.
         let mut need_streams: Vec<&SweepJob> = keyed
             .iter()
             .filter(|(_, key)| {
@@ -469,10 +474,12 @@ impl SweepEngine {
             .collect();
         need_streams.sort_by_key(|job| job.benchmark);
         need_streams.dedup_by_key(|job| job.benchmark);
-        self.pool.run(need_streams, |job| {
-            let config = job.design.acmp_config(self.simulated_workers());
-            self.streams(job.benchmark, &config);
-        });
+        if !need_streams.is_empty() {
+            self.pool.run(need_streams, |job| {
+                let config = job.design.acmp_config(self.simulated_workers());
+                self.streams(job.benchmark, &config);
+            });
+        }
 
         let (rows, pool) = self.pool.run(keyed, |(job, key)| {
             let hex = key.hex();

@@ -4,6 +4,7 @@ use crate::design_point::DesignPoint;
 use acmp_store::stable_hash;
 use hpc_workloads::{Benchmark, GeneratorConfig};
 use serde_json::json;
+use std::collections::HashMap;
 
 /// One unit of work: simulate `benchmark` on `design`.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,13 +48,46 @@ impl JobKey {
     /// from `generator`.
     #[must_use]
     pub fn new(generator: &GeneratorConfig, benchmark: Benchmark, design: &DesignPoint) -> Self {
-        let canonical = stable_hash::canonical_json(&json!({
-            "generator": generator,
-            "benchmark": benchmark,
-            "design": design,
-        }));
+        Self::from_parts(
+            &stable_hash::canonical_json(generator),
+            benchmark,
+            &stable_hash::canonical_json(design),
+        )
+    }
+
+    /// Derives the key from the canonical JSON of its generator and design
+    /// (as [`stable_hash::canonical_json`] renders them), so a grid renders
+    /// each part once rather than once per cell.  The canonical form is
+    /// `{"generator":…,"benchmark":…,"design":…}`, the same bytes
+    /// [`new`](Self::new) hashes.
+    #[must_use]
+    pub fn from_parts(generator_json: &str, benchmark: Benchmark, design_json: &str) -> Self {
+        let mut canonical = String::with_capacity(generator_json.len() + design_json.len() + 64);
+        canonical.push_str("{\"generator\":");
+        canonical.push_str(generator_json);
+        canonical.push_str(",\"benchmark\":");
+        serde_json::to_value(&benchmark).write_json(&mut canonical);
+        canonical.push_str(",\"design\":");
+        canonical.push_str(design_json);
+        canonical.push('}');
         let digest = stable_hash::fnv1a(canonical.as_bytes());
         JobKey { canonical, digest }
+    }
+
+    /// Derives the keys of `jobs` under `generator`, in order, rendering
+    /// the generator once and each distinct design once.
+    #[must_use]
+    pub fn for_jobs(generator: &GeneratorConfig, jobs: &[SweepJob]) -> Vec<Self> {
+        let generator_json = stable_hash::canonical_json(generator);
+        let mut designs: HashMap<&DesignPoint, String> = HashMap::new();
+        jobs.iter()
+            .map(|job| {
+                let design_json = designs
+                    .entry(&job.design)
+                    .or_insert_with(|| stable_hash::canonical_json(&job.design));
+                Self::from_parts(&generator_json, job.benchmark, design_json)
+            })
+            .collect()
     }
 
     /// Derives the key of the *trace set* of `benchmark` (as produced by
@@ -271,6 +305,48 @@ mod tests {
         let other_gen = JobKey::new(&generator().with_seed(99), Benchmark::Cg, &design);
         assert_ne!(base, other_bench);
         assert_ne!(base, other_gen);
+    }
+
+    #[test]
+    fn keys_rendered_from_parts_are_the_canonical_json_of_the_job() {
+        let mut designs: Vec<DesignPoint> = (7..=13)
+            .flat_map(|n| crate::grid::figure_designs(&format!("fig{n:02}")).expect("a preset"))
+            .collect();
+        designs.extend(
+            crate::GridSpec::parse("cg", "naive:2,shared:16:4:single")
+                .unwrap()
+                .designs,
+        );
+        for generator in [
+            GeneratorConfig::quick(),
+            GeneratorConfig::paper(),
+            GeneratorConfig::small(),
+        ] {
+            let generator_json = stable_hash::canonical_json(&generator);
+            let mut jobs = Vec::new();
+            for benchmark in Benchmark::ALL {
+                for design in &designs {
+                    let reference = stable_hash::canonical_json(&json!({
+                        "generator": generator,
+                        "benchmark": benchmark,
+                        "design": design,
+                    }));
+                    let key = JobKey::new(&generator, benchmark, design);
+                    assert_eq!(key.canonical(), reference);
+                    assert_eq!(key.digest(), stable_hash::fnv1a(reference.as_bytes()));
+                    let design_json = stable_hash::canonical_json(design);
+                    let parts = JobKey::from_parts(&generator_json, benchmark, &design_json);
+                    assert_eq!(parts.canonical(), reference);
+                    assert_eq!(parts.digest(), key.digest());
+                    jobs.push(SweepJob {
+                        benchmark,
+                        design: design.clone(),
+                    });
+                }
+            }
+            let keys: Vec<JobKey> = jobs.iter().map(|job| job.key(&generator)).collect();
+            assert_eq!(JobKey::for_jobs(&generator, &jobs), keys);
+        }
     }
 
     #[test]

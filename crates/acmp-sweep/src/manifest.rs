@@ -104,7 +104,7 @@ impl SweepManifest {
         }
         let grid = GridSpec::parse(benchmarks, designs)?;
         let generator = scale_generator(scale)?;
-        let keys: Vec<JobKey> = grid.jobs().iter().map(|job| job.key(&generator)).collect();
+        let keys = JobKey::for_jobs(&generator, &grid.jobs());
         let schedule = shard_key_schedule(&keys, shards);
         let mut manifest = SweepManifest {
             format: MANIFEST_FORMAT_VERSION,
@@ -231,7 +231,7 @@ impl SweepManifest {
         let grid = GridSpec::parse(&self.benchmarks, &self.designs)
             .map_err(|e| format!("manifest grid spec does not parse here: {e}"))?;
         let generator = scale_generator(&self.scale)?;
-        let keys: Vec<JobKey> = grid.jobs().iter().map(|job| job.key(&generator)).collect();
+        let keys = JobKey::for_jobs(&generator, &grid.jobs());
         if keys.len() as u64 != self.cells {
             return Err(format!(
                 "manifest plans {} cells, this binary derives {} from the same spec",

@@ -1533,21 +1533,73 @@ fn observability_artifacts_validate_and_rows_stay_byte_identical() {
         .sum();
     let events = acmp_obs::read_trace_values(&std::fs::read_to_string(&trace).unwrap())
         .expect("warm trace validates");
-    let open = events
-        .iter()
-        .find(|e| {
-            serde::get_field(as_object(e), "name").ok()
-                == Some(&serde::Value::String("store.open".to_string()))
-        })
-        .expect("the warm trace has a store.open span");
-    let fields = as_object(serde::get_field(as_object(open), "fields").unwrap());
+    let open = span_fields(&events, "store.open");
     assert_eq!(
-        serde::get_field(fields, "records").unwrap(),
+        serde::get_field(open, "records").unwrap(),
         &serde::Value::UInt(6)
     );
     assert_eq!(
-        serde::get_field(fields, "bytes").unwrap(),
+        serde::get_field(open, "rejected").unwrap(),
+        &serde::Value::UInt(0)
+    );
+    assert_eq!(
+        serde::get_field(open, "bytes").unwrap(),
         &serde::Value::UInt(segment_bytes)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_damaged_record_is_rejected_at_open_and_its_cell_simulated_again() {
+    // The committed fig09 store with one value damaged (the same edit the
+    // CI step makes): the open drops that line and says so, and the run
+    // re-simulates only its cell and still prints the golden rows.
+    let dir = temp_dir("damaged-record");
+    let cache = dir.join("cache");
+    std::fs::create_dir_all(&cache).unwrap();
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/fixtures/fig09_store.seg");
+    let segment = std::fs::read_to_string(fixture).unwrap();
+    let damaged: Vec<String> = segment
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match i {
+            1 => line.replacen("\"cycles\":", "\"cyclez\":", 1),
+            _ => line.to_string(),
+        })
+        .collect();
+    assert!(damaged[1].contains("\"cyclez\":"));
+    std::fs::write(
+        cache.join("seg-00000001-1-0000.seg"),
+        damaged.join("\n") + "\n",
+    )
+    .unwrap();
+    let trace = dir.join("trace.jsonl");
+    let run = run_sweep(&[
+        "run",
+        "--grid",
+        "fig09",
+        "--benchmarks",
+        "cg,lu",
+        "--quiet",
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(run.stdout, fixture_bytes());
+    assert_eq!(summary_stat(&run.stderr, "simulated"), 1);
+    assert_eq!(summary_stat(&run.stderr, "disk-hits"), 5);
+    let events = acmp_obs::read_trace_values(&std::fs::read_to_string(&trace).unwrap())
+        .expect("trace validates");
+    let open = span_fields(&events, "store.open");
+    assert_eq!(
+        serde::get_field(open, "records").unwrap(),
+        &serde::Value::UInt(5)
+    );
+    assert_eq!(
+        serde::get_field(open, "rejected").unwrap(),
+        &serde::Value::UInt(1)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1558,6 +1610,18 @@ fn as_object(value: &serde::Value) -> &[(String, serde::Value)] {
         serde::Value::Object(fields) => fields,
         other => panic!("trace events are objects, got {other}"),
     }
+}
+
+/// The fields of the first `name` span in a trace's events.
+fn span_fields<'a>(events: &'a [serde::Value], name: &str) -> &'a [(String, serde::Value)] {
+    let span = events
+        .iter()
+        .find(|e| {
+            serde::get_field(as_object(e), "name").ok()
+                == Some(&serde::Value::String(name.to_string()))
+        })
+        .unwrap_or_else(|| panic!("the trace has no `{name}` span"));
+    as_object(serde::get_field(as_object(span), "fields").unwrap())
 }
 
 #[test]

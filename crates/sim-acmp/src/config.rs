@@ -6,7 +6,7 @@ use sim_core::CoreConfig;
 use sim_interconnect::BusConfig;
 
 /// How the worker I-caches are organised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SharingMode {
     /// Every core has a private I-cache (the baseline, `cpc = 1`).
     Private,
@@ -33,7 +33,7 @@ impl SharingMode {
 }
 
 /// Number of I-buses between a sharing group and its I-cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BusWidth {
     /// One bus for the whole shared I-cache.
     Single,

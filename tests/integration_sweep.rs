@@ -319,7 +319,7 @@ fn golden_fig09_cold_warm_sharded_and_merged_runs_match_the_fixture() {
 
     // Sharded 2-way into disjoint stores (two machines), then merged
     // offline through the validating k-way merge.
-    let keys: Vec<JobKey> = grid.jobs().iter().map(|job| job.key(&generator)).collect();
+    let keys = JobKey::for_jobs(&generator, &grid.jobs());
     let schedule = shard_key_schedule(&keys, 2);
     let mut validated = Vec::new();
     for index in 0..2u32 {
@@ -395,11 +395,24 @@ fn the_committed_fig09_store_serves_the_grid_and_every_value_round_trips() {
     );
 
     assert_eq!(segment.lines().count(), 6);
+    let mut stored = Vec::new();
     for line in segment.lines() {
-        let (_, _, value) = scan_record_parts(line).expect("every record verifies");
+        let (canonical, _, value) = scan_record_parts(line).expect("every record verifies");
         let result: SimResult = serde_json::from_str(value).unwrap();
         assert_eq!(serde_json::to_string(&result).unwrap(), value);
+        stored.push(canonical);
     }
+
+    // The keys the engine derives for the grid are the stored keys, byte
+    // for byte.
+    let (grid, _) = fig09_grid();
+    let mut derived: Vec<String> = JobKey::for_jobs(&generator, &grid.jobs())
+        .iter()
+        .map(|key| key.canonical().to_string())
+        .collect();
+    derived.sort_unstable();
+    stored.sort_unstable();
+    assert_eq!(derived, stored);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
