@@ -204,13 +204,35 @@ pub fn scan_record_parts(line: &str) -> Option<(String, u64, &str)> {
 /// checksum: for a record [`scan_record_parts`] already verified, such as
 /// any record the store's index holds.
 pub(crate) fn split_record(line: &str) -> Option<(String, u64, &str)> {
-    let rest = line.strip_prefix("{\"key\":")?;
-    if !rest.starts_with('"') {
-        return None;
-    }
+    let rest = key_field(line)?;
     let mut key = serde::Parser::new(rest);
     let canonical = key.parse_str().ok()?.into_owned();
-    let rest = rest[key.offset()..].strip_prefix(",\"crc\":\"")?;
+    let (crc, value) = split_crc_and_value(&rest[key.offset()..])?;
+    Some((canonical, crc, value))
+}
+
+/// The raw value JSON of a record line whose stored key is `canonical`:
+/// exactly what [`split_record`] followed by a key comparison accepts, but
+/// the escaped key is compared as it is decoded, never collected.
+pub(crate) fn value_for_key<'a>(line: &'a str, canonical: &str) -> Option<&'a str> {
+    let rest = key_field(line)?;
+    let mut key = serde::Parser::new(rest);
+    if !key.matches_str(canonical) {
+        return None;
+    }
+    split_crc_and_value(&rest[key.offset()..]).map(|(_, value)| value)
+}
+
+/// A record line from its escaped key string on.
+fn key_field(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("{\"key\":")?;
+    rest.starts_with('"').then_some(rest)
+}
+
+/// Cuts what follows a record's key string into its checksum and its raw
+/// value JSON, checking the [`encode_record`] layout.
+fn split_crc_and_value(rest: &str) -> Option<(u64, &str)> {
+    let rest = rest.strip_prefix(",\"crc\":\"")?;
     if rest.len() < 16 || !rest.is_char_boundary(16) {
         return None;
     }
@@ -220,7 +242,7 @@ pub(crate) fn split_record(line: &str) -> Option<(String, u64, &str)> {
     }
     let value = rest.strip_prefix("\",\"value\":")?.strip_suffix('}')?;
     let crc = u64::from_str_radix(crc_hex, 16).ok()?;
-    Some((canonical, crc, value))
+    Some((crc, value))
 }
 
 /// What [`scan_segment`] found in a segment's bytes.
@@ -386,6 +408,34 @@ mod tests {
             scan_record_parts(&line),
             Some((canonical.to_string(), crc, "{\"cycles\":42}"))
         );
+    }
+
+    #[test]
+    fn a_load_accepts_exactly_the_records_split_record_matches() {
+        let keys = [
+            "{\"generator\":{\"seed\":7},\"benchmark\":\"cg\"}",
+            "back\\slash, tab\t, newline\n, return\r, bell\u{7}, \u{e9}",
+            "",
+        ];
+        for key in keys {
+            let (line, _) = encode_record(key, "{\"cycles\":42}");
+            let cut = |line: &str, wanted: &str| {
+                split_record(line)
+                    .filter(|(stored, _, _)| stored == wanted)
+                    .map(|(_, _, value)| value.to_string())
+            };
+            for wanted in keys {
+                let loaded = value_for_key(&line, wanted).map(str::to_string);
+                assert_eq!(loaded, cut(&line, wanted), "{key:?} as {wanted:?}");
+                assert_eq!(loaded.is_some(), key == wanted);
+            }
+            // Neither checks the value checksum: a cut inside the value can
+            // still have the layout, and then both accept it.
+            for end in (0..line.len()).filter(|&e| line.is_char_boundary(e)) {
+                let loaded = value_for_key(&line[..end], key).map(str::to_string);
+                assert_eq!(loaded, cut(&line[..end], key), "{:?}", &line[..end]);
+            }
+        }
     }
 
     #[test]

@@ -347,12 +347,10 @@ impl DiskStore {
         read_exact_at(&file, &mut line, offset).ok()?;
         let line = std::str::from_utf8(&line).ok()?;
         // Open verified this record's layout and value checksum, and
-        // segments are append-only: cut the key and value out of the same
-        // bytes and decode only the value, without hashing it again.
-        let (stored_key, _, value_json) = segment::split_record(line)?;
-        if stored_key != key.canonical() {
-            return None;
-        }
+        // segments are append-only: check the stored key against this one
+        // as it is unescaped, and decode only the value, without hashing it
+        // again.
+        let value_json = segment::value_for_key(line, key.canonical())?;
         serde_json::from_str(value_json).ok()
     }
 
@@ -912,6 +910,25 @@ mod tests {
         assert_eq!(store.load::<u64>(&key("ep")), None);
         // Its intact neighbour is unaffected.
         assert_eq!(store.load::<u64>(&key("lu")), Some(2));
+    }
+
+    #[test]
+    fn a_record_rewritten_under_another_key_after_open_is_a_miss() {
+        let root = temp_root("rekeyed");
+        DiskStore::open(&root)
+            .unwrap()
+            .save(&key("ep"), &1u64)
+            .unwrap();
+        let store = DiskStore::open(&root).unwrap();
+        assert!(store.contains(&key("ep")));
+        // Rewrite the indexed record's key in place, same length: the index
+        // still points at it, but the stored key no longer matches.
+        let path = root.join(&segment_files(&root)[0]);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let rekeyed = text.replacen("\\\"ep\\\"", "\\\"ft\\\"", 1);
+        assert_ne!(text, rekeyed, "fixture must actually rewrite the key");
+        std::fs::write(&path, rekeyed).unwrap();
+        assert_eq!(store.load::<u64>(&key("ep")), None);
     }
 
     #[test]

@@ -57,18 +57,6 @@ impl GeneratorConfig {
         }
     }
 
-    /// Returns a copy with a different worker count.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.num_workers = n;
-        self
-    }
-
-    /// Returns a copy with a different per-thread instruction budget.
-    pub fn with_instructions(mut self, n: u64) -> Self {
-        self.parallel_instructions_per_thread = n;
-        self
-    }
-
     /// Returns a copy with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -462,7 +450,13 @@ mod tests {
 
     #[test]
     fn thread_count_matches_configuration() {
-        let set = generate(Benchmark::Cg, GeneratorConfig::small().with_workers(4));
+        let set = generate(
+            Benchmark::Cg,
+            GeneratorConfig {
+                num_workers: 4,
+                ..GeneratorConfig::small()
+            },
+        );
         assert_eq!(set.num_threads(), 5);
     }
 
@@ -482,7 +476,10 @@ mod tests {
 
     #[test]
     fn serial_fraction_matches_profile() {
-        let cfg = GeneratorConfig::small().with_instructions(30_000);
+        let cfg = GeneratorConfig {
+            parallel_instructions_per_thread: 30_000,
+            ..GeneratorConfig::small()
+        };
         for b in [Benchmark::Nab, Benchmark::CoMd, Benchmark::Lu] {
             let set = generate(b, cfg);
             let stats = TraceStats::from_trace(set.master());
@@ -497,7 +494,10 @@ mod tests {
 
     #[test]
     fn basic_block_lengths_match_profile() {
-        let cfg = GeneratorConfig::small().with_instructions(30_000);
+        let cfg = GeneratorConfig {
+            parallel_instructions_per_thread: 30_000,
+            ..GeneratorConfig::small()
+        };
         for b in [Benchmark::Lu, Benchmark::Cg, Benchmark::Nab] {
             let p = b.profile();
             let set = generate(b, cfg);
@@ -522,7 +522,13 @@ mod tests {
 
     #[test]
     fn instruction_sharing_is_high() {
-        let set = generate(Benchmark::Lu, GeneratorConfig::small().with_workers(4));
+        let set = generate(
+            Benchmark::Lu,
+            GeneratorConfig {
+                num_workers: 4,
+                ..GeneratorConfig::small()
+            },
+        );
         let sharing = SharingStats::from_trace_set(&set);
         assert!(
             sharing.dynamic_sharing > 0.95,
@@ -633,6 +639,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "meaningful instruction budget")]
     fn tiny_budget_rejected() {
-        GeneratorConfig::small().with_instructions(10).validate();
+        GeneratorConfig {
+            parallel_instructions_per_thread: 10,
+            ..GeneratorConfig::small()
+        }
+        .validate();
     }
 }

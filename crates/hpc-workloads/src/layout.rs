@@ -100,11 +100,6 @@ impl CodeLayout {
     pub fn is_shared_address(addr: u64) -> bool {
         (KERNEL_BASE..PRIVATE_BASE).contains(&addr)
     }
-
-    /// Returns `true` if `addr` belongs to serial (master-only) code.
-    pub fn is_serial_address(addr: u64) -> bool {
-        (SERIAL_HOT_BASE..KERNEL_BASE).contains(&addr)
-    }
 }
 
 #[cfg(test)]
@@ -133,9 +128,8 @@ mod tests {
 
     #[test]
     fn address_classification() {
-        assert!(CodeLayout::is_serial_address(SERIAL_HOT_BASE));
-        assert!(CodeLayout::is_serial_address(SERIAL_COLD_BASE + 0x100));
-        assert!(!CodeLayout::is_serial_address(KERNEL_BASE));
+        assert!(!CodeLayout::is_shared_address(SERIAL_HOT_BASE));
+        assert!(!CodeLayout::is_shared_address(SERIAL_COLD_BASE + 0x100));
         assert!(CodeLayout::is_shared_address(KERNEL_BASE));
         assert!(CodeLayout::is_shared_address(PARALLEL_COLD_BASE));
         assert!(CodeLayout::is_shared_address(CRITICAL_BASE));

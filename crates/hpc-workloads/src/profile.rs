@@ -226,11 +226,6 @@ impl WorkloadProfile {
         }
     }
 
-    /// Total shared parallel hot-code footprint in bytes.
-    pub fn parallel_footprint_bytes(&self) -> u64 {
-        self.kernel_bytes as u64 * self.num_kernels as u64
-    }
-
     /// Checks that every parameter is in its valid range.
     ///
     /// # Panics
@@ -356,6 +351,7 @@ mod tests {
         // CoEVP's hot kernels alone cover at least half of a 32 KB I-cache;
         // together with its cold-walk fraction this is the one benchmark
         // with a non-negligible parallel MPKI (1.27 in the paper).
-        assert!(Benchmark::CoEvp.profile().parallel_footprint_bytes() >= 16 * 1024);
+        let p = Benchmark::CoEvp.profile();
+        assert!(p.kernel_bytes as u64 * p.num_kernels as u64 >= 16 * 1024);
     }
 }

@@ -1,4 +1,4 @@
-//! The instruction-side memory system: I-cache units, buses, MSHRs, L2.
+//! The instruction-side memory system: I-cache units, buses, L2.
 //!
 //! An [`IcacheUnit`] serves one set of cores: a single core for the private
 //! baseline, or a sharing group of `cpc` cores (optionally including the
@@ -6,9 +6,16 @@
 //! Requests are tracked from submission to delivery so the machine can
 //! attribute stall cycles to the right CPI-stack bucket (waiting for the bus
 //! grant, in transfer, or waiting for an L2 fill).
+//!
+//! Mutual prefetching, the paper's case for sharing, is modelled in one
+//! place: a unit's `pending_fills`, its record of the L2 fills in flight.
+//! A request that reaches the cache while a fill for its line is pending
+//! waits for that fill instead of missing again; once the fill retires, the
+//! line is resident and other cores hit on it.  No capacity limits the
+//! fills in flight.
 
 use crate::config::{AcmpConfig, SharingMode};
-use sim_cache::{AccessOutcome, BankedCache, CacheStats, L2Cache, Mshr, MshrAllocation};
+use sim_cache::{AccessOutcome, BankedCache, CacheStats, L2Cache};
 use sim_interconnect::{BusStats, Grant, IcacheInterconnect};
 
 /// Where an in-flight request currently is (used for stall attribution).
@@ -49,13 +56,13 @@ pub struct IcacheUnit {
     /// Global core ids served by this unit.
     cores: Vec<usize>,
     cache: BankedCache,
-    mshr: Mshr,
     l2: L2Cache,
     /// `None` for private units (the single core reaches the cache
     /// directly).
     interconnect: Option<IcacheInterconnect>,
-    /// `(line, completion cycle)` of each outstanding L2 fill.  Bounded by
-    /// the MSHR capacity, so a linear scan beats hashing.
+    /// `(line, completion cycle)` of each outstanding L2 fill, at most one
+    /// per line.  A core has at most one request per line buffer in flight,
+    /// so the list stays short and a linear scan beats hashing.
     pending_fills: Vec<(u64, u64)>,
     /// Earliest completion cycle in `pending_fills` (`u64::MAX` when empty);
     /// lets `tick`/`retire_fills_through` skip the scan entirely.
@@ -94,7 +101,6 @@ impl IcacheUnit {
         IcacheUnit {
             cores,
             cache: BankedCache::new(cache_cfg, num_banks),
-            mshr: Mshr::new(8),
             l2: L2Cache::new(config.l2),
             interconnect,
             pending_fills: Vec::new(),
@@ -139,11 +145,6 @@ impl IcacheUnit {
         self.l2.stats()
     }
 
-    /// MSHR statistics (request merging across sharing cores).
-    pub fn mshr_stats(&self) -> &sim_cache::mshr::MshrStats {
-        self.mshr.stats()
-    }
-
     /// Accepts a new line-fetch request from `core` at `cycle`.
     ///
     /// For private units the cache is accessed immediately; for shared units
@@ -163,7 +164,7 @@ impl IcacheUnit {
                 shared: true,
             }
         } else {
-            let (ready, phase) = self.access_cache(cycle, core, line, 0);
+            let (ready, phase) = self.access_cache(cycle, line, 0);
             InFlightRequest {
                 core,
                 line,
@@ -174,8 +175,8 @@ impl IcacheUnit {
         }
     }
 
-    /// Retires completed L2 fills up to and including `cycle`, freeing their
-    /// MSHR entries.  This is exactly the retirement half of
+    /// Retires completed L2 fills up to and including `cycle`.  This is
+    /// exactly the retirement half of
     /// [`IcacheUnit::tick`]; it is idempotent, so the idle-skip scheduler
     /// calls it to catch up over skipped cycles before the machine resumes
     /// (a fill must be retired before a same-cycle submission re-misses on
@@ -185,15 +186,12 @@ impl IcacheUnit {
             return;
         }
         let mut remaining_min = u64::MAX;
-        let mshr = &mut self.mshr;
-        self.pending_fills.retain(|&(line, ready)| {
-            if ready <= cycle {
-                mshr.retire(line);
-                false
-            } else {
+        self.pending_fills.retain(|&(_, ready)| {
+            let pending = ready > cycle;
+            if pending {
                 remaining_min = remaining_min.min(ready);
-                true
             }
+            pending
         });
         self.fills_min = remaining_min;
     }
@@ -222,8 +220,7 @@ impl IcacheUnit {
             let grant = self.grants[i];
             let core = self.cores[grant.requester];
             let transfer = grant.transfer_done_cycle - grant.grant_cycle;
-            let (ready, phase) =
-                self.access_cache(grant.grant_cycle, core, grant.line_addr, transfer);
+            let (ready, phase) = self.access_cache(grant.grant_cycle, grant.line_addr, transfer);
             updates.push(InFlightRequest {
                 core,
                 line: grant.line_addr,
@@ -241,19 +238,15 @@ impl IcacheUnit {
     ///
     /// `transfer_cycles` is the bus propagation + data-return time that must
     /// elapse on top of the cache/L2 latency.
-    fn access_cache(
-        &mut self,
-        cycle: u64,
-        core: usize,
-        line: u64,
-        transfer_cycles: u64,
-    ) -> (u64, RequestPhase) {
+    ///
+    /// `pending_fills` is where mutual prefetching is modelled: a miss
+    /// records its fill there, and a later request for the line while that
+    /// fill is in flight waits for it.  No capacity limits the fills in
+    /// flight.
+    fn access_cache(&mut self, cycle: u64, line: u64, transfer_cycles: u64) -> (u64, RequestPhase) {
         // A fill already in flight for this line (requested by another core
-        // of the group): piggyback on it instead of accessing again — this
-        // is the MSHR-level expression of cross-thread prefetching.
+        // of the group): piggyback on it instead of accessing again.
         if let Some(&(_, fill_ready)) = self.pending_fills.iter().find(|&&(l, _)| l == line) {
-            let local = self.local_index(core);
-            let _ = self.mshr.allocate(line, local);
             let ready = fill_ready.max(cycle + transfer_cycles);
             return (ready, RequestPhase::MissPath);
         }
@@ -264,16 +257,10 @@ impl IcacheUnit {
                 RequestPhase::HitPath,
             ),
             AccessOutcome::Miss { .. } => {
-                let local = self.local_index(core);
                 let fill_latency = self.l2.fill(line);
                 let ready = cycle + transfer_cycles + self.cache.latency() + fill_latency;
-                match self.mshr.allocate(line, local) {
-                    MshrAllocation::NewEntry | MshrAllocation::Full => {
-                        self.pending_fills.push((line, ready));
-                        self.fills_min = self.fills_min.min(ready);
-                    }
-                    MshrAllocation::Merged => {}
-                }
+                self.pending_fills.push((line, ready));
+                self.fills_min = self.fills_min.min(ready);
                 (ready, RequestPhase::MissPath)
             }
         }
@@ -417,20 +404,80 @@ mod tests {
         assert_eq!(unit.bus_stats().transactions, 1);
     }
 
+    /// Ticks `unit` from cycle `from` until it has granted `n` requests,
+    /// returning each with the cycle that granted it.
+    fn grants(unit: &mut IcacheUnit, from: u64, n: usize) -> Vec<(u64, InFlightRequest)> {
+        let mut granted = Vec::new();
+        for cycle in from..from + 1_000 {
+            granted.extend(tick(unit, cycle).into_iter().map(|r| (cycle, r)));
+            if granted.len() == n {
+                return granted;
+            }
+        }
+        panic!("{} of {n} requests granted in 1000 cycles", granted.len());
+    }
+
+    /// Cycles from a grant until the line reaches the cache: the bus's
+    /// propagation latency plus one beat per bus-width chunk of the line.
+    fn transfer_cycles(cfg: &AcmpConfig) -> u64 {
+        cfg.bus.latency + cfg.bus.beats_per_line()
+    }
+
     #[test]
     fn mshr_merges_requests_from_two_cores_for_the_same_line() {
         let cfg = AcmpConfig::worker_shared(2, 2);
         let mut unit = IcacheUnit::new(&cfg, vec![1, 2], true, cfg.worker_icache);
         unit.submit(0, 1, 0x0000);
         unit.submit(0, 2, 0x0000);
-        let mut updates = Vec::new();
-        for cycle in 0..10 {
-            updates.extend(tick(&mut unit, cycle));
-        }
-        assert_eq!(updates.len(), 2);
-        // Only one L2 fill was issued for the two requests.
+        let granted = grants(&mut unit, 0, 2);
+        let (_, first) = granted[0];
+        let (second_grant, second) = granted[1];
+        assert_eq!((first.core, second.core), (1, 2));
+        assert_eq!(first.phase, RequestPhase::MissPath);
+        // The second request finds the first one's fill in flight: it
+        // waits for that fill (or its own transfer, if that ends later)
+        // and issues no L2 access of its own.
+        assert_eq!(second.phase, RequestPhase::MissPath);
+        assert_eq!(
+            second.ready,
+            first.ready.max(second_grant + transfer_cycles(&cfg))
+        );
         assert_eq!(unit.l2_stats().accesses, 1);
-        assert_eq!(unit.mshr_stats().merged_requests, 1);
+    }
+
+    #[test]
+    fn a_shared_unit_keeps_more_than_eight_fills_in_flight() {
+        let cfg = AcmpConfig::worker_shared(4, 4);
+        let mut unit = IcacheUnit::new(&cfg, vec![1, 2, 3, 4], true, cfg.worker_icache);
+        let lines: Vec<u64> = (0..12u64).map(|i| 0x4000 + i * 64).collect();
+        for (i, &line) in lines.iter().enumerate() {
+            unit.submit(0, 1 + i % 4, line);
+        }
+        let first = grants(&mut unit, 0, lines.len());
+        // The same L2 in front of the same DRAM, fed the lines in grant
+        // order, gives each fill's latency.
+        let mut l2 = sim_cache::L2Cache::new(cfg.l2);
+        for &(grant, request) in &first {
+            assert_eq!(request.phase, RequestPhase::MissPath);
+            let expected =
+                grant + transfer_cycles(&cfg) + cfg.worker_icache.latency + l2.fill(request.line);
+            assert_eq!(request.ready, expected, "line {:#x}", request.line);
+        }
+        // A second request for each line, granted while all 12 fills are
+        // in flight, waits for its line's fill and accesses no L2.
+        let now = first[first.len() - 1].0 + 1;
+        for (i, &line) in lines.iter().enumerate() {
+            unit.submit(now, 1 + (i + 1) % 4, line);
+        }
+        let second = grants(&mut unit, now, lines.len());
+        let fills_min = first.iter().map(|&(_, r)| r.ready).min().unwrap();
+        for &(grant, request) in &second {
+            assert!(grant < fills_min, "granted after a fill retired");
+            let (_, fill) = first.iter().find(|(_, r)| r.line == request.line).unwrap();
+            assert_eq!(request.phase, RequestPhase::MissPath);
+            assert_eq!(request.ready, fill.ready, "line {:#x}", request.line);
+        }
+        assert_eq!(unit.l2_stats().accesses, 12);
     }
 
     #[test]

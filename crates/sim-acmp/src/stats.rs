@@ -81,15 +81,6 @@ impl SimResult {
         self.cores.iter().skip(1).map(|c| c.cpi).sum()
     }
 
-    /// Fraction of cycles spent in serial phases.
-    pub fn serial_cycle_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.serial_cycles as f64 / self.cycles as f64
-        }
-    }
-
     /// Overall instructions per cycle across the whole machine.
     pub fn machine_ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -158,7 +149,6 @@ mod tests {
     #[test]
     fn machine_level_metrics() {
         let r = result();
-        assert!((r.serial_cycle_fraction() - 0.2).abs() < 1e-12);
         assert!((r.machine_ipc() - 3.0).abs() < 1e-12);
     }
 
@@ -166,7 +156,6 @@ mod tests {
     fn zero_cycles_are_handled() {
         let mut r = result();
         r.cycles = 0;
-        assert_eq!(r.serial_cycle_fraction(), 0.0);
         assert_eq!(r.machine_ipc(), 0.0);
     }
 }

@@ -94,11 +94,6 @@ impl BankedCache {
     pub fn latency(&self) -> u64 {
         self.inner.latency()
     }
-
-    /// Access to the underlying cache (e.g. for flushing in tests).
-    pub fn inner_mut(&mut self) -> &mut SetAssocCache {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,7 @@ mod tests {
         let mut c = BankedCache::new(CacheConfig::icache_32k(), 2);
         c.access(0x1000);
         assert!(c.probe(0x1000));
-        c.inner_mut().flush();
+        c.inner.flush();
         assert!(!c.probe(0x1000));
         assert_eq!(c.latency(), 1);
         assert_eq!(c.num_banks(), 2);

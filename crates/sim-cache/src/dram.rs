@@ -51,24 +51,12 @@ impl Default for DramConfig {
     }
 }
 
-/// DRAM access statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct DramStats {
-    /// Total accesses.
-    pub accesses: u64,
-    /// Accesses that hit the open row.
-    pub row_hits: u64,
-    /// Accesses that required opening a new row.
-    pub row_misses: u64,
-}
-
 /// An open-row DRAM model with per-bank row buffers.
 #[derive(Debug)]
 pub struct Dram {
     config: DramConfig,
     /// Open row per bank, indexed by bank number.
     open_rows: Vec<Option<u64>>,
-    stats: DramStats,
 }
 
 impl Dram {
@@ -77,7 +65,6 @@ impl Dram {
         Dram {
             config,
             open_rows: vec![None; config.num_banks as usize],
-            stats: DramStats::default(),
         }
     }
 
@@ -86,24 +73,16 @@ impl Dram {
         &self.config
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &DramStats {
-        &self.stats
-    }
-
     /// Performs one line read at `addr`, returning its latency in CPU
     /// cycles.
     pub fn access(&mut self, addr: u64) -> u64 {
-        self.stats.accesses += 1;
         let row = addr / self.config.row_size;
         let bank = (row % self.config.num_banks) as usize;
         let open = self.open_rows[bank].replace(row);
         let row_hit = open == Some(row);
         if row_hit {
-            self.stats.row_hits += 1;
             self.config.cas_cycles + self.config.burst_cycles
         } else {
-            self.stats.row_misses += 1;
             let precharge = if open.is_some() {
                 self.config.rp_cycles
             } else {
@@ -132,19 +111,18 @@ mod tests {
             miss > hit,
             "row conflict {miss} should exceed row hit {hit}"
         );
-        assert_eq!(d.stats().accesses, 3);
-        assert_eq!(d.stats().row_hits, 1);
-        assert_eq!(d.stats().row_misses, 2);
+        assert_eq!(hit, cfg.cas_cycles + cfg.burst_cycles);
+        assert_eq!(miss, first + cfg.rp_cycles, "a conflict also precharges");
     }
 
     #[test]
     fn sequential_lines_mostly_hit_the_row() {
         let mut d = Dram::new(DramConfig::ddr3_1600());
-        for i in 0..128u64 {
-            d.access(i * 64); // 8 KB row holds 128 lines
-        }
-        assert_eq!(d.stats().row_misses, 1);
-        assert_eq!(d.stats().row_hits, 127);
+        let cfg = *d.config();
+        let row_hit = cfg.cas_cycles + cfg.burst_cycles;
+        // An 8 KB row holds 128 lines: only the first access opens it.
+        let hits = (0..128u64).filter(|i| d.access(i * 64) == row_hit).count();
+        assert_eq!(hits, 127);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl L2Cache {
     pub fn probe(&self, addr: u64) -> bool {
         self.cache.probe(addr)
     }
-
-    /// DRAM statistics.
-    pub fn dram_stats(&self) -> &crate::dram::DramStats {
-        self.dram.stats()
-    }
 }
 
 #[cfg(test)]

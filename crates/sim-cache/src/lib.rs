@@ -9,12 +9,12 @@
 //!   analysis) and statistics.
 //! * [`BankedCache`] — a multi-banked wrapper interleaving lines across
 //!   banks (even/odd lines for the double-bus configuration of Section IV-B).
-//! * [`Mshr`] — miss-status holding registers that merge concurrent requests
-//!   for the same line; in a shared I-cache this is where cross-thread
-//!   mutual prefetching becomes visible (a second core's request for a line
-//!   already being fetched does not pay a second L2 round trip).
 //! * [`L2Cache`] and [`Dram`] — the backing levels with the latencies of
 //!   Table I (L2: 1 MB, 32-way, 20 cycles; DRAM: DDR3-1600-like timing).
+//!
+//! The caches keep no in-flight state.  Fills on their way from the L2, and
+//! the requests of other sharing cores that wait on them (the paper's
+//! "mutual prefetching"), are tracked by the I-cache unit in `sim-acmp`.
 //!
 //! All caches here are *functional with latency parameters*: they answer
 //! "hit or miss, and which miss class" immediately, and expose the latency
@@ -37,7 +37,6 @@ pub mod config;
 pub mod dram;
 pub mod hashing;
 pub mod l2;
-pub mod mshr;
 pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use config::CacheConfig;
 pub use dram::{Dram, DramConfig};
 pub use hashing::{LineHashBuilder, LineHasher};
 pub use l2::{L2Cache, L2Config};
-pub use mshr::{Mshr, MshrAllocation};
 pub use replacement::LruPolicy;
 pub use set_assoc::{AccessOutcome, MissKind, SetAssocCache};
 pub use stats::CacheStats;
@@ -64,6 +62,5 @@ mod crate_tests {
         assert_send_sync::<L2Cache>();
         assert_send_sync::<Dram>();
         assert_send_sync::<CacheStats>();
-        assert_send_sync::<Mshr>();
     }
 }

@@ -148,11 +148,6 @@ impl SetAssocCache {
         self.tags[set_idx * assoc..(set_idx + 1) * assoc].contains(&Some(tag))
     }
 
-    /// Number of valid lines currently resident.
-    pub fn resident_lines(&self) -> u64 {
-        self.tags.iter().filter(|t| t.is_some()).count() as u64
-    }
-
     /// Invalidates all lines and clears recency state; statistics and the
     /// compulsory-miss history are preserved.
     pub fn flush(&mut self) {
@@ -174,6 +169,11 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of valid lines currently resident.
+    fn valid_lines(c: &SetAssocCache) -> u64 {
+        c.tags.iter().filter(|t| t.is_some()).count() as u64
+    }
 
     fn tiny_cache() -> SetAssocCache {
         // 2 sets x 2 ways x 64 B lines = 256 B.
@@ -304,7 +304,7 @@ mod tests {
             }
         }
         assert_eq!(c.stats().misses, warm_misses, "no misses after warm-up");
-        assert_eq!(c.resident_lines(), cfg.num_lines());
+        assert_eq!(valid_lines(&c), cfg.num_lines());
     }
 
     #[test]
@@ -332,7 +332,7 @@ mod tests {
         let mut c = tiny_cache();
         c.access(0x0000);
         c.flush();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!(valid_lines(&c), 0);
         match c.access(0x0000) {
             AccessOutcome::Miss { kind, .. } => assert_eq!(kind, MissKind::NonCompulsory),
             other => panic!("expected miss, got {other:?}"),

@@ -21,11 +21,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        CacheStats::default()
-    }
-
     /// Hit ratio in `[0, 1]`; 0 if there were no accesses.
     pub fn hit_ratio(&self) -> f64 {
         if self.accesses == 0 {
@@ -112,7 +107,7 @@ mod tests {
 
     #[test]
     fn empty_stats_have_zero_ratios() {
-        let s = CacheStats::new();
+        let s = CacheStats::default();
         assert_eq!(s.hit_ratio(), 0.0);
         assert_eq!(s.miss_ratio(), 0.0);
     }

@@ -4,7 +4,7 @@ use crate::config::CoreConfig;
 use crate::cpi::CpiStack;
 use crate::stream::{FetchStream, StepStop};
 use sim_frontend::{Ftq, LineBufferFile, LineBufferStats, LineLookup};
-use sim_trace::{SyncEvent, TraceSource};
+use sim_trace::SyncEvent;
 use std::sync::Arc;
 
 /// How many candidate lines a lookahead scan examines before truncating.
@@ -150,18 +150,6 @@ impl std::fmt::Debug for Core {
 }
 
 impl Core {
-    /// Creates a core with identifier `id` executing `trace`, which it
-    /// decodes with its own front end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(id: usize, config: CoreConfig, mut trace: Box<dyn TraceSource + Send>) -> Self {
-        let records = std::iter::from_fn(|| trace.next_record());
-        let stream = FetchStream::decode(records, &config.frontend);
-        Core::with_stream(id, config, Arc::new(stream))
-    }
-
     /// Creates a core with identifier `id` replaying `stream`, which other
     /// cores may share.
     ///
@@ -746,17 +734,23 @@ mod tests {
     use super::*;
     use crate::cpi::StallKind;
     use sim_frontend::FtqEntry;
-    use sim_trace::TraceBuilder;
+    use sim_trace::{ThreadTrace, TraceBuilder};
+
+    /// A core replaying `trace`, decoded for the core's own front end.
+    fn core_over(id: usize, config: CoreConfig, trace: ThreadTrace) -> Core {
+        let stream = FetchStream::decode(trace, &config.frontend);
+        Core::with_stream(id, config, Arc::new(stream))
+    }
 
     /// Runs a core against a "perfect" memory that answers every fetch
     /// request `latency` cycles later.  Returns (cycles, core).
     fn run_with_fixed_latency(
         config: CoreConfig,
-        trace: sim_trace::ThreadTrace,
+        trace: ThreadTrace,
         latency: u64,
         max_cycles: u64,
     ) -> (u64, Core) {
-        let mut core = Core::new(0, config, Box::new(trace.into_source()));
+        let mut core = core_over(0, config, trace);
         let mut in_flight: Vec<(u64, u64)> = Vec::new(); // (ready_cycle, line)
         let mut cycle = 0;
         while !core.is_finished() && cycle < max_cycles {
@@ -788,7 +782,7 @@ mod tests {
         (cycle, core)
     }
 
-    fn loop_trace(iters: u32, body_instrs: u32, ipc: f64) -> sim_trace::ThreadTrace {
+    fn loop_trace(iters: u32, body_instrs: u32, ipc: f64) -> ThreadTrace {
         let mut b = TraceBuilder::new(0);
         b.set_ipc(ipc);
         for _ in 0..iters {
@@ -931,7 +925,7 @@ mod tests {
         b.basic_block(0x1000, 8, 0x2000, true);
         b.sync(SyncEvent::Barrier { id: 1 });
         b.basic_block(0x2000, 8, 0x3000, true);
-        let mut core = Core::new(3, CoreConfig::worker(), Box::new(b.finish().into_source()));
+        let mut core = core_over(3, CoreConfig::worker(), b.finish());
 
         let mut saw_event = false;
         let mut pending: Vec<(u64, u64)> = Vec::new();
@@ -1021,7 +1015,7 @@ mod tests {
     #[should_panic(expected = "unblocked while")]
     fn unblocking_a_running_core_panics() {
         let trace = loop_trace(2, 4, 1.0);
-        let mut core = Core::new(0, CoreConfig::worker(), Box::new(trace.into_source()));
+        let mut core = core_over(0, CoreConfig::worker(), trace);
         core.unblock();
     }
 
@@ -1042,7 +1036,7 @@ mod tests {
         for _ in 0..4 {
             b.basic_block(0x8000, 16, 0x8000, true);
         }
-        Core::new(0, config, Box::new(b.finish().into_source()))
+        core_over(0, config, b.finish())
     }
 
     fn block(start: u64, len_bytes: u32, num_instrs: u32) -> FtqEntry {

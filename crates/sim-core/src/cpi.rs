@@ -140,17 +140,6 @@ impl CpiStack {
         }
     }
 
-    /// Cycles per instruction excluding synchronisation wait (the metric
-    /// used when comparing front-end designs, since sync time depends on the
-    /// other threads).
-    pub fn cpi_excluding_sync(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            (self.total_cycles() - self.sync) as f64 / self.instructions as f64
-        }
-    }
-
     /// Merges another stack into this one.
     pub fn merge(&mut self, other: &CpiStack) {
         self.instructions += other.instructions;
@@ -196,7 +185,7 @@ mod tests {
         assert_eq!(s.commit_cycles, 2);
         assert_eq!(s.total_cycles(), 5);
         assert!((s.cpi() - 5.0 / 3.0).abs() < 1e-12);
-        assert!((s.cpi_excluding_sync() - 4.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.sync, 1);
     }
 
     #[test]
@@ -216,7 +205,6 @@ mod tests {
     fn empty_stack_has_zero_cpi() {
         let s = CpiStack::new();
         assert_eq!(s.cpi(), 0.0);
-        assert_eq!(s.cpi_excluding_sync(), 0.0);
         assert_eq!(s.total_cycles(), 0);
     }
 

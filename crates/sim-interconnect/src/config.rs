@@ -64,12 +64,6 @@ impl BusConfig {
     pub fn beats_per_line(&self) -> u64 {
         self.line_size / self.width_bytes
     }
-
-    /// Minimum (contention-free) transaction latency: propagation plus the
-    /// data transfer.
-    pub fn unloaded_latency(&self) -> u64 {
-        self.latency + self.beats_per_line()
-    }
 }
 
 impl Default for BusConfig {
@@ -86,7 +80,7 @@ mod tests {
     fn paper_bus_has_two_beats() {
         let c = BusConfig::paper_single_bus();
         assert_eq!(c.beats_per_line(), 2);
-        assert_eq!(c.unloaded_latency(), 4);
+        assert_eq!(c.latency, 2);
         assert_eq!(c.arbitration, Arbitration::RoundRobin);
     }
 

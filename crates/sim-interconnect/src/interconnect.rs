@@ -84,11 +84,6 @@ impl IcacheInterconnect {
         }
         total
     }
-
-    /// Per-bus statistics.
-    pub fn per_bus_stats(&self) -> Vec<&BusStats> {
-        self.buses.iter().map(|b| b.stats()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,6 @@ mod tests {
         let s = ic.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.busy_cycles, 4);
-        assert_eq!(ic.per_bus_stats().len(), 2);
         assert_eq!(ic.num_buses(), 2);
         assert!(ic.is_idle(10));
         assert_eq!(ic.pending_requests(), 0);

@@ -28,15 +28,6 @@ impl BusStats {
         }
     }
 
-    /// Average grant wait in cycles per transaction; 0 with no transactions.
-    pub fn avg_wait(&self) -> f64 {
-        if self.transactions == 0 {
-            0.0
-        } else {
-            self.wait_cycles as f64 / self.transactions as f64
-        }
-    }
-
     /// Bus utilisation over `total_cycles` simulated cycles, in `[0, 1]`.
     pub fn utilisation(&self, total_cycles: u64) -> f64 {
         if total_cycles == 0 {
@@ -75,10 +66,9 @@ mod tests {
             max_queue_depth: 3,
             per_requester: vec![4, 6],
         };
-        assert!((s.avg_wait() - 0.5).abs() < 1e-12);
         assert!((s.utilisation(100) - 0.2).abs() < 1e-12);
         assert_eq!(s.utilisation(0), 0.0);
-        assert_eq!(BusStats::new(2).avg_wait(), 0.0);
+        assert_eq!(BusStats::new(2).utilisation(100), 0.0);
     }
 
     #[test]

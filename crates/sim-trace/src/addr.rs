@@ -90,9 +90,7 @@ impl From<InstrAddr> for u64 {
 /// The invariant that the value is aligned to the line size is established at
 /// construction time; the line size itself is not stored (all components of
 /// one simulated machine agree on it through their configuration).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct LineAddr(u64);
 

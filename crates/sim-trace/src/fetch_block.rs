@@ -12,7 +12,7 @@
 
 use crate::addr::InstrAddr;
 use crate::record::{BranchInfo, TraceRecord};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Default maximum fetch-block length in bytes.
 ///
@@ -24,7 +24,7 @@ pub const DEFAULT_MAX_FB_BYTES: u32 = 256;
 
 /// A dynamic fetch block: consecutive instructions ending at a taken branch
 /// or the size cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FetchBlock {
     /// Address of the first instruction in the block.
     pub start: InstrAddr,
@@ -39,7 +39,7 @@ pub struct FetchBlock {
 }
 
 /// The taken branch that terminated a fetch block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TerminatingBranch {
     /// Address of the branch instruction.
     pub addr: InstrAddr,

@@ -50,8 +50,7 @@ pub use serialize::{
     TraceSerializeError, TRACE_FORMAT_VERSION,
 };
 pub use source::{
-    OwnedTraceCursor, SharedTraceCursor, ThreadId, ThreadTrace, ThreadTraceCursor, TraceBuilder,
-    TraceSet, TraceSource,
+    OwnedTraceCursor, SharedTraceCursor, ThreadId, ThreadTrace, TraceBuilder, TraceSet, TraceSource,
 };
 pub use stats::{FootprintStats, RegionStats, SharingStats, TraceStats};
 

@@ -14,20 +14,13 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Code region kind: serial (master-only) or parallel (all threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Region {
     /// Sequential section executed only by the master thread.
     Serial,
     /// Parallel section executed by all worker threads (and the master
     /// acting as an extra worker).
     Parallel,
-}
-
-impl Region {
-    /// Returns `true` for [`Region::Parallel`].
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Region::Parallel)
-    }
 }
 
 impl fmt::Display for Region {
@@ -243,8 +236,6 @@ mod tests {
 
     #[test]
     fn region_display_and_predicate() {
-        assert!(Region::Parallel.is_parallel());
-        assert!(!Region::Serial.is_parallel());
         assert_eq!(Region::Serial.to_string(), "serial");
         assert_eq!(Region::Parallel.to_string(), "parallel");
     }

@@ -182,6 +182,24 @@ pub fn read_trace_json<R: BufRead>(reader: R) -> Result<ThreadTrace, TraceSerial
 /// # Errors
 ///
 /// Returns an error if writing or JSON encoding fails.
+///
+/// # Example
+///
+/// ```
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// use sim_trace::{read_trace_set_json, write_trace_set_json, TraceBuilder, TraceSet};
+///
+/// let mut b = TraceBuilder::new(0);
+/// b.instr(0x100, 4);
+/// let set = TraceSet::new(vec![b.finish()]);
+///
+/// let mut buf = Vec::new();
+/// write_trace_set_json(&set, &mut buf)?;
+/// assert_eq!(String::from_utf8(buf.clone())?.lines().count(), 3);
+/// assert_eq!(read_trace_set_json(&buf[..])?, set);
+/// # Ok(())
+/// # }
+/// ```
 pub fn write_trace_set_json<W: Write>(
     set: &TraceSet,
     mut writer: W,
@@ -418,5 +436,45 @@ mod tests {
         text.push('\n');
         let back = read_trace_json(text.as_bytes()).unwrap();
         assert_eq!(t, back);
+    }
+
+    fn written(set: &TraceSet) -> String {
+        let mut buf = Vec::new();
+        write_trace_set_json(set, &mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    #[test]
+    fn a_two_thread_set_is_written_byte_for_byte() {
+        let mut t0 = TraceBuilder::new(0);
+        t0.set_ipc(1.5)
+            .instr(0x100, 4)
+            .sync(SyncEvent::ParallelStart { num_threads: 2 });
+        let mut t1 = TraceBuilder::new(1);
+        t1.branch(0x2000, 4, 0x2040, true)
+            .sync(SyncEvent::Barrier { id: 7 });
+        let set = TraceSet::new(vec![t0.finish(), t1.finish()]);
+        assert_eq!(
+            written(&set),
+            concat!(
+                "{\"format_version\":1,\"num_threads\":2}\n",
+                "{\"format_version\":1,\"thread\":0,\"num_records\":3}\n",
+                "{\"SetIpc\":{\"ipc\":1.5}}\n",
+                "{\"Instr\":{\"addr\":256,\"len\":4}}\n",
+                "{\"Sync\":{\"ParallelStart\":{\"num_threads\":2}}}\n",
+                "{\"format_version\":1,\"thread\":1,\"num_records\":2}\n",
+                "{\"Branch\":{\"addr\":8192,\"len\":4,",
+                "\"info\":{\"target\":8256,\"taken\":true,\"indirect\":false}}}\n",
+                "{\"Sync\":{\"Barrier\":{\"id\":7}}}\n",
+            )
+        );
+    }
+
+    #[test]
+    fn an_empty_set_is_its_header_line() {
+        assert_eq!(
+            written(&TraceSet::new(vec![])),
+            "{\"format_version\":1,\"num_threads\":0}\n"
+        );
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The simulator consumes one trace per thread.  [`ThreadTrace`] is a
 //! materialised, in-memory trace; [`TraceSet`] groups the per-thread traces
-//! of one application run; [`TraceSource`] abstracts over materialised and
-//! generated-on-the-fly traces so the synthetic workload generator in
-//! `hpc-workloads` can stream records without storing billions of them.
+//! of one application run; [`SharedTraceCursor`] and [`OwnedTraceCursor`]
+//! read one thread's records in batches through [`TraceSource`].
 
 use crate::record::{BranchInfo, SyncEvent, TraceRecord};
 use crate::InstrAddr;
@@ -40,58 +39,22 @@ impl From<usize> for ThreadId {
     }
 }
 
-/// A source of trace records for one thread.
-///
-/// Implemented by in-memory traces and by generators that synthesise records
-/// lazily.  A reader pulls one record at a time; `None` means the thread has
-/// finished.
+/// A source of trace records for one thread, read in batches.
 pub trait TraceSource {
-    /// Returns the next record, or `None` at the end of the trace.
-    fn next_record(&mut self) -> Option<TraceRecord>;
-
     /// Appends up to `max` records to `buf`, returning how many were
-    /// appended (0 at the end of the trace).  Equivalent to calling
-    /// [`TraceSource::next_record`] repeatedly; materialised sources
-    /// override it with a slice copy so a reader pays one virtual call per
-    /// batch instead of per record.
-    fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.next_record() {
-                Some(r) => {
-                    buf.push(r);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// A hint of how many instructions remain, if known (used only for
-    /// progress reporting).
-    fn remaining_hint(&self) -> Option<u64> {
-        None
-    }
+    /// appended (0 at the end of the trace).
+    fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize;
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        (**self).next_record()
-    }
-
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
         (**self).next_records(buf, max)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        (**self).remaining_hint()
     }
 }
 
 /// Copies the next `max` records (or fewer at the end) from `records[*pos..]`
-/// into `buf`, advancing `*pos` — the shared body of the cursor
-/// `next_records` overrides.
+/// into `buf`, advancing `*pos` — the shared body of the cursors'
+/// `next_records`.
 fn copy_records(
     records: &[TraceRecord],
     pos: &mut usize,
@@ -105,7 +68,7 @@ fn copy_records(
 }
 
 /// A fully materialised, in-memory trace of a single thread.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct ThreadTrace {
     thread: ThreadId,
     records: Vec<TraceRecord>,
@@ -160,14 +123,6 @@ impl ThreadTrace {
         self.records.iter()
     }
 
-    /// Returns a cursor implementing [`TraceSource`] over this trace.
-    pub fn cursor(&self) -> ThreadTraceCursor<'_> {
-        ThreadTraceCursor {
-            records: &self.records,
-            pos: 0,
-        }
-    }
-
     /// Consumes the trace and returns its record vector, so the allocation
     /// can be reused (see [`TraceBuilder::reusing`]).
     pub fn into_records(self) -> Vec<TraceRecord> {
@@ -208,31 +163,6 @@ impl Extend<TraceRecord> for ThreadTrace {
     }
 }
 
-/// Borrowing cursor over a [`ThreadTrace`].
-#[derive(Debug, Clone)]
-pub struct ThreadTraceCursor<'a> {
-    records: &'a [TraceRecord],
-    pos: usize,
-}
-
-impl TraceSource for ThreadTraceCursor<'_> {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let r = self.records.get(self.pos).copied();
-        if r.is_some() {
-            self.pos += 1;
-        }
-        r
-    }
-
-    fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
-        copy_records(self.records, &mut self.pos, buf, max)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.records.len() - self.pos) as u64)
-    }
-}
-
 /// Cursor over one thread of a shared, reference-counted [`TraceSet`].
 ///
 /// Walks the thread's records through an `Arc`, so many readers of one trace
@@ -265,15 +195,6 @@ impl SharedTraceCursor {
 }
 
 impl TraceSource for SharedTraceCursor {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let records = self.set.traces[self.thread].records();
-        let r = records.get(self.pos).copied();
-        if r.is_some() {
-            self.pos += 1;
-        }
-        r
-    }
-
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
         copy_records(
             self.set.traces[self.thread].records(),
@@ -281,10 +202,6 @@ impl TraceSource for SharedTraceCursor {
             buf,
             max,
         )
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.set.traces[self.thread].len() - self.pos) as u64)
     }
 }
 
@@ -296,20 +213,8 @@ pub struct OwnedTraceCursor {
 }
 
 impl TraceSource for OwnedTraceCursor {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        let r = self.records.get(self.pos).copied();
-        if r.is_some() {
-            self.pos += 1;
-        }
-        r
-    }
-
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
         copy_records(&self.records, &mut self.pos, buf, max)
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        Some((self.records.len() - self.pos) as u64)
     }
 }
 
@@ -411,7 +316,7 @@ impl TraceBuilder {
 }
 
 /// The per-thread traces of one application run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct TraceSet {
     traces: Vec<ThreadTrace>,
 }
@@ -491,6 +396,7 @@ impl FromIterator<ThreadTrace> for TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn thread_id_basics() {
@@ -525,29 +431,48 @@ mod tests {
         TraceBuilder::new(0).set_ipc(-1.0);
     }
 
+    /// A two-thread set: thread 0 runs 2 instructions, thread 1 runs 7.
+    fn two_thread_set() -> Arc<TraceSet> {
+        let mut t0 = TraceBuilder::new(0);
+        t0.instr(0x100, 4).instr(0x104, 4);
+        let mut t1 = TraceBuilder::new(1);
+        t1.basic_block(0x2000, 7, 0x2000, true);
+        Arc::new(TraceSet::new(vec![t0.finish(), t1.finish()]))
+    }
+
     #[test]
     fn cursor_walks_all_records() {
-        let mut b = TraceBuilder::new(0);
-        b.instr(0x100, 4).instr(0x104, 4);
-        let t = b.finish();
-        let mut c = t.cursor();
-        assert_eq!(c.remaining_hint(), Some(2));
-        assert!(c.next_record().is_some());
-        assert!(c.next_record().is_some());
-        assert!(c.next_record().is_none());
-        assert_eq!(c.remaining_hint(), Some(0));
+        let set = two_thread_set();
+        let mut cursor = SharedTraceCursor::new(Arc::clone(&set), ThreadId(1));
+        let mut buf = Vec::new();
+        // Full batches of `max`, then the short remainder, appended in order.
+        assert_eq!(cursor.next_records(&mut buf, 3), 3);
+        assert_eq!(cursor.next_records(&mut buf, 3), 3);
+        assert_eq!(cursor.next_records(&mut buf, 3), 1);
+        assert_eq!(buf, set.thread(ThreadId(1)).unwrap().records());
+        // At the end, and on every call after it, nothing is appended.
+        assert_eq!(cursor.next_records(&mut buf, 3), 0);
+        assert_eq!(cursor.next_records(&mut buf, 3), 0);
+        assert_eq!(buf.len(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace set has 2 threads, no trace for t2")]
+    fn shared_cursor_rejects_a_thread_outside_the_set() {
+        let _ = SharedTraceCursor::new(two_thread_set(), ThreadId(2));
     }
 
     #[test]
     fn owned_cursor_walks_all_records() {
         let mut b = TraceBuilder::new(0);
         b.instr(0x100, 4).instr(0x104, 4).instr(0x108, 4);
-        let mut c = b.finish().into_source();
-        let mut n = 0;
-        while c.next_record().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 3);
+        let t = b.finish();
+        let mut c = t.clone().into_source();
+        let mut buf = Vec::new();
+        assert_eq!(c.next_records(&mut buf, 2), 2);
+        assert_eq!(c.next_records(&mut buf, 2), 1);
+        assert_eq!(c.next_records(&mut buf, 2), 0);
+        assert_eq!(buf, t.records());
     }
 
     #[test]
@@ -555,9 +480,10 @@ mod tests {
         let mut b = TraceBuilder::new(0);
         b.instr(0x100, 4);
         let mut boxed: Box<dyn TraceSource> = Box::new(b.finish().into_source());
-        assert_eq!(boxed.remaining_hint(), Some(1));
-        assert!(boxed.next_record().is_some());
-        assert!(boxed.next_record().is_none());
+        let mut buf = Vec::new();
+        assert_eq!(boxed.next_records(&mut buf, 4), 1);
+        assert_eq!(boxed.next_records(&mut buf, 4), 0);
+        assert_eq!(buf.len(), 1);
     }
 
     #[test]

@@ -45,29 +45,6 @@ impl RegionStats {
             self.instruction_bytes as f64 / self.basic_blocks as f64
         }
     }
-
-    /// Average dynamic basic-block length in instructions.
-    pub fn avg_basic_block_instrs(&self) -> f64 {
-        if self.basic_blocks == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.basic_blocks as f64
-        }
-    }
-
-    /// Fraction of branches that were taken.
-    pub fn taken_branch_ratio(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.taken_branches as f64 / self.branches as f64
-        }
-    }
-
-    /// Static code footprint in bytes, assuming 64-byte lines.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.static_lines * 64
-    }
 }
 
 /// Footprint sets of one thread, split by region.
@@ -332,7 +309,6 @@ mod tests {
         assert_eq!(s.parallel.instructions, 80);
         assert_eq!(s.parallel.basic_blocks, 10);
         assert!((s.parallel.avg_basic_block_bytes() - 32.0).abs() < 1e-9);
-        assert!((s.parallel.avg_basic_block_instrs() - 8.0).abs() < 1e-9);
         assert_eq!(s.serial.instructions, 0);
     }
 
@@ -359,7 +335,6 @@ mod tests {
         // 16 instructions * 4 bytes = 64 bytes = 1 line, executed repeatedly.
         assert_eq!(s.parallel.static_instructions, 16);
         assert_eq!(s.parallel.static_lines, 1);
-        assert_eq!(s.parallel.footprint_bytes(), 64);
     }
 
     #[test]
@@ -378,7 +353,8 @@ mod tests {
         b.branch(0x200, 4, 0x300, false);
         b.branch(0x300, 4, 0x100, false);
         let s = TraceStats::from_trace(&b.finish());
-        assert!((s.serial.taken_branch_ratio() - 1.0 / 3.0).abs() < 1e-9);
+        // One taken branch in three.
+        assert_eq!((s.serial.taken_branches, s.serial.branches), (1, 3));
     }
 
     #[test]
@@ -433,6 +409,6 @@ mod tests {
         assert_eq!(s.total_instructions(), 0);
         assert_eq!(s.serial_fraction(), 0.0);
         assert_eq!(s.serial.avg_basic_block_bytes(), 0.0);
-        assert_eq!(s.parallel.taken_branch_ratio(), 0.0);
+        assert_eq!(s.parallel, RegionStats::default());
     }
 }

@@ -351,6 +351,47 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Reads the string [`parse_str`](Self::parse_str) would read and
+    /// reports whether it equals `expected`, comparing as it decodes instead
+    /// of collecting: `true` exactly when `parse_str` would succeed with a
+    /// string equal to `expected`.  On `true` the reader is past the
+    /// string; on `false` its position is unspecified.
+    pub fn matches_str(&mut self, expected: &str) -> bool {
+        if self.expect(b'"').is_err() {
+            return false;
+        }
+        let bytes = self.input.as_bytes();
+        let mut rest = expected;
+        loop {
+            // The same runs and escapes as `parse_str`, each checked against
+            // the front of what is left of `expected`.
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(bytes.len() - self.pos);
+            let Some(tail) = rest.strip_prefix(&self.input[self.pos..self.pos + run]) else {
+                return false;
+            };
+            rest = tail;
+            self.pos += run;
+            match bytes.get(self.pos) {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return rest.is_empty();
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let Some(tail) = self.unescape().ok().and_then(|c| rest.strip_prefix(c)) else {
+                        return false;
+                    };
+                    rest = tail;
+                    self.pos += 1;
+                }
+                _ => return false,
+            }
+        }
+    }
+
     /// Decodes the escape whose letter is at the reader's position, leaving
     /// the reader on its last byte.
     fn unescape(&mut self) -> Result<char, Error> {
@@ -576,5 +617,78 @@ impl Deserialize for Value {
     /// the whole value.
     fn deserialize(parser: &mut Parser<'_>) -> Result<Self, Error> {
         parser.tree(&mut Scratch::default())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Parser;
+
+    /// Checks that `matches_str` accepts `json` against `expected` exactly
+    /// when `parse_str` followed by `==` does, and that an accepting call
+    /// leaves the reader where `parse_str` does.
+    fn agrees(json: &str, expected: &str) -> bool {
+        let mut parsed = Parser::new(json);
+        let by_parse = parsed.parse_str().is_ok_and(|s| s == expected);
+        let mut compared = Parser::new(json);
+        let matched = compared.matches_str(expected);
+        assert_eq!(matched, by_parse, "{json:?} against {expected:?}");
+        if matched {
+            assert_eq!(compared.offset(), parsed.offset(), "{json:?}");
+        }
+        matched
+    }
+
+    /// Every escape the parser accepts, between plain runs.
+    const ESCAPED: &str = r#""a\"b\\c\/d\be\ff\ng\rh\ti\u00e9j" tail"#;
+    const DECODED: &str = "a\"b\\c/d\u{8}e\u{c}f\ng\rh\ti\u{e9}j";
+
+    #[test]
+    fn every_escape_compares_equal_to_its_decoding() {
+        assert!(agrees(ESCAPED, DECODED));
+        assert!(agrees(r#""plain""#, "plain"));
+        assert!(agrees(r#""""#, ""));
+        assert!(agrees(r#"  "\u00e9""#, "\u{e9}"));
+    }
+
+    #[test]
+    fn a_mismatch_at_any_position_is_rejected() {
+        for (i, c) in DECODED.char_indices() {
+            let other = if c == 'x' { 'y' } else { 'x' };
+            let mut changed = String::from(&DECODED[..i]);
+            changed.push(other);
+            changed.push_str(&DECODED[i + c.len_utf8()..]);
+            assert!(!agrees(ESCAPED, &changed), "{changed:?}");
+            // A prefix of the decoding is not equal to it either.
+            assert!(!agrees(ESCAPED, &DECODED[..i]));
+        }
+        let mut longer = String::from(DECODED);
+        longer.push('x');
+        assert!(!agrees(ESCAPED, &longer));
+    }
+
+    #[test]
+    fn truncated_and_invalid_escapes_are_rejected() {
+        let string_end = ESCAPED.rfind('"').unwrap();
+        for end in (0..=string_end).filter(|&e| ESCAPED.is_char_boundary(e)) {
+            assert!(!agrees(&ESCAPED[..end], DECODED));
+            assert!(!agrees(&ESCAPED[..end], ""));
+        }
+        for bad in [
+            r#""\x""#,
+            r#""\u00""#,
+            r#""\u00zz""#,
+            r#""\ud800""#,
+            r#""\"#,
+            r#""\u"#,
+            "7",
+            "",
+        ] {
+            assert!(!agrees(bad, ""), "{bad:?}");
+            assert!(!agrees(bad, "x"), "{bad:?}");
+        }
+        // Whatever `parse_str` makes of an odd `\u` escape, the comparison
+        // makes the same.
+        let _ = agrees(r#""\u+0e9""#, "\u{e9}");
     }
 }
