@@ -385,13 +385,6 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// The 1-based line number of byte offset `at` within `text`.
-#[must_use]
-pub fn line_of_offset(text: &str, at: usize) -> u32 {
-    let upto = &text.as_bytes()[..at.min(text.len())];
-    1 + u32::try_from(upto.iter().filter(|&&b| b == b'\n').count()).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

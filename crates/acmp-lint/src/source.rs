@@ -99,28 +99,6 @@ impl SourceFile {
                 .iter()
                 .any(|&(start, end)| at >= start && at < end)
     }
-
-    /// Indices of the code tokens (everything but whitespace and comments).
-    #[must_use]
-    pub fn code_token_indices(&self) -> Vec<usize> {
-        self.tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// The token's text.
-    #[must_use]
-    pub fn text_of(&self, token: &Token) -> &str {
-        token.text(&self.text)
-    }
 }
 
 /// Derives (crate name, file kind) from a workspace-relative path.

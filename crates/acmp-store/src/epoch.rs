@@ -2,23 +2,22 @@
 //! serve` process) answer concurrent queries from one coherent store view
 //! while writers keep publishing.
 //!
-//! An [`Epoch`] pins a [`StoreSnapshot`] (keeping every backing segment
-//! readable via its open handles, even across a concurrent compaction
-//! that unlinks the paths) together with the [`Catalog`] validated
-//! against it.  Readers obtain the current epoch as an `Arc` and answer
-//! entirely from its in-memory catalog — **zero segment value reads**
-//! when the persisted index was fresh at build time.
+//! An [`Epoch`] is the [`Catalog`] built over one [`StoreSnapshot`] and
+//! validated against it: the in-memory rows of one coherent generation
+//! view.  The snapshot (and its open segment handles) lives only while
+//! the catalog is built, so an epoch holds no file open.  Readers obtain
+//! the current epoch as an `Arc` and answer entirely from its rows —
+//! **zero segment value reads** when the persisted index was fresh at
+//! build time.
 //!
 //! [`EpochCache::current`] is the poll point: it runs
 //! [`DiskStore::refresh`] (which folds new segment files and records
-//! appended to known ones) and compares the snapshot fingerprint against the pinned epoch.  A
-//! changed fingerprint rolls to a new epoch *without blocking in-flight
-//! readers* — they keep their `Arc` to the old epoch, and the old
-//! snapshot's file handles drop when the last reader finishes, so open
-//! descriptors stay bounded by (segments × epochs-in-flight) with
-//! epochs-in-flight almost always 1.  A roll whose catalog had to be
-//! scan-built persists the index so the next roll (or process) loads it
-//! with zero value reads.
+//! appended to known ones) and compares the snapshot fingerprint against
+//! the pinned epoch.  A changed fingerprint rolls to a new epoch *without
+//! blocking in-flight readers* — they keep their `Arc` to the old epoch,
+//! whose rows stay valid after a compaction unlinks the segments they
+//! came from.  A roll whose catalog had to be scan-built persists the
+//! index so the next roll (or process) loads it with zero value reads.
 //!
 //! A rebuild that fails mid-roll (a racing compaction can delete a
 //! segment between the listing and the scan) keeps serving the previous
@@ -32,13 +31,12 @@ use parking_lot::Mutex;
 use std::io;
 use std::sync::Arc;
 
-/// One coherent, immutable store view: a pinned snapshot and the catalog
-/// validated against it.  Cheaply shared (`Arc`) across reader threads.
+/// One coherent, immutable store view: the catalog validated against one
+/// snapshot.  Cheaply shared (`Arc`) across reader threads.
 #[derive(Debug)]
 pub struct Epoch {
     seq: u64,
     fingerprint: u64,
-    snapshot: StoreSnapshot,
     catalog: Catalog,
 }
 
@@ -53,12 +51,6 @@ impl Epoch {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The pinned snapshot (live records + open segment handles).
-    #[must_use]
-    pub fn snapshot(&self) -> &StoreSnapshot {
-        &self.snapshot
     }
 
     /// The catalog answering queries for this epoch.
@@ -138,7 +130,7 @@ impl EpochCache {
         if let Some(epoch) = self.pinned(fingerprint) {
             return Ok(epoch);
         }
-        self.roll_to(fingerprint, snapshot)
+        self.roll_to(fingerprint, &snapshot)
     }
 
     /// The pinned epoch, if it matches `fingerprint`.
@@ -153,12 +145,12 @@ impl EpochCache {
     /// Builds and installs the epoch for `fingerprint`.  One roll at a
     /// time: pollers that queued behind the winner find the fresh epoch
     /// on the re-check and skip their own build.
-    fn roll_to(&self, fingerprint: u64, snapshot: StoreSnapshot) -> io::Result<Arc<Epoch>> {
+    fn roll_to(&self, fingerprint: u64, snapshot: &StoreSnapshot) -> io::Result<Arc<Epoch>> {
         let _rolling = self.roll.lock();
         if let Some(epoch) = self.pinned(fingerprint) {
             return Ok(epoch);
         }
-        let catalog = Catalog::open_at(&self.store, &snapshot)?;
+        let catalog = Catalog::open_at(&self.store, snapshot)?;
         // A scan-built catalog means no fresh persisted index existed;
         // persist it so the next roll — and the next process — answers
         // with zero value reads.  Failure to persist is not failure to
@@ -176,7 +168,6 @@ impl EpochCache {
         let epoch = Arc::new(Epoch {
             seq,
             fingerprint,
-            snapshot,
             catalog,
         });
         *current = Some(Arc::clone(&epoch));
@@ -269,12 +260,13 @@ mod tests {
         let cache = EpochCache::new(store);
         let held = cache.current().unwrap();
         // Compaction rewrites into a new generation and unlinks the old
-        // segments; the held epoch's snapshot handles keep them readable.
+        // segments; the held epoch answers from its own rows.
         let writer = DiskStore::open(&root).unwrap();
         save_result(&writer, "Lu", 300);
         writer.compact().unwrap();
-        let line = held.snapshot().read_record(0).unwrap();
-        assert!(line.contains("\"cycles\":100"), "{line}");
+        let rows = held.catalog().rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].metric_f64("cycles"), Some(100.0));
         // And the next poll serves the compacted view.
         let fresh = cache.current().unwrap();
         assert_eq!(fresh.catalog().rows().len(), 2);

@@ -19,7 +19,6 @@
 //! to one coherent generation view even while a sweep keeps writing.
 
 use crate::store::{read_exact_at, DiskStore};
-use crate::StoreKey;
 use std::fs::File;
 use std::io;
 use std::path::PathBuf;
@@ -158,16 +157,6 @@ impl StoreSnapshot {
         }
         String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
-
-    /// Reads the record stored under `key` in this snapshot, if present.
-    pub fn get(&self, key: &dyn StoreKey) -> Option<io::Result<String>> {
-        let i = self.entries.partition_point(|e| e.digest < key.digest());
-        self.entries[i..]
-            .iter()
-            .take_while(|e| e.digest == key.digest())
-            .position(|e| e.canonical == key.canonical())
-            .map(|off| self.read_record(i + off))
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +197,8 @@ mod tests {
         let k = key("cg");
         store.save(&k, &vec![1u64, 2, 3]).unwrap();
         let snap = store.snapshot().unwrap();
-        let before = snap.get(&k).unwrap().unwrap();
+        assert_eq!(snap.len(), 1);
+        let before = snap.read_record(0).unwrap();
 
         // Overwrite the key, append more, and compact — which deletes the
         // very segment file the snapshot pinned.
@@ -217,18 +207,10 @@ mod tests {
         store.compact().unwrap();
 
         // The snapshot still reads the pre-compaction bytes, exactly.
-        let after = snap.get(&k).unwrap().unwrap();
+        let after = snap.read_record(0).unwrap();
         assert_eq!(before, after);
         assert!(after.contains("[1,2,3]"));
         // The store itself serves the new value.
         assert_eq!(store.load::<Vec<u64>>(&k), Some(vec![9]));
-    }
-
-    #[test]
-    fn snapshot_get_misses_absent_keys() {
-        let store = DiskStore::open(temp_root("miss")).unwrap();
-        store.save(&key("cg"), &1u64).unwrap();
-        let snap = store.snapshot().unwrap();
-        assert!(snap.get(&key("lu")).is_none());
     }
 }

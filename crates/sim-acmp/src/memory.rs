@@ -15,7 +15,7 @@
 //! fills in flight.
 
 use crate::config::{AcmpConfig, SharingMode};
-use sim_cache::{AccessOutcome, BankedCache, CacheStats, L2Cache};
+use sim_cache::{AccessOutcome, CacheStats, L2Cache, SetAssocCache};
 use sim_interconnect::{BusStats, Grant, IcacheInterconnect};
 
 /// Where an in-flight request currently is (used for stall attribution).
@@ -55,7 +55,10 @@ pub struct InFlightRequest {
 pub struct IcacheUnit {
     /// Global core ids served by this unit.
     cores: Vec<usize>,
-    cache: BankedCache,
+    /// One cache, whatever the bus count: the double bus's even/odd banks
+    /// change which bus a line takes (`IcacheInterconnect::bus_of`), not
+    /// the capacity or replacement of the cache behind them.
+    cache: SetAssocCache,
     l2: L2Cache,
     /// `None` for private units (the single core reaches the cache
     /// directly).
@@ -84,11 +87,6 @@ impl IcacheUnit {
             !cores.is_empty(),
             "an I-cache unit serves at least one core"
         );
-        let num_banks = if shared {
-            config.bus_width.num_buses() as u32
-        } else {
-            1
-        };
         let interconnect = if shared {
             Some(IcacheInterconnect::new(
                 config.bus,
@@ -100,7 +98,7 @@ impl IcacheUnit {
         };
         IcacheUnit {
             cores,
-            cache: BankedCache::new(cache_cfg, num_banks),
+            cache: SetAssocCache::new(cache_cfg),
             l2: L2Cache::new(config.l2),
             interconnect,
             pending_fills: Vec::new(),
@@ -336,7 +334,7 @@ pub fn unit_of_core(units: &[IcacheUnit], num_cores: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::AcmpConfig;
+    use crate::config::{AcmpConfig, BusWidth};
 
     /// Ticks `unit` once, returning that cycle's updates.
     fn tick(unit: &mut IcacheUnit, cycle: u64) -> Vec<InFlightRequest> {
@@ -496,6 +494,38 @@ mod tests {
         assert_eq!(updates[0].phase, RequestPhase::HitPath);
         assert_eq!(unit.cache_stats().hits, 1);
         assert_eq!(unit.cache_stats().compulsory_misses, 1);
+    }
+
+    #[test]
+    fn a_second_bus_changes_routing_not_the_cache() {
+        // Four even and four odd lines, fetched twice through a single and
+        // through a double bus.  The second bus serves the odd lines beside
+        // the even ones; what the cache holds, and so counts, is the same.
+        let lines: Vec<u64> = (0..8u64).map(|i| 0x8000 + i * 64).collect();
+        let mut last_grants = Vec::new();
+        let mut stats = Vec::new();
+        for width in [BusWidth::Single, BusWidth::Double] {
+            let cfg = AcmpConfig::worker_shared(4, 4).with_bus_width(width);
+            let mut unit = IcacheUnit::new(&cfg, vec![1, 2, 3, 4], true, cfg.worker_icache);
+            for (i, &line) in lines.iter().enumerate() {
+                unit.submit(0, 1 + i % 4, line);
+            }
+            let first = grants(&mut unit, 0, lines.len());
+            assert!(first.iter().all(|(_, r)| r.phase == RequestPhase::MissPath));
+            last_grants.push(first[first.len() - 1].0);
+            // Every fill has retired once the latest one is ready.
+            let now = first.iter().map(|(_, r)| r.ready).max().unwrap() + 1;
+            assert!(tick(&mut unit, now).is_empty());
+            for (i, &line) in lines.iter().enumerate() {
+                unit.submit(now, 1 + i % 4, line);
+            }
+            let second = grants(&mut unit, now, lines.len());
+            assert!(second.iter().all(|(_, r)| r.phase == RequestPhase::HitPath));
+            stats.push(*unit.cache_stats());
+        }
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!((stats[0].misses, stats[0].hits), (8, 8));
+        assert!(last_grants[1] < last_grants[0], "{last_grants:?}");
     }
 
     #[test]

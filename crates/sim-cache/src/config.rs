@@ -169,6 +169,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "number of sets must be a power of two, got 48")]
+    fn rejects_a_non_power_of_two_set_count() {
+        CacheConfig::new(24 * 1024, 8, 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache size must be positive")]
+    fn rejects_zero_capacity() {
+        CacheConfig::new(0, 8, 64, 1);
+    }
+
+    #[test]
+    fn consecutive_lines_walk_the_sets_then_bump_the_tag() {
+        let c = CacheConfig::icache_32k();
+        for i in 0..3 * c.num_sets() {
+            assert_eq!(c.set_index(i * c.line_size), i % c.num_sets());
+            assert_eq!(c.tag(i * c.line_size), i / c.num_sets());
+        }
+    }
+
+    #[test]
     fn default_is_32k_icache() {
         assert_eq!(CacheConfig::default(), CacheConfig::icache_32k());
     }

@@ -68,11 +68,6 @@ impl Dram {
         }
     }
 
-    /// The timing parameters.
-    pub fn config(&self) -> &DramConfig {
-        &self.config
-    }
-
     /// Performs one line read at `addr`, returning its latency in CPU
     /// cycles.
     pub fn access(&mut self, addr: u64) -> u64 {
@@ -99,12 +94,12 @@ mod tests {
 
     #[test]
     fn row_hit_is_cheaper_than_row_miss() {
-        let mut d = Dram::new(DramConfig::ddr3_1600());
+        let cfg = DramConfig::ddr3_1600();
+        let mut d = Dram::new(cfg);
         let first = d.access(0x0000); // bank 0, opens row 0 (no precharge)
         let hit = d.access(0x0040); // same row
         assert!(hit < first || first == hit, "first access has no precharge");
         // Conflict: a different row in the same bank (row + num_banks).
-        let cfg = *d.config();
         let conflict_addr = cfg.row_size * cfg.num_banks;
         let miss = d.access(conflict_addr);
         assert!(
@@ -117,8 +112,8 @@ mod tests {
 
     #[test]
     fn sequential_lines_mostly_hit_the_row() {
-        let mut d = Dram::new(DramConfig::ddr3_1600());
-        let cfg = *d.config();
+        let cfg = DramConfig::ddr3_1600();
+        let mut d = Dram::new(cfg);
         let row_hit = cfg.cas_cycles + cfg.burst_cycles;
         // An 8 KB row holds 128 lines: only the first access opens it.
         let hits = (0..128u64).filter(|i| d.access(i * 64) == row_hit).count();
@@ -127,13 +122,40 @@ mod tests {
 
     #[test]
     fn different_banks_keep_independent_rows() {
-        let mut d = Dram::new(DramConfig::ddr3_1600());
-        let cfg = *d.config();
+        let cfg = DramConfig::ddr3_1600();
+        let mut d = Dram::new(cfg);
         d.access(0); // bank 0, row 0
         d.access(cfg.row_size); // bank 1, row 1
                                 // Returning to bank 0's open row is still a hit.
         let lat = d.access(0x40);
         assert_eq!(lat, cfg.cas_cycles + cfg.burst_cycles);
+    }
+
+    #[test]
+    fn a_first_access_opens_its_row_without_precharge() {
+        let cfg = DramConfig::ddr3_1600();
+        let mut d = Dram::new(cfg);
+        assert_eq!(
+            d.access(0x1234),
+            cfg.rcd_cycles + cfg.cas_cycles + cfg.burst_cycles
+        );
+    }
+
+    #[test]
+    fn consecutive_rows_land_in_different_banks() {
+        // Rows 0..num_banks open one bank each, so all stay open; row
+        // num_banks is bank 0 again and closes row 0.
+        let cfg = DramConfig::ddr3_1600();
+        let mut d = Dram::new(cfg);
+        let row_hit = cfg.cas_cycles + cfg.burst_cycles;
+        for row in 0..cfg.num_banks {
+            assert!(d.access(row * cfg.row_size) > row_hit);
+        }
+        for row in 0..cfg.num_banks {
+            assert_eq!(d.access(row * cfg.row_size + 64), row_hit);
+        }
+        assert!(d.access(cfg.num_banks * cfg.row_size) > row_hit);
+        assert!(d.access(0) > row_hit, "row 0 was closed by the conflict");
     }
 
     #[test]

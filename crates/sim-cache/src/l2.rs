@@ -53,11 +53,6 @@ impl L2Cache {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &L2Config {
-        &self.config
-    }
-
     /// L2 hit/miss statistics.
     pub fn stats(&self) -> &CacheStats {
         self.cache.stats()
@@ -120,6 +115,34 @@ mod tests {
         }
         assert_eq!(l2.stats().misses, cold_misses);
         assert!(l2.probe(0));
+    }
+
+    #[test]
+    fn an_l2_miss_to_an_open_dram_row_pays_only_the_row_hit() {
+        let cfg = L2Config::default();
+        let mut l2 = L2Cache::new(cfg);
+        let d = cfg.dram;
+        let to_dram = cfg.cache.latency + cfg.dram_bus_latency;
+        assert_eq!(
+            l2.fill(0x0000),
+            to_dram + d.rcd_cycles + d.cas_cycles + d.burst_cycles
+        );
+        assert_eq!(l2.fill(0x0040), to_dram + d.cas_cycles + d.burst_cycles);
+    }
+
+    #[test]
+    fn a_line_evicted_from_the_l2_comes_back_from_dram() {
+        // A direct-mapped, two-set L2: 0x000 and 0x080 share set 0.
+        let mut l2 = L2Cache::new(L2Config {
+            cache: CacheConfig::new(128, 1, 64, 20),
+            ..L2Config::default()
+        });
+        l2.fill(0x000);
+        l2.fill(0x080);
+        assert!(!l2.probe(0x000));
+        assert!(l2.fill(0x000) > 20, "the refill goes to DRAM");
+        assert_eq!(l2.stats().misses, 3);
+        assert_eq!(l2.stats().non_compulsory_misses, 1);
     }
 
     #[test]

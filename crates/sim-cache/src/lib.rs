@@ -7,10 +7,13 @@
 //!   ([`LruPolicy`]), per-access hit/miss classification (including
 //!   compulsory vs non-compulsory misses, needed for the paper's Fig. 11
 //!   analysis) and statistics.
-//! * [`BankedCache`] — a multi-banked wrapper interleaving lines across
-//!   banks (even/odd lines for the double-bus configuration of Section IV-B).
 //! * [`L2Cache`] and [`Dram`] — the backing levels with the latencies of
 //!   Table I (L2: 1 MB, 32-way, 20 cycles; DRAM: DDR3-1600-like timing).
+//!
+//! The multi-banked shared I-cache of Section IV-B (even lines in one bank,
+//! odd lines in the other, one bus per bank) is still one [`SetAssocCache`]:
+//! banking changes only which bus a fetch uses, and `sim-interconnect`'s
+//! `IcacheInterconnect::bus_of` is where a line's bank is chosen.
 //!
 //! The caches keep no in-flight state.  Fills on their way from the L2, and
 //! the requests of other sharing cores that wait on them (the paper's
@@ -32,7 +35,6 @@
 //! assert!(matches!(second, AccessOutcome::Hit));
 //! ```
 
-pub mod banked;
 pub mod config;
 pub mod dram;
 pub mod hashing;
@@ -41,7 +43,6 @@ pub mod replacement;
 pub mod set_assoc;
 pub mod stats;
 
-pub use banked::BankedCache;
 pub use config::CacheConfig;
 pub use dram::{Dram, DramConfig};
 pub use hashing::{LineHashBuilder, LineHasher};
@@ -58,7 +59,6 @@ mod crate_tests {
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SetAssocCache>();
-        assert_send_sync::<BankedCache>();
         assert_send_sync::<L2Cache>();
         assert_send_sync::<Dram>();
         assert_send_sync::<CacheStats>();

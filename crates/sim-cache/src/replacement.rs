@@ -45,12 +45,6 @@ impl LruPolicy {
     pub fn victim(&self) -> u32 {
         *self.stack.last().expect("LRU stack is never empty")
     }
-
-    /// Resets the policy state (all ways become equally old).
-    pub fn reset(&mut self) {
-        let ways = self.stack.len() as u32;
-        self.stack = (0..ways).collect();
-    }
 }
 
 #[cfg(test)]
@@ -66,14 +60,6 @@ mod tests {
         }
         assert_eq!(p.victim(), 0);
         p.touch(0);
-        assert_eq!(p.victim(), 1);
-    }
-
-    #[test]
-    fn lru_reset_restores_initial_order() {
-        let mut p = LruPolicy::new(2);
-        p.touch(1);
-        p.reset();
         assert_eq!(p.victim(), 1);
     }
 

@@ -74,11 +74,6 @@ impl SetAssocCache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
@@ -146,23 +141,6 @@ impl SetAssocCache {
         let tag = self.config.tag(line);
         let assoc = self.config.associativity as usize;
         self.tags[set_idx * assoc..(set_idx + 1) * assoc].contains(&Some(tag))
-    }
-
-    /// Invalidates all lines and clears recency state; statistics and the
-    /// compulsory-miss history are preserved.
-    pub fn flush(&mut self) {
-        for t in &mut self.tags {
-            *t = None;
-        }
-        for policy in &mut self.policies {
-            policy.reset();
-        }
-    }
-
-    /// Resets statistics (and the compulsory-miss history).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-        self.ever_seen.clear();
     }
 }
 
@@ -328,28 +306,78 @@ mod tests {
     }
 
     #[test]
-    fn flush_invalidates_but_keeps_history() {
-        let mut c = tiny_cache();
-        c.access(0x0000);
-        c.flush();
-        assert_eq!(valid_lines(&c), 0);
-        match c.access(0x0000) {
-            AccessOutcome::Miss { kind, .. } => assert_eq!(kind, MissKind::NonCompulsory),
+    fn an_evicted_line_is_reported_by_its_full_address() {
+        // Nine lines with large tags in set 5 of the 64-set, 8-way cache:
+        // the ninth evicts the first, whose address is rebuilt from its tag.
+        let cfg = CacheConfig::icache_32k();
+        let mut c = SetAssocCache::new(cfg);
+        let line = |tag: u64| (tag * cfg.num_sets() + 5) * cfg.line_size;
+        for tag in 1000..1008 {
+            c.access(line(tag));
+        }
+        match c.access(line(1008)) {
+            AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(line(1000))),
             other => panic!("expected miss, got {other:?}"),
         }
     }
 
     #[test]
-    fn reset_stats_clears_history() {
-        let mut c = tiny_cache();
-        c.access(0x0000);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses, 0);
-        c.flush();
-        match c.access(0x0000) {
-            AccessOutcome::Miss { kind, .. } => assert_eq!(kind, MissKind::Compulsory),
+    fn a_direct_mapped_cache_evicts_on_every_conflict() {
+        // 2 sets x 1 way: lines 0x000 and 0x080 share set 0; 0x040 is in set 1.
+        let mut c = SetAssocCache::new(CacheConfig::new(128, 1, 64, 1));
+        c.access(0x040);
+        for _ in 0..3 {
+            assert!(!c.access(0x000).is_hit());
+            assert!(!c.access(0x080).is_hit());
+        }
+        assert!(c.access(0x040).is_hit(), "the other set is untouched");
+        assert_eq!(c.stats().evictions, 5);
+        assert_eq!(c.stats().non_compulsory_misses, 4);
+    }
+
+    #[test]
+    fn a_single_set_cache_holds_any_lines_up_to_its_ways() {
+        // 1 set x 4 ways: any four lines fit, whatever their addresses.
+        let mut c = SetAssocCache::new(CacheConfig::new(256, 4, 64, 1));
+        let lines = [0x0000, 0x1000, 0x0040, 0x7fc0];
+        for l in lines {
+            c.access(l);
+        }
+        assert!(lines.iter().all(|&l| c.access(l).is_hit()));
+        match c.access(0x2000) {
+            AccessOutcome::Miss { evicted, .. } => assert_eq!(evicted, Some(0x0000)),
             other => panic!("expected miss, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn counters_stay_consistent_over_a_long_run() {
+        // A pseudo-random walk over 256 lines through a 32-line cache.
+        let mut c = SetAssocCache::new(CacheConfig::new(2048, 4, 64, 1));
+        let mut seen = HashSet::new();
+        let mut x = 12345u64;
+        for _ in 0..5000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = (x >> 33) % (256 * 64);
+            seen.insert(addr / 64);
+            c.access(addr);
+        }
+        let s = *c.stats();
+        assert_eq!(s.accesses, 5000);
+        assert_eq!(s.hits + s.misses, s.accesses);
+        assert_eq!(s.compulsory_misses + s.non_compulsory_misses, s.misses);
+        assert_eq!(s.compulsory_misses, seen.len() as u64);
+        // Every miss fills a line; the ones that evicted nothing are resident.
+        assert_eq!(s.misses - s.evictions, valid_lines(&c));
+        assert_eq!(valid_lines(&c), 32);
+    }
+
+    #[test]
+    fn latency_is_the_configured_hit_latency() {
+        assert_eq!(SetAssocCache::new(CacheConfig::icache_32k()).latency(), 1);
+        assert_eq!(SetAssocCache::new(CacheConfig::l2_1m()).latency(), 20);
     }
 
     #[test]

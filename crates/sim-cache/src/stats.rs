@@ -21,24 +21,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Hit ratio in `[0, 1]`; 0 if there were no accesses.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses as f64
-        }
-    }
-
-    /// Miss ratio in `[0, 1]`; 0 if there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Misses per kilo-instruction given the number of committed
     /// instructions the cache served (the paper's MPKI metric).
     pub fn mpki(&self, instructions: u64) -> f64 {
@@ -92,24 +74,10 @@ mod tests {
     }
 
     #[test]
-    fn ratios() {
-        let s = sample();
-        assert!((s.hit_ratio() - 0.9).abs() < 1e-12);
-        assert!((s.miss_ratio() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
     fn mpki_uses_instruction_count() {
         let s = sample();
         assert!((s.mpki(50_000) - 2.0).abs() < 1e-12);
         assert_eq!(s.mpki(0), 0.0);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_ratios() {
-        let s = CacheStats::default();
-        assert_eq!(s.hit_ratio(), 0.0);
-        assert_eq!(s.miss_ratio(), 0.0);
     }
 
     #[test]
@@ -120,5 +88,36 @@ mod tests {
         assert_eq!(total.compulsory_misses, 80);
         let added = sample() + sample();
         assert_eq!(added, total);
+    }
+
+    #[test]
+    fn merge_adds_every_counter() {
+        let mut s = sample();
+        s.merge(&CacheStats {
+            accesses: 1,
+            hits: 2,
+            misses: 3,
+            compulsory_misses: 4,
+            non_compulsory_misses: 5,
+            evictions: 6,
+        });
+        assert_eq!(
+            s,
+            CacheStats {
+                accesses: 1001,
+                hits: 902,
+                misses: 103,
+                compulsory_misses: 44,
+                non_compulsory_misses: 65,
+                evictions: 61,
+            }
+        );
+    }
+
+    #[test]
+    fn summing_no_stats_gives_zero_counters() {
+        let none: CacheStats = std::iter::empty().sum();
+        assert_eq!(none, CacheStats::default());
+        assert_eq!(none.mpki(1000), 0.0);
     }
 }

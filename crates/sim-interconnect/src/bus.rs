@@ -69,11 +69,6 @@ impl Bus {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &BusConfig {
-        &self.config
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &BusStats {
         &self.stats
@@ -83,11 +78,6 @@ impl Bus {
     #[inline]
     pub fn pending_requests(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Returns `true` if the wire is idle at `cycle` and nothing is queued.
-    pub fn is_idle(&self, cycle: u64) -> bool {
-        self.pending.is_empty() && cycle >= self.free_at
     }
 
     /// Submits a request for `line_addr` from `requester` at `cycle`.
@@ -193,7 +183,10 @@ mod tests {
         assert_eq!(g.grant_cycle, 0);
         assert_eq!(g.transfer_done_cycle, 4); // 2 latency + 2 beats
         assert!(b.tick(1).is_none(), "bus busy during the beats");
-        assert!(b.is_idle(2));
+        assert_eq!(b.pending_requests(), 0);
+        // The wire is free again once the beats end.
+        b.submit(2, 1, 0x2000);
+        assert_eq!(b.tick(2).expect("grant").wait_cycles, 0);
     }
 
     #[test]
@@ -303,6 +296,61 @@ mod tests {
         }
         assert_eq!(b.pending_requests(), 4);
         assert_eq!(b.stats().max_queue_depth, 4);
+    }
+
+    #[test]
+    fn a_narrow_bus_holds_the_wire_for_every_beat() {
+        // 16 B wide, 64 B lines: four beats, plus 3 cycles of propagation.
+        let mut b = Bus::new(BusConfig::new(3, 16, 64, Arbitration::RoundRobin), 2);
+        b.submit(0, 0, 0x1000);
+        b.submit(0, 1, 0x2000);
+        assert_eq!(b.tick(0).unwrap().transfer_done_cycle, 7);
+        assert!((1..4).all(|c| b.tick(c).is_none()));
+        let g = b.tick(4).unwrap();
+        assert_eq!((g.wait_cycles, g.transfer_done_cycle), (4, 11));
+        assert_eq!(b.stats().busy_cycles, 8);
+    }
+
+    #[test]
+    fn round_robin_starts_after_the_last_granted() {
+        let mut b = bus(4);
+        b.submit(0, 1, 0x1000);
+        assert_eq!(b.tick(0).unwrap().requester, 1);
+        // Requester 2 is first in line now, so 3 goes before 0.
+        b.submit(2, 0, 0x2000);
+        b.submit(2, 3, 0x3000);
+        assert_eq!(b.tick(2).unwrap().requester, 3);
+        assert_eq!(b.tick(4).unwrap().requester, 0);
+    }
+
+    #[test]
+    fn one_requester_is_served_in_submit_order() {
+        let mut b = Bus::new(BusConfig::new(2, 32, 64, Arbitration::FixedPriority), 2);
+        b.submit(0, 1, 0xa000);
+        b.submit(0, 1, 0xb000);
+        b.submit(0, 0, 0xc000);
+        let lines: Vec<u64> = (0..6)
+            .filter_map(|c| b.tick(c))
+            .map(|g| g.line_addr)
+            .collect();
+        assert_eq!(lines, [0xc000, 0xa000, 0xb000]);
+    }
+
+    #[test]
+    fn per_requester_counts_follow_the_grants() {
+        let mut b = bus(3);
+        for (cycle, r) in [(0, 2), (2, 0), (4, 2)] {
+            b.submit(cycle, r, 0x40 * cycle);
+            b.tick(cycle).expect("an idle bus grants at once");
+        }
+        assert_eq!(b.stats().per_requester, [1, 0, 2]);
+        assert_eq!(b.stats().transactions, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one requester")]
+    fn a_bus_needs_a_requester() {
+        bus(0);
     }
 
     #[test]

@@ -33,17 +33,6 @@ impl IcacheInterconnect {
         }
     }
 
-    /// Number of buses.
-    #[inline]
-    pub fn num_buses(&self) -> usize {
-        self.buses.len()
-    }
-
-    /// The bus configuration (identical for every bus).
-    pub fn config(&self) -> &BusConfig {
-        self.buses[0].config()
-    }
-
     /// Returns the bus index serving the line containing `addr`.
     #[inline]
     pub fn bus_of(&self, addr: u64) -> usize {
@@ -63,11 +52,6 @@ impl IcacheInterconnect {
     #[inline]
     pub fn tick(&mut self, cycle: u64, grants: &mut Vec<Grant>) {
         grants.extend(self.buses.iter_mut().filter_map(|b| b.tick(cycle)));
-    }
-
-    /// Returns `true` if no bus has pending or in-flight work at `cycle`.
-    pub fn is_idle(&self, cycle: u64) -> bool {
-        self.buses.iter().all(|b| b.is_idle(cycle))
     }
 
     /// Total pending requests across buses.
@@ -143,9 +127,52 @@ mod tests {
         let s = ic.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.busy_cycles, 4);
-        assert_eq!(ic.num_buses(), 2);
-        assert!(ic.is_idle(10));
         assert_eq!(ic.pending_requests(), 0);
+        // Both wires are free again once their beats end.
+        ic.submit(2, 0, 0x0080);
+        ic.submit(2, 1, 0x00c0);
+        assert_eq!(tick(&mut ic, 2).len(), 2);
+    }
+
+    #[test]
+    fn one_bus_serves_every_line() {
+        let ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 1, 4);
+        assert!((0..64u64).all(|i| ic.bus_of(i * 0x40 + i) == 0));
+    }
+
+    #[test]
+    fn bus_of_interleaves_whole_lines() {
+        let ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 2, 4);
+        assert_eq!(ic.bus_of(0x003f), 0);
+        assert_eq!(ic.bus_of(0x0040), 1);
+        assert_eq!(ic.bus_of(0x007f), 1, "every byte of a line uses its bus");
+        assert_eq!(ic.bus_of(0x0080), 0);
+        let four = IcacheInterconnect::new(BusConfig::paper_single_bus(), 4, 4);
+        let buses: Vec<usize> = (0..6u64).map(|i| four.bus_of(i * 0x40)).collect();
+        assert_eq!(buses, [0, 1, 2, 3, 0, 1]);
+    }
+
+    #[test]
+    fn grants_are_listed_in_bus_order() {
+        let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 2, 2);
+        ic.submit(0, 0, 0x0040); // odd line: bus 1, submitted first
+        ic.submit(0, 1, 0x0000); // even line: bus 0
+        let lines: Vec<u64> = tick(&mut ic, 0).iter().map(|g| g.line_addr).collect();
+        assert_eq!(lines, [0x0000, 0x0040]);
+    }
+
+    #[test]
+    fn a_busy_bus_does_not_hold_back_the_other() {
+        let mut ic = IcacheInterconnect::new(BusConfig::paper_single_bus(), 2, 2);
+        ic.submit(0, 0, 0x0000);
+        assert_eq!(tick(&mut ic, 0).len(), 1); // bus 0 busy until cycle 2
+        ic.submit(1, 0, 0x0080);
+        ic.submit(1, 1, 0x0040);
+        let g = tick(&mut ic, 1);
+        assert_eq!((g.len(), g[0].line_addr), (1, 0x0040));
+        assert_eq!(ic.pending_requests(), 1);
+        let g = tick(&mut ic, 2);
+        assert_eq!((g[0].line_addr, g[0].wait_cycles), (0x0080, 1));
     }
 
     #[test]

@@ -7,12 +7,13 @@
 //! straight-line runs and FBs raise the effective fetch bandwidth.
 //!
 //! [`FetchBlockBuilder`] adapts any iterator of [`TraceRecord`]s into an
-//! iterator of [`FetchBlock`]s; both the front-end model and the trace
-//! statistics use it.
+//! iterator of [`FetchBlock`]s.  The simulated front-end does not use it: it
+//! assembles its blocks while predicting (`sim-core`'s fetch-step decoder).
+//! Perfbench's isolated cache and bus replays take their fetch-line stream
+//! from it.
 
 use crate::addr::InstrAddr;
 use crate::record::{BranchInfo, TraceRecord};
-use serde::Serialize;
 
 /// Default maximum fetch-block length in bytes.
 ///
@@ -24,7 +25,7 @@ pub const DEFAULT_MAX_FB_BYTES: u32 = 256;
 
 /// A dynamic fetch block: consecutive instructions ending at a taken branch
 /// or the size cap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FetchBlock {
     /// Address of the first instruction in the block.
     pub start: InstrAddr,
@@ -39,7 +40,7 @@ pub struct FetchBlock {
 }
 
 /// The taken branch that terminated a fetch block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TerminatingBranch {
     /// Address of the branch instruction.
     pub addr: InstrAddr,

@@ -11,28 +11,31 @@
 //! This crate defines:
 //!
 //! * the record model ([`TraceRecord`], [`SyncEvent`], [`Region`]),
-//! * address arithmetic helpers ([`addr`]),
+//! * the instruction address and line alignment ([`addr`]),
 //! * fetch blocks ([`fetch_block`]) — the unit the decoupled front-end
 //!   operates on,
-//! * trace containers and sources ([`source`]),
+//! * trace containers and a batch cursor over a shared trace set
+//!   ([`source`]),
 //! * streaming trace statistics ([`stats`]) used by the workload
 //!   characterisation figures of the paper (average basic-block length,
 //!   per-region footprints, instruction sharing),
-//! * a JSON-lines serialisation of traces ([`serialize`]).
+//! * a write-only JSON-lines encoding of trace sets ([`serialize`]).
 //!
 //! # Example
 //!
 //! ```
-//! use sim_trace::{TraceBuilder, TraceRecord, SyncEvent, Region};
+//! use sim_trace::{SyncEvent, TraceBuilder, TraceStats};
 //!
 //! let mut b = TraceBuilder::new(0);
 //! b.set_ipc(2.0);
 //! b.instr(0x1000, 4);
-//! b.branch(0x1004, 4, 0x1000, true);
 //! b.sync(SyncEvent::ParallelStart { num_threads: 4 });
+//! b.branch(0x1004, 4, 0x1000, true);
 //! let trace = b.finish();
 //! assert_eq!(trace.len(), 4);
-//! assert_eq!(trace.records()[1].region(), None); // region is assigned by the runtime
+//! // A record carries no region; the sync events around it decide one.
+//! let stats = TraceStats::from_trace(&trace);
+//! assert_eq!((stats.serial.instructions, stats.parallel.instructions), (1, 1));
 //! ```
 
 pub mod addr;
@@ -42,16 +45,11 @@ pub mod serialize;
 pub mod source;
 pub mod stats;
 
-pub use addr::{line_addr, line_index, line_offset, InstrAddr, LineAddr};
+pub use addr::{line_addr, InstrAddr};
 pub use fetch_block::{FetchBlock, FetchBlockBuilder};
 pub use record::{BranchInfo, Region, SyncEvent, TraceRecord};
-pub use serialize::{
-    read_trace_json, read_trace_set_json, write_trace_json, write_trace_set_json,
-    TraceSerializeError, TRACE_FORMAT_VERSION,
-};
-pub use source::{
-    OwnedTraceCursor, SharedTraceCursor, ThreadId, ThreadTrace, TraceBuilder, TraceSet, TraceSource,
-};
+pub use serialize::{write_trace_set_json, TraceSerializeError, TRACE_FORMAT_VERSION};
+pub use source::{SharedTraceCursor, ThreadId, ThreadTrace, TraceBuilder, TraceSet, TraceSource};
 pub use stats::{FootprintStats, RegionStats, SharingStats, TraceStats};
 
 #[cfg(test)]

@@ -10,11 +10,11 @@
 //! upcoming code section.
 
 use crate::addr::InstrAddr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Code region kind: serial (master-only) or parallel (all threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Sequential section executed only by the master thread.
     Serial,
@@ -37,7 +37,7 @@ impl fmt::Display for Region {
 /// These resolve the classic weakness of trace-driven simulation —
 /// inter-thread ordering — by letting the simulated runtime reproduce the
 /// fork/join structure of the original execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum SyncEvent {
     /// A parallel region begins; `num_threads` threads participate.
     ParallelStart {
@@ -78,7 +78,7 @@ impl fmt::Display for SyncEvent {
 }
 
 /// Outcome and target of a dynamically executed branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct BranchInfo {
     /// Branch target address (meaningful whether or not the branch was taken).
     pub target: InstrAddr,
@@ -90,7 +90,7 @@ pub struct BranchInfo {
 }
 
 /// One record in a per-thread instruction trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum TraceRecord {
     /// A non-branch instruction at `addr`, `len` bytes long.
     Instr {
@@ -150,25 +150,6 @@ impl TraceRecord {
     pub fn is_instruction(&self) -> bool {
         matches!(self, TraceRecord::Instr { .. } | TraceRecord::Branch { .. })
     }
-
-    /// Returns `true` if the record is a taken branch.
-    pub fn is_taken_branch(&self) -> bool {
-        matches!(
-            self,
-            TraceRecord::Branch {
-                info: BranchInfo { taken: true, .. },
-                ..
-            }
-        )
-    }
-
-    /// Returns the region the record belongs to, if it is intrinsically tied
-    /// to one.  Plain records carry no region; the region is assigned by the
-    /// runtime replaying the sync events.  Always `None` for now; kept as an
-    /// extension point and used by the statistics splitter.
-    pub fn region(&self) -> Option<Region> {
-        None
-    }
 }
 
 impl fmt::Display for TraceRecord {
@@ -213,11 +194,10 @@ mod tests {
         assert_eq!(i.addr(), Some(InstrAddr::new(0x40)));
         assert_eq!(i.len_bytes(), Some(4));
         assert!(i.is_instruction());
-        assert!(!i.is_taken_branch());
         assert!(i.branch().is_none());
 
         let b = branch(true);
-        assert!(b.is_taken_branch());
+        assert!(b.branch().unwrap().taken);
         assert_eq!(b.branch().unwrap().target, InstrAddr::new(0x80));
 
         let s = TraceRecord::Sync(SyncEvent::ParallelEnd);
@@ -231,7 +211,7 @@ mod tests {
 
     #[test]
     fn not_taken_branch_is_not_taken() {
-        assert!(!branch(false).is_taken_branch());
+        assert!(!branch(false).branch().unwrap().taken);
     }
 
     #[test]
@@ -256,6 +236,22 @@ mod tests {
             "critical-signal(1)"
         );
         assert_eq!(SyncEvent::ParallelEnd.to_string(), "parallel-end");
+    }
+
+    #[test]
+    fn record_display_spells_out_each_kind() {
+        let mut indirect = branch(false);
+        if let TraceRecord::Branch { info, .. } = &mut indirect {
+            info.indirect = true;
+        }
+        assert_eq!(branch(true).to_string(), "B 0x100 +4 -> 0x80 taken");
+        assert_eq!(
+            indirect.to_string(),
+            "B 0x100 +4 -> 0x80 not-taken (indirect)"
+        );
+        let s = TraceRecord::Sync(SyncEvent::Barrier { id: 3 });
+        assert_eq!(s.to_string(), "S barrier(3)");
+        assert_eq!(TraceRecord::SetIpc { ipc: 0.5 }.to_string(), "IPC 0.5");
     }
 
     #[test]

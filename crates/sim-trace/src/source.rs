@@ -2,30 +2,18 @@
 //!
 //! The simulator consumes one trace per thread.  [`ThreadTrace`] is a
 //! materialised, in-memory trace; [`TraceSet`] groups the per-thread traces
-//! of one application run; [`SharedTraceCursor`] and [`OwnedTraceCursor`]
-//! read one thread's records in batches through [`TraceSource`].
+//! of one application run; [`SharedTraceCursor`] reads one thread's records
+//! of a shared set in batches through [`TraceSource`].
 
 use crate::record::{BranchInfo, SyncEvent, TraceRecord};
 use crate::InstrAddr;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a simulated thread (0 is the master thread).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 #[serde(transparent)]
 pub struct ThreadId(pub usize);
-
-impl ThreadId {
-    /// The master thread (thread 0), which executes serial regions.
-    pub const MASTER: ThreadId = ThreadId(0);
-
-    /// Returns `true` if this is the master thread.
-    pub fn is_master(self) -> bool {
-        self.0 == 0
-    }
-}
 
 impl fmt::Display for ThreadId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -46,29 +34,8 @@ pub trait TraceSource {
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize;
 }
 
-impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
-    fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
-        (**self).next_records(buf, max)
-    }
-}
-
-/// Copies the next `max` records (or fewer at the end) from `records[*pos..]`
-/// into `buf`, advancing `*pos` — the shared body of the cursors'
-/// `next_records`.
-fn copy_records(
-    records: &[TraceRecord],
-    pos: &mut usize,
-    buf: &mut Vec<TraceRecord>,
-    max: usize,
-) -> usize {
-    let n = max.min(records.len() - *pos);
-    buf.extend_from_slice(&records[*pos..*pos + n]);
-    *pos += n;
-    n
-}
-
 /// A fully materialised, in-memory trace of a single thread.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ThreadTrace {
     thread: ThreadId,
     records: Vec<TraceRecord>,
@@ -127,15 +94,6 @@ impl ThreadTrace {
     /// can be reused (see [`TraceBuilder::reusing`]).
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.records
-    }
-
-    /// Consumes the trace and returns a [`TraceSource`] that owns the
-    /// records.
-    pub fn into_source(self) -> OwnedTraceCursor {
-        OwnedTraceCursor {
-            records: self.records,
-            pos: 0,
-        }
     }
 }
 
@@ -196,25 +154,11 @@ impl SharedTraceCursor {
 
 impl TraceSource for SharedTraceCursor {
     fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
-        copy_records(
-            self.set.traces[self.thread].records(),
-            &mut self.pos,
-            buf,
-            max,
-        )
-    }
-}
-
-/// Owning cursor over a [`ThreadTrace`]'s records.
-#[derive(Debug, Clone)]
-pub struct OwnedTraceCursor {
-    records: Vec<TraceRecord>,
-    pos: usize,
-}
-
-impl TraceSource for OwnedTraceCursor {
-    fn next_records(&mut self, buf: &mut Vec<TraceRecord>, max: usize) -> usize {
-        copy_records(&self.records, &mut self.pos, buf, max)
+        let records = self.set.traces[self.thread].records();
+        let n = max.min(records.len() - self.pos);
+        buf.extend_from_slice(&records[self.pos..self.pos + n]);
+        self.pos += n;
+        n
     }
 }
 
@@ -316,7 +260,7 @@ impl TraceBuilder {
 }
 
 /// The per-thread traces of one application run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSet {
     traces: Vec<ThreadTrace>,
 }
@@ -400,8 +344,6 @@ mod tests {
 
     #[test]
     fn thread_id_basics() {
-        assert!(ThreadId::MASTER.is_master());
-        assert!(!ThreadId(3).is_master());
         assert_eq!(ThreadId(3).to_string(), "t3");
         assert_eq!(ThreadId::from(5), ThreadId(5));
     }
@@ -413,7 +355,7 @@ mod tests {
         let t = b.finish();
         assert_eq!(t.len(), 3);
         assert_eq!(t.num_instructions(), 2);
-        assert_eq!(t.thread(), ThreadId::MASTER);
+        assert_eq!(t.thread(), ThreadId(0));
     }
 
     #[test]
@@ -422,7 +364,7 @@ mod tests {
         b.basic_block(0x1000, 5, 0x1000, true);
         let t = b.finish();
         assert_eq!(t.num_instructions(), 5);
-        assert!(t.records().last().unwrap().is_taken_branch());
+        assert!(t.records().last().unwrap().branch().unwrap().taken);
     }
 
     #[test]
@@ -457,33 +399,44 @@ mod tests {
     }
 
     #[test]
+    fn a_cursor_reads_only_its_own_thread_after_what_the_buffer_holds() {
+        let set = two_thread_set();
+        let mut cursor = SharedTraceCursor::new(Arc::clone(&set), ThreadId(0));
+        let mut buf = vec![TraceRecord::SetIpc { ipc: 1.0 }];
+        assert_eq!(cursor.next_records(&mut buf, 100), 2);
+        assert_eq!(buf[0], TraceRecord::SetIpc { ipc: 1.0 });
+        assert_eq!(&buf[1..], set.master().records());
+    }
+
+    #[test]
+    fn a_batch_of_zero_reads_nothing_and_keeps_the_position() {
+        let set = two_thread_set();
+        let mut cursor = SharedTraceCursor::new(Arc::clone(&set), ThreadId(1));
+        let mut buf = Vec::new();
+        assert_eq!(cursor.next_records(&mut buf, 0), 0);
+        assert!(buf.is_empty());
+        assert_eq!(cursor.next_records(&mut buf, 7), 7);
+        assert_eq!(buf, set.thread(ThreadId(1)).unwrap().records());
+    }
+
+    #[test]
+    fn a_reusing_builder_starts_empty_in_the_old_allocation() {
+        let mut b = TraceBuilder::new(0);
+        b.basic_block(0x1000, 16, 0x1000, true);
+        let old = b.finish().into_records();
+        let capacity = old.capacity();
+        let mut b = TraceBuilder::reusing(3, old);
+        b.instr(0x40, 4);
+        let t = b.finish();
+        assert_eq!(t.thread(), ThreadId(3));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.into_records().capacity(), capacity);
+    }
+
+    #[test]
     #[should_panic(expected = "trace set has 2 threads, no trace for t2")]
     fn shared_cursor_rejects_a_thread_outside_the_set() {
         let _ = SharedTraceCursor::new(two_thread_set(), ThreadId(2));
-    }
-
-    #[test]
-    fn owned_cursor_walks_all_records() {
-        let mut b = TraceBuilder::new(0);
-        b.instr(0x100, 4).instr(0x104, 4).instr(0x108, 4);
-        let t = b.finish();
-        let mut c = t.clone().into_source();
-        let mut buf = Vec::new();
-        assert_eq!(c.next_records(&mut buf, 2), 2);
-        assert_eq!(c.next_records(&mut buf, 2), 1);
-        assert_eq!(c.next_records(&mut buf, 2), 0);
-        assert_eq!(buf, t.records());
-    }
-
-    #[test]
-    fn boxed_trace_source_delegates() {
-        let mut b = TraceBuilder::new(0);
-        b.instr(0x100, 4);
-        let mut boxed: Box<dyn TraceSource> = Box::new(b.finish().into_source());
-        let mut buf = Vec::new();
-        assert_eq!(boxed.next_records(&mut buf, 4), 1);
-        assert_eq!(boxed.next_records(&mut buf, 4), 0);
-        assert_eq!(buf.len(), 1);
     }
 
     #[test]
@@ -501,7 +454,7 @@ mod tests {
         let set = TraceSet::new(vec![t0, t1]);
         assert_eq!(set.num_threads(), 2);
         assert_eq!(set.total_instructions(), 3);
-        assert_eq!(set.master().thread(), ThreadId::MASTER);
+        assert_eq!(set.master().thread(), ThreadId(0));
         assert!(set.thread(ThreadId(1)).is_some());
         assert!(set.thread(ThreadId(2)).is_none());
     }

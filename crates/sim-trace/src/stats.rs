@@ -12,11 +12,10 @@
 
 use crate::record::{Region, SyncEvent, TraceRecord};
 use crate::source::{ThreadTrace, TraceSet};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Per-region dynamic statistics of a single thread's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegionStats {
     /// Number of dynamically executed instructions.
     pub instructions: u64,
@@ -202,7 +201,7 @@ impl TraceStats {
 
 /// Instruction-sharing statistics across the threads of a parallel run
 /// (Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SharingStats {
     /// Fraction of the union static footprint (parallel regions) that is
     /// executed by *all* threads.

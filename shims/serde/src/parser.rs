@@ -406,10 +406,13 @@ impl<'a> Parser<'a> {
             Some(b'b') => '\u{8}',
             Some(b'f') => '\u{c}',
             Some(b'u') => {
+                // Exactly four ASCII hex digits; no sign, no shorter run.
                 let c = bytes
                     .get(self.pos + 1..self.pos + 5)
-                    .and_then(|h| std::str::from_utf8(h).ok())
-                    .and_then(|h| u32::from_str_radix(h, 16).ok())
+                    .and_then(|hex| {
+                        hex.iter()
+                            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+                    })
                     .and_then(char::from_u32)
                     .ok_or_else(|| {
                         Error::custom(format!("bad unicode escape at offset {}", self.pos))
@@ -679,6 +682,8 @@ mod tests {
             r#""\u00""#,
             r#""\u00zz""#,
             r#""\ud800""#,
+            r#""\u+0e9""#,
+            r#""\u-0e9""#,
             r#""\"#,
             r#""\u"#,
             "7",
@@ -687,8 +692,7 @@ mod tests {
             assert!(!agrees(bad, ""), "{bad:?}");
             assert!(!agrees(bad, "x"), "{bad:?}");
         }
-        // Whatever `parse_str` makes of an odd `\u` escape, the comparison
-        // makes the same.
-        let _ = agrees(r#""\u+0e9""#, "\u{e9}");
+        // A signed `\u` escape is no escape, whatever it would spell.
+        assert!(!agrees(r#""\u+0e9""#, "\u{e9}"));
     }
 }

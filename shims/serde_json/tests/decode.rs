@@ -299,3 +299,39 @@ fn derived_values_round_trip() {
     assert_eq!(tree.to_string(), text);
     assert_eq!(serde_json::to_string(&tree).unwrap(), text);
 }
+
+#[test]
+fn a_unicode_escape_is_exactly_four_hex_digits() {
+    // A sign is not a hex digit, even where an integer parser takes one.
+    for signed in [r#""\u+0e9""#, r#""\u-0e9""#] {
+        assert_eq!(error::<String>(signed), "bad unicode escape at offset 2");
+        assert_eq!(error::<Value>(signed), "bad unicode escape at offset 2");
+    }
+    assert_eq!(from_str::<String>(r#""\u00e9""#).unwrap(), "é");
+    assert_eq!(from_str::<String>(r#""é""#).unwrap(), "é");
+    assert_eq!(
+        from_str::<Value>(r#""\u00e9""#).unwrap(),
+        Value::String("é".to_string())
+    );
+}
+
+#[test]
+fn unicode_escapes_take_either_case_of_hex_digit() {
+    for escaped in [r#""\u00C9""#, r#""\u00c9""#] {
+        assert_eq!(from_str::<String>(escaped).unwrap(), "É");
+        assert_eq!(
+            from_str::<Value>(escaped).unwrap(),
+            Value::String("É".to_string())
+        );
+    }
+}
+
+#[test]
+fn a_short_or_surrogate_unicode_escape_is_rejected() {
+    // Three digits then the quote, input ending mid-escape, and a lone
+    // UTF-16 surrogate, which is no char.
+    for bad in [r#""\u0e9""#, r#""\u00e"#, r#""\ud800""#] {
+        assert_eq!(error::<String>(bad), "bad unicode escape at offset 2");
+        assert_eq!(error::<Value>(bad), "bad unicode escape at offset 2");
+    }
+}

@@ -3,7 +3,7 @@
 
 use hpc_workloads::{Benchmark, CodeLayout, GeneratorConfig, TraceGenerator};
 use proptest::prelude::*;
-use sim_trace::{read_trace_json, write_trace_json, SharingStats, ThreadId, TraceStats};
+use sim_trace::{SharingStats, ThreadId, TraceStats};
 
 fn generate(b: Benchmark, workers: usize, instrs: u64, seed: u64) -> sim_trace::TraceSet {
     TraceGenerator::new(
@@ -108,9 +108,8 @@ fn shared_kernel_addresses_are_identical_across_threads() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Any benchmark, any small scale, any seed: generation succeeds,
-    /// instruction counts are near the requested budget, and the trace
-    /// round-trips through the JSON serialisation unchanged.
+    /// Any benchmark, any small scale, any seed: generation succeeds and
+    /// instruction counts are near the requested budget.
     #[test]
     fn generation_is_well_formed_for_any_seed(
         bench_idx in 0usize..24,
@@ -124,18 +123,11 @@ proptest! {
         for t in set.iter() {
             let n = t.num_instructions();
             prop_assert!(n > 0);
-            if !t.thread().is_master() {
+            if t.thread().0 != 0 {
                 prop_assert!(n as f64 > instrs as f64 * 0.7);
                 prop_assert!((n as f64) < instrs as f64 * 1.5);
             }
         }
-
-        // Serialisation round-trip of the worker trace.
-        let worker = set.thread(ThreadId(1)).unwrap();
-        let mut buf = Vec::new();
-        write_trace_json(worker, &mut buf).unwrap();
-        let back = read_trace_json(&buf[..]).unwrap();
-        prop_assert_eq!(worker, &back);
     }
 
     /// The same configuration always generates the same traces (the
