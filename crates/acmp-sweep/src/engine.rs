@@ -6,11 +6,10 @@ use crate::scheduler::{PoolStats, WorkStealingPool};
 use crate::sharded::ShardedMap;
 use acmp_store::{DiskStore, StoreStats};
 use hpc_workloads::{Benchmark, GeneratorConfig, TraceGenerator};
-use parking_lot::Mutex;
 use serde_json::json;
 use sim_acmp::{AcmpConfig, Machine, SimResult};
 use sim_core::FetchStream;
-use sim_trace::{TraceRecord, TraceSet};
+use sim_trace::TraceSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,8 +23,9 @@ pub struct EngineStats {
     /// Simulations actually executed.
     pub simulated: u64,
     /// Trace sets generated.  A grid generates each benchmark's traces
-    /// once, decoding them without keeping them; [`SweepEngine::traces`]
-    /// generates one more set when first asked for such a benchmark.
+    /// once, decoding each record as it is generated and keeping none;
+    /// [`SweepEngine::traces`] generates one more set when first asked for
+    /// such a benchmark.
     pub trace_generated: u64,
     /// Counters of the attached disk store, if any.
     pub store: Option<StoreStats>,
@@ -97,9 +97,10 @@ type Streams = Arc<[Arc<FetchStream>]>;
 /// The simulator replays each benchmark's traces decoded once into fetch
 /// streams (see [`Machine::with_streams`]), cached per benchmark: every
 /// design point has the same fetch predictor and fetch-block cap, so one
-/// decode serves the whole grid.  The engine generates a benchmark's traces
-/// for that decode one thread at a time and keeps none of them; only
-/// [`traces`](Self::traces) keeps trace sets alive.
+/// decode serves the whole grid.  The engine generates each thread of a
+/// benchmark straight into the decoder of the core that runs it, so it
+/// keeps no trace record; only [`traces`](Self::traces) keeps trace sets
+/// alive.
 #[derive(Debug)]
 pub struct SweepEngine {
     generator: GeneratorConfig,
@@ -107,8 +108,6 @@ pub struct SweepEngine {
     pool: WorkStealingPool,
     traces: ShardedMap<Benchmark, Arc<TraceSet>>,
     streams: ShardedMap<Benchmark, Streams>,
-    /// Record vectors [`generate_streams`](Self::generate_streams) reuses.
-    spare_records: Mutex<Vec<Vec<TraceRecord>>>,
     results: ShardedMap<JobKey, Arc<SimResult>>,
     store: Option<DiskStore>,
     memory_hits: AtomicU64,
@@ -208,7 +207,6 @@ impl SweepEngineBuilder {
                 .map_or_else(WorkStealingPool::host_sized, WorkStealingPool::new),
             traces: ShardedMap::new(),
             streams: ShardedMap::new(),
-            spare_records: Mutex::new(Vec::new()),
             results: ShardedMap::new(),
             store,
             memory_hits: AtomicU64::new(0),
@@ -302,30 +300,27 @@ impl SweepEngine {
         set
     }
 
-    /// Generates `benchmark`'s traces one thread at a time, decoding each
-    /// thread before the next is generated into the same record vector.
-    /// The vector comes from, and goes back to, the engine's spare ones, so
-    /// a grid holds at most one thread's records per worker and frees no
-    /// record vector until the engine drops.  The generation span also
-    /// times the decodes, which alternate with it thread by thread.
+    /// Generates `benchmark`'s traces one thread at a time, each straight
+    /// into the stream decoder of the core that runs it, so no record is
+    /// kept: a grid holds only decoded streams.  The generation span also
+    /// times the decodes, which run record by record inside it.
     fn generate_streams(&self, benchmark: Benchmark, config: &AcmpConfig) -> Streams {
         let generator = TraceGenerator::new(benchmark.profile(), self.generator);
-        let mut records = self.spare_records.lock().pop().unwrap_or_default();
-        let mut streams = Vec::with_capacity(self.generator.num_workers + 1);
-        {
+        let streams = {
             let _span = acmp_obs::span!(
                 acmp_obs::names::TRACE_LOAD_GENERATE,
                 benchmark = benchmark.name()
             );
-            for tid in 0..=self.generator.num_workers {
-                let trace = generator.generate_thread_into(tid, records);
-                streams.push(Arc::new(Machine::decode_thread(config, &trace)));
-                records = trace.into_records();
-            }
-        }
-        self.spare_records.lock().push(records);
+            (0..=self.generator.num_workers)
+                .map(|tid| {
+                    let mut decoder = Machine::stream_decoder(config, tid);
+                    generator.generate_thread_with(tid, &mut decoder);
+                    Arc::new(decoder.finish())
+                })
+                .collect()
+        };
         self.count_generated();
-        streams.into()
+        streams
     }
 
     fn count_generated(&self) {
@@ -540,6 +535,7 @@ impl SweepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
 
     fn small_config() -> GeneratorConfig {
         GeneratorConfig {
@@ -616,10 +612,6 @@ mod tests {
         assert_eq!(outcome.pool.jobs, 4);
         assert_eq!(engine.stats().trace_generated, 2);
         assert!(engine.traces.is_empty(), "a grid keeps no trace set alive");
-        // Two benchmarks on two decoding workers: one or two record
-        // vectors, each kept for reuse rather than freed.
-        let spare = engine.spare_records.lock().len();
-        assert!((1..=2).contains(&spare), "{spare} spare record vectors");
         let cells: Vec<(Benchmark, &str)> = outcome
             .rows
             .iter()

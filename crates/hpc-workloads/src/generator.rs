@@ -8,7 +8,9 @@ use crate::profile::WorkloadProfile;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use sim_trace::{SyncEvent, ThreadTrace, TraceBuilder, TraceRecord, TraceSet};
+use sim_trace::{
+    BranchInfo, InstrAddr, RecordSink, SyncEvent, ThreadId, ThreadTrace, TraceRecord, TraceSet,
+};
 
 /// How much synthetic work to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -93,37 +95,53 @@ pub struct TraceGenerator {
     layout: CodeLayout,
 }
 
-/// Internal emission state for one thread.
-struct Emitter {
-    builder: TraceBuilder,
+/// Internal emission state for one thread, writing into `sink`.
+struct Emitter<'s, S: ?Sized> {
+    sink: &'s mut S,
     rng: ChaCha8Rng,
     serial_cold_cursor: u64,
     parallel_cold_cursor: u64,
-    emitted: u64,
 }
 
-impl Emitter {
-    fn new(builder: TraceBuilder, tid: usize, seed: u64) -> Self {
+impl<'s, S: RecordSink + ?Sized> Emitter<'s, S> {
+    fn new(sink: &'s mut S, tid: usize, seed: u64) -> Self {
         Emitter {
-            builder,
+            sink,
             rng: ChaCha8Rng::seed_from_u64(seed ^ (tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             serial_cold_cursor: 0,
             parallel_cold_cursor: 0,
-            emitted: 0,
         }
+    }
+
+    fn sync(&mut self, ev: SyncEvent) {
+        self.sink.push(TraceRecord::Sync(ev));
+    }
+
+    /// Emits a commit-rate change; the profile's rates are validated
+    /// positive and finite.
+    fn set_ipc(&mut self, ipc: f64) {
+        self.sink.push(TraceRecord::SetIpc { ipc });
     }
 
     /// Emits one basic block of `instrs` four-byte instructions starting at
     /// `addr`; the terminating branch has the given outcome and target.
-    fn basic_block(&mut self, addr: u64, instrs: u32, taken: bool, target: u64) -> u64 {
+    fn basic_block(&mut self, addr: u64, instrs: u32, taken: bool, target: u64) {
         debug_assert!(instrs >= 1);
         for i in 0..instrs - 1 {
-            self.builder.instr(addr + i as u64 * 4, 4);
+            self.sink.push(TraceRecord::Instr {
+                addr: InstrAddr::new(addr + i as u64 * 4),
+                len: 4,
+            });
         }
-        self.builder
-            .branch(addr + (instrs as u64 - 1) * 4, 4, target, taken);
-        self.emitted += instrs as u64;
-        addr + instrs as u64 * 4
+        self.sink.push(TraceRecord::Branch {
+            addr: InstrAddr::new(addr + (instrs as u64 - 1) * 4),
+            len: 4,
+            info: BranchInfo {
+                target: InstrAddr::new(target),
+                taken,
+                indirect: false,
+            },
+        });
     }
 
     /// Emits approximately `budget` instructions looping over a body of
@@ -212,10 +230,6 @@ impl Emitter {
             CursorKind::Parallel => self.parallel_cold_cursor = offset,
         }
     }
-
-    fn finish(self) -> ThreadTrace {
-        self.builder.finish()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -263,17 +277,19 @@ impl TraceGenerator {
 
     /// Generates the trace of a single thread (0 = master).
     pub fn generate_thread(&self, tid: usize) -> ThreadTrace {
-        self.generate_thread_into(tid, Vec::new())
+        let mut trace = ThreadTrace::new(ThreadId(tid));
+        self.generate_thread_with(tid, &mut trace);
+        trace
     }
 
-    /// [`generate_thread`](Self::generate_thread) into `records`'
-    /// allocation (its records are cleared first), so a caller generating
-    /// thread after thread can reuse one record vector.
-    pub fn generate_thread_into(&self, tid: usize, records: Vec<TraceRecord>) -> ThreadTrace {
+    /// Generates the trace of a single thread (0 = master) into `sink`,
+    /// record by record in program order, so a consumer that does not keep
+    /// the records never holds the whole trace.
+    pub fn generate_thread_with<S: RecordSink + ?Sized>(&self, tid: usize, sink: &mut S) {
         let p = &self.profile;
         let c = &self.config;
         let is_master = tid == 0;
-        let mut em = Emitter::new(TraceBuilder::reusing(tid, records), tid, c.seed);
+        let mut em = Emitter::new(sink, tid, c.seed);
 
         let num_threads = c.num_workers + 1;
         let parallel_per_phase =
@@ -284,33 +300,31 @@ impl TraceGenerator {
 
         for phase in 0..c.num_phases {
             if is_master {
-                em.builder.set_ipc(p.master_serial_ipc);
+                em.set_ipc(p.master_serial_ipc);
                 self.emit_serial_section(&mut em, serial_per_phase);
-                em.builder.sync(SyncEvent::ParallelStart { num_threads });
-                em.builder.set_ipc(p.master_parallel_ipc);
+                em.sync(SyncEvent::ParallelStart { num_threads });
+                em.set_ipc(p.master_parallel_ipc);
             } else {
-                em.builder.sync(SyncEvent::ParallelStart { num_threads });
-                em.builder.set_ipc(p.worker_parallel_ipc);
+                em.sync(SyncEvent::ParallelStart { num_threads });
+                em.set_ipc(p.worker_parallel_ipc);
             }
 
             self.emit_parallel_region(&mut em, tid, phase, parallel_per_phase);
-            em.builder.sync(SyncEvent::ParallelEnd);
+            em.sync(SyncEvent::ParallelEnd);
         }
 
         if is_master && serial_per_phase > 0 {
             // A short epilogue so the run ends in serial code, like a real
             // OpenMP program returning from main.
-            em.builder.set_ipc(p.master_serial_ipc);
+            em.set_ipc(p.master_serial_ipc);
             self.emit_serial_section(&mut em, serial_per_phase / 4);
         }
-
-        em.finish()
     }
 
     /// Emits one serial section of roughly `budget` instructions on the
     /// master thread: a hot loop interleaved with cold walks over the
     /// serial footprint.
-    fn emit_serial_section(&self, em: &mut Emitter, budget: u64) {
+    fn emit_serial_section<S: RecordSink + ?Sized>(&self, em: &mut Emitter<'_, S>, budget: u64) {
         if budget == 0 {
             return;
         }
@@ -344,7 +358,13 @@ impl TraceGenerator {
 
     /// Emits one thread's share of one parallel region (`budget`
     /// instructions split across `barriers_per_region + 1` chunks).
-    fn emit_parallel_region(&self, em: &mut Emitter, tid: usize, phase: u32, budget: u64) {
+    fn emit_parallel_region<S: RecordSink + ?Sized>(
+        &self,
+        em: &mut Emitter<'_, S>,
+        tid: usize,
+        phase: u32,
+        budget: u64,
+    ) {
         let p = &self.profile;
         let chunks = p.barriers_per_region + 1;
         for chunk in 0..chunks {
@@ -362,12 +382,12 @@ impl TraceGenerator {
             self.emit_parallel_chunk(em, tid, chunk_budget);
 
             if p.uses_critical_sections {
-                em.builder.sync(SyncEvent::CriticalWait { id: 0 });
+                em.sync(SyncEvent::CriticalWait { id: 0 });
                 em.hot_loop(CRITICAL_BASE, 256, p.parallel_bb_bytes.min(64), 48, 0.0);
-                em.builder.sync(SyncEvent::CriticalSignal { id: 0 });
+                em.sync(SyncEvent::CriticalSignal { id: 0 });
             }
             if chunk + 1 < chunks {
-                em.builder.sync(SyncEvent::Barrier {
+                em.sync(SyncEvent::Barrier {
                     id: phase * 64 + chunk,
                 });
             }
@@ -377,7 +397,12 @@ impl TraceGenerator {
     /// Emits one chunk of parallel work: shared hot kernels, a shared cold
     /// walk (if the profile has one), and a small amount of thread-private
     /// code.
-    fn emit_parallel_chunk(&self, em: &mut Emitter, tid: usize, budget: u64) {
+    fn emit_parallel_chunk<S: RecordSink + ?Sized>(
+        &self,
+        em: &mut Emitter<'_, S>,
+        tid: usize,
+        budget: u64,
+    ) {
         let p = &self.profile;
         let private_budget = (budget as f64 * (1.0 - p.sharing)) as u64;
         let cold_budget = (budget as f64 * p.parallel_cold_fraction) as u64;
@@ -426,19 +451,6 @@ mod tests {
         let a = generate(Benchmark::Lu, GeneratorConfig::small());
         let b = generate(Benchmark::Lu, GeneratorConfig::small());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn generating_into_a_used_vector_matches_a_fresh_one() {
-        let generator = TraceGenerator::new(Benchmark::Lu.profile(), GeneratorConfig::small());
-        let set = generator.generate();
-        // Thread 2 leaves more records behind than thread 0 needs.
-        let mut records = generator.generate_thread(2).into_records();
-        for t in set.iter() {
-            let reused = generator.generate_thread_into(t.thread().0, records);
-            assert_eq!(&reused, t);
-            records = reused.into_records();
-        }
     }
 
     #[test]

@@ -5,9 +5,11 @@ use crate::memory::{build_units, unit_of_core, IcacheUnit, InFlightRequest, Requ
 use crate::runtime::SyncRuntime;
 use crate::stats::{CoreReport, SimResult};
 use sim_cache::CacheStats;
-use sim_core::{Core, CoreConfig, CycleOutput, FetchStream, Park, StallKind, StallReason};
+use sim_core::{
+    Core, CoreConfig, CycleOutput, FetchStream, Park, StallKind, StallReason, StreamDecoder,
+};
 use sim_interconnect::BusStats;
-use sim_trace::{ThreadTrace, TraceSet};
+use sim_trace::{RecordSink, ThreadTrace, TraceSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -154,8 +156,18 @@ impl Machine {
     /// Decodes one thread's trace into the fetch stream of the core that
     /// `config` runs it on; see [`Machine::decode_streams`].
     pub fn decode_thread(config: &AcmpConfig, trace: &ThreadTrace) -> FetchStream {
-        let frontend = core_config(config, trace.thread().0).frontend;
-        FetchStream::decode(trace.iter().copied(), &frontend)
+        let mut decoder = Machine::stream_decoder(config, trace.thread().0);
+        for &record in trace {
+            decoder.push(record);
+        }
+        decoder.finish()
+    }
+
+    /// A decoder that assembles thread `thread`'s records with the front
+    /// end of the core that `config` runs it on (thread 0 on the master
+    /// core), so a generator can write the thread straight into it.
+    pub fn stream_decoder(config: &AcmpConfig, thread: usize) -> StreamDecoder {
+        StreamDecoder::new(&core_config(config, thread).frontend)
     }
 
     /// Builds the machine described by `config` with core `i` replaying
@@ -761,6 +773,54 @@ mod tests {
                 assert_eq!(reference, skipped, "{benchmark:?} on {config:?}");
             }
         }
+    }
+
+    /// Checks that each thread of `benchmark` generated straight into the
+    /// decoder of the core `config` runs it on decodes to the stream of the
+    /// same thread generated first and decoded after: the same steps and
+    /// the same predictor statistics.
+    fn assert_decoding_while_generating_matches(
+        benchmark: Benchmark,
+        generator: GeneratorConfig,
+        config: &AcmpConfig,
+    ) {
+        let traces = TraceGenerator::new(benchmark.profile(), generator);
+        for tid in 0..=generator.num_workers {
+            let mut decoder = Machine::stream_decoder(config, tid);
+            traces.generate_thread_with(tid, &mut decoder);
+            let streamed = decoder.finish();
+            let decoded = FetchStream::decode(
+                traces.generate_thread(tid),
+                &core_config(config, tid).frontend,
+            );
+            let what = format!("{benchmark:?} t{tid}");
+            assert_eq!(
+                streamed.predictor_stats(),
+                decoded.predictor_stats(),
+                "{what}"
+            );
+            assert!(streamed == decoded, "{what}: steps differ");
+        }
+    }
+
+    #[test]
+    fn decoding_while_generating_matches_decoding_the_trace_at_quick_scale() {
+        for benchmark in Benchmark::ALL {
+            assert_decoding_while_generating_matches(
+                benchmark,
+                GeneratorConfig::quick(),
+                &AcmpConfig::proposed(4),
+            );
+        }
+    }
+
+    #[test]
+    fn decoding_while_generating_matches_decoding_the_trace_for_cg_at_paper_scale() {
+        assert_decoding_while_generating_matches(
+            Benchmark::Cg,
+            GeneratorConfig::paper(),
+            &AcmpConfig::proposed(8),
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::config::CoreConfig;
 use crate::cpi::CpiStack;
-use crate::stream::{FetchStream, StepStop};
+use crate::stream::{FetchStream, StepCursor, StepStop};
 use sim_frontend::{Ftq, LineBufferFile, LineBufferStats, LineLookup};
 use sim_trace::SyncEvent;
 use std::sync::Arc;
@@ -114,9 +114,9 @@ enum LookaheadStop {
 pub struct Core {
     id: usize,
     config: CoreConfig,
-    /// The thread's decoded fetch steps, and the index of the next one.
+    /// The thread's decoded fetch steps, and the core's place in them.
     stream: Arc<FetchStream>,
-    next_step: usize,
+    cursor: StepCursor,
     ftq: Ftq,
     line_buffers: LineBufferFile,
     head_fetch: HeadFetch,
@@ -168,7 +168,7 @@ impl Core {
             id,
             config,
             stream,
-            next_step: 0,
+            cursor: StepCursor::default(),
             ftq: Ftq::new(config.frontend.ftq_capacity),
             line_buffers: LineBufferFile::new(
                 config.frontend.line_buffers,
@@ -671,8 +671,7 @@ impl Core {
     /// after a mispredicted branch) and starts draining at a sync event or
     /// the end of the trace.
     fn generate_fetch_block(&mut self, now: u64) {
-        let step = self.stream.steps()[self.next_step];
-        self.next_step += 1;
+        let step = self.stream.next_step(&mut self.cursor);
         if let Some(ipc) = step.ipc {
             self.commit_rate = ipc;
         }

@@ -11,10 +11,13 @@
 //! The fetch predictor's output depends on the trace alone, not on timing,
 //! so a thread's trace is decoded once into a [`FetchStream`]: the fetch
 //! blocks, mispredictions, commit-rate changes and sync events the
-//! predictor produces, one step per block.  A core replays its stream,
-//! taking one step in each cycle its FTQ has room and no resteer is
-//! pending; many cores (one per design point of a sweep) can share one
-//! stream.
+//! predictor produces, one step per block, each step stored as its 24-byte
+//! FTQ entry.  A [`StreamDecoder`] assembles the steps as records are
+//! pushed into it (it is a [`RecordSink`](sim_trace::RecordSink)), so a
+//! trace generator can write a thread straight into it and no record is
+//! kept.  A core replays its stream, taking one step in each cycle its FTQ
+//! has room and no resteer is pending; many cores (one per design point of
+//! a sweep) can share one stream.
 //!
 //! The core does **not** talk to the I-cache directly: every cycle it emits
 //! the line-fetch requests it wants to make and the machine model
@@ -50,7 +53,7 @@ pub mod stream;
 pub use crate::core::{Core, CoreState, CycleOutput, Park, StallReason};
 pub use config::CoreConfig;
 pub use cpi::{CpiStack, StallKind};
-pub use stream::FetchStream;
+pub use stream::{FetchStream, StreamDecoder};
 
 #[cfg(test)]
 mod crate_tests {
@@ -63,5 +66,6 @@ mod crate_tests {
         assert_send::<CpiStack>();
         assert_send::<CoreConfig>();
         assert_send::<FetchStream>();
+        assert_send::<StreamDecoder>();
     }
 }

@@ -5,13 +5,16 @@
 //! assembles, whether the branch ending it was mispredicted and where the
 //! commit rate changes depend only on the thread's records, the predictor
 //! configuration and the fetch-block size cap — never on the memory system,
-//! the line buffers or timing.  [`FetchStream::decode`] runs that assembly
-//! over the whole trace once; a [`Core`](crate::Core) then applies one step
-//! in each cycle it would have assembled a block.  Every design point of a
-//! sweep that shares the predictor and the cap replays the same stream.
+//! the line buffers or timing.  A [`StreamDecoder`] runs that assembly as
+//! the records arrive, so a trace need not be kept to be decoded: a
+//! generator writes into it as into any [`RecordSink`], and
+//! [`FetchStream::decode`] feeds it a materialised trace.  A
+//! [`Core`](crate::Core) then applies one step in each cycle it would have
+//! assembled a block.  Every design point of a sweep that shares the
+//! predictor and the cap replays the same stream.
 
 use sim_frontend::{FetchPredictor, FrontEndConfig, FtqEntry, PredictorConfig, PredictorStats};
-use sim_trace::{SyncEvent, TraceRecord};
+use sim_trace::{RecordSink, SyncEvent, TraceRecord};
 
 /// Where one call of fetch-block assembly stopped, when it stopped for
 /// something other than a block boundary.
@@ -35,15 +38,44 @@ pub(crate) struct FetchStep {
     pub(crate) stop: Option<StepStop>,
 }
 
+/// The commit-rate change and the stop of one step, kept only for the
+/// steps that have either.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct StepMark {
+    step: usize,
+    ipc: Option<f64>,
+    stop: Option<StepStop>,
+}
+
+/// The stored block of a step that pushes none.
+const NO_BLOCK: FtqEntry = FtqEntry {
+    start: 0,
+    len_bytes: 0,
+    num_instrs: 0,
+    ends_in_mispredict: false,
+};
+
 /// One thread's trace as the sequence of fetch steps its core takes.
 ///
-/// The last step always stops at the end of the trace.
-#[derive(Debug)]
+/// Each step is stored as the FTQ entry it pushes (24 bytes), where an
+/// entry of zero instructions means the step pushes no block.  The few
+/// steps that change the commit rate or stop are listed apart, in step
+/// order.  The last step always stops at the end of the trace.
+#[derive(Debug, PartialEq)]
 pub struct FetchStream {
-    steps: Vec<FetchStep>,
+    blocks: Vec<FtqEntry>,
+    marks: Vec<StepMark>,
     predictor_stats: PredictorStats,
     predictor: PredictorConfig,
     max_fetch_block_bytes: u32,
+}
+
+/// A core's place in a [`FetchStream`]: its next step, and the first mark
+/// at or after that step.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StepCursor {
+    step: usize,
+    mark: usize,
 }
 
 impl FetchStream {
@@ -57,32 +89,32 @@ impl FetchStream {
         records: impl IntoIterator<Item = TraceRecord>,
         frontend: &FrontEndConfig,
     ) -> Self {
-        let mut decoder = Decoder {
-            records: records.into_iter(),
-            predictor: FetchPredictor::new(frontend.predictor),
-            pushback: None,
-            max_bytes: frontend.max_fetch_block_bytes,
-        };
-        let mut steps = Vec::new();
-        loop {
-            let step = decoder.next_step();
-            steps.push(step);
-            if step.stop == Some(StepStop::TraceEnd) {
-                break;
-            }
+        let mut decoder = StreamDecoder::new(frontend);
+        for record in records {
+            decoder.push(record);
         }
-        steps.shrink_to_fit();
-        FetchStream {
-            steps,
-            predictor_stats: *decoder.predictor.stats(),
-            predictor: frontend.predictor,
-            max_fetch_block_bytes: frontend.max_fetch_block_bytes,
-        }
+        decoder.finish()
     }
 
-    /// The steps, in the order the core takes them.
-    pub(crate) fn steps(&self) -> &[FetchStep] {
-        &self.steps
+    /// The step at `cursor`, which moves past it.  The caller takes no
+    /// step after the one that stops at the end of the trace.
+    #[inline]
+    pub(crate) fn next_step(&self, cursor: &mut StepCursor) -> FetchStep {
+        let block = self.blocks[cursor.step];
+        let mut step = FetchStep {
+            ipc: None,
+            block: (block.num_instrs > 0).then_some(block),
+            stop: None,
+        };
+        if let Some(mark) = self.marks.get(cursor.mark) {
+            if mark.step == cursor.step {
+                step.ipc = mark.ipc;
+                step.stop = mark.stop;
+                cursor.mark += 1;
+            }
+        }
+        cursor.step += 1;
+        step
     }
 
     /// The predictor's statistics over the whole trace.
@@ -99,93 +131,116 @@ impl FetchStream {
     }
 }
 
-/// Fetch-block assembly over one thread's records.
-struct Decoder<I> {
-    records: I,
+/// Fetch-block assembly over one thread's records, fed one record at a
+/// time; [`finish`](Self::finish) returns the [`FetchStream`].
+///
+/// A step ends at a taken or mispredicted branch, at the size cap, before
+/// an instruction that does not follow its block's last one, at a
+/// commit-rate change once its block has an instruction, or at a sync
+/// event.  The last step ends at the end of the trace.
+#[derive(Debug)]
+pub struct StreamDecoder {
     predictor: FetchPredictor,
-    /// One record pushed back by assembly (the first record after a
-    /// discontinuity), read first by the next step.
-    pushback: Option<TraceRecord>,
     max_bytes: u32,
+    blocks: Vec<FtqEntry>,
+    marks: Vec<StepMark>,
+    /// The open step's last commit-rate change.
+    ipc: Option<f64>,
+    /// The open step's block so far; no instruction has joined it while it
+    /// has zero.
+    block: FtqEntry,
 }
 
-impl<I: Iterator<Item = TraceRecord>> Decoder<I> {
-    /// Assembles one fetch block: reads records until the block ends at a
-    /// taken or mispredicted branch, the size cap, a discontinuity or a
-    /// commit-rate change, or until a sync event or the end of the trace.
-    fn next_step(&mut self) -> FetchStep {
-        let mut ipc = None;
-        let mut stop = None;
-        let mut start: Option<u64> = None;
-        let mut next_addr: u64 = 0;
-        let mut len_bytes: u32 = 0;
-        let mut num_instrs: u32 = 0;
-        let mut mispredicted = false;
+impl StreamDecoder {
+    /// A decoder with a fresh fetch predictor and the fetch-block cap of
+    /// `frontend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the predictor configuration is invalid.
+    pub fn new(frontend: &FrontEndConfig) -> Self {
+        StreamDecoder {
+            predictor: FetchPredictor::new(frontend.predictor),
+            max_bytes: frontend.max_fetch_block_bytes,
+            blocks: Vec::new(),
+            marks: Vec::new(),
+            ipc: None,
+            block: NO_BLOCK,
+        }
+    }
 
-        loop {
-            let Some(rec) = self.pushback.take().or_else(|| self.records.next()) else {
-                stop = Some(StepStop::TraceEnd);
-                break;
-            };
-            match rec {
-                TraceRecord::SetIpc { ipc: rate } => {
-                    // Commit-rate changes take effect immediately; they sit
-                    // at region boundaries in the traces.
-                    ipc = Some(rate);
-                    if start.is_some() {
-                        break;
+    /// Ends the open step with `stop`.
+    fn close(&mut self, stop: Option<StepStop>) {
+        if self.ipc.is_some() || stop.is_some() {
+            self.marks.push(StepMark {
+                step: self.blocks.len(),
+                ipc: self.ipc.take(),
+                stop,
+            });
+        }
+        self.blocks
+            .push(std::mem::replace(&mut self.block, NO_BLOCK));
+    }
+
+    /// Ends the last step at the end of the trace and returns the stream
+    /// of every record pushed.
+    pub fn finish(mut self) -> FetchStream {
+        self.close(Some(StepStop::TraceEnd));
+        self.blocks.shrink_to_fit();
+        self.marks.shrink_to_fit();
+        FetchStream {
+            blocks: self.blocks,
+            marks: self.marks,
+            predictor_stats: *self.predictor.stats(),
+            predictor: *self.predictor.config(),
+            max_fetch_block_bytes: self.max_bytes,
+        }
+    }
+}
+
+impl RecordSink for StreamDecoder {
+    #[inline]
+    fn push(&mut self, record: TraceRecord) {
+        match record {
+            TraceRecord::SetIpc { ipc } => {
+                // Commit-rate changes take effect immediately; they sit at
+                // region boundaries in the traces.
+                self.ipc = Some(ipc);
+                if self.block.num_instrs > 0 {
+                    self.close(None);
+                }
+            }
+            TraceRecord::Sync(ev) => self.close(Some(StepStop::Sync(ev))),
+            TraceRecord::Instr { addr, len } | TraceRecord::Branch { addr, len, .. } => {
+                let a = addr.raw();
+                if self.block.num_instrs > 0 && a != self.block.end() {
+                    // Discontinuity: close the block; the record opens the
+                    // next step.
+                    self.close(None);
+                }
+                if self.block.num_instrs == 0 {
+                    self.block.start = a;
+                }
+                self.block.len_bytes += u32::from(len);
+                self.block.num_instrs += 1;
+                if let TraceRecord::Branch { info, .. } = record {
+                    let resteer = self.predictor.predict_and_train(
+                        a,
+                        info.taken,
+                        info.target.raw(),
+                        info.indirect,
+                    );
+                    if resteer || info.taken {
+                        self.block.ends_in_mispredict = resteer;
+                        self.close(None);
+                        return;
                     }
                 }
-                TraceRecord::Sync(ev) => {
-                    stop = Some(StepStop::Sync(ev));
-                    break;
-                }
-                TraceRecord::Instr { addr, len } | TraceRecord::Branch { addr, len, .. } => {
-                    let a = addr.raw();
-                    match start {
-                        Some(_) if a != next_addr => {
-                            // Discontinuity: close the block, keep the record.
-                            self.pushback = Some(rec);
-                            break;
-                        }
-                        Some(_) => {}
-                        None => start = Some(a),
-                    }
-                    len_bytes += u32::from(len);
-                    num_instrs += 1;
-                    next_addr = a + u64::from(len);
-                    if let TraceRecord::Branch { info, .. } = rec {
-                        let resteer = self.predictor.predict_and_train(
-                            a,
-                            info.taken,
-                            info.target.raw(),
-                            info.indirect,
-                        );
-                        if resteer {
-                            mispredicted = true;
-                            break;
-                        }
-                        if info.taken {
-                            break;
-                        }
-                    }
-                    if len_bytes >= self.max_bytes {
-                        break;
-                    }
+                if self.block.len_bytes >= self.max_bytes {
+                    self.close(None);
                 }
             }
         }
-
-        let block = start.map(|start| {
-            debug_assert!(num_instrs > 0);
-            FtqEntry {
-                start,
-                len_bytes,
-                num_instrs,
-                ends_in_mispredict: mispredicted,
-            }
-        });
-        FetchStep { ipc, block, stop }
     }
 }
 
@@ -197,6 +252,18 @@ mod tests {
 
     fn decode(trace: ThreadTrace) -> FetchStream {
         FetchStream::decode(trace, &FrontEndConfig::worker())
+    }
+
+    /// Every step of `stream`, in the order a core takes them.
+    fn steps(stream: &FetchStream) -> Vec<FetchStep> {
+        let mut cursor = StepCursor::default();
+        let mut steps = vec![stream.next_step(&mut cursor)];
+        while steps.last().unwrap().stop != Some(StepStop::TraceEnd) {
+            steps.push(stream.next_step(&mut cursor));
+        }
+        assert_eq!(cursor.step, stream.blocks.len(), "steps after the end");
+        assert_eq!(cursor.mark, stream.marks.len(), "marks after the end");
+        steps
     }
 
     fn step(ipc: Option<f64>, block: Option<FtqEntry>, stop: Option<StepStop>) -> FetchStep {
@@ -213,6 +280,60 @@ mod tests {
     }
 
     #[test]
+    fn steps_are_stored_as_ftq_entries_with_rate_changes_and_stops_apart() {
+        // A rate change and a barrier before any instruction: the first step
+        // pushes no block but changes the rate and stops.  The second step
+        // has neither; the third ends the trace.
+        let barrier = SyncEvent::Barrier { id: 3 };
+        let mut b = TraceBuilder::new(0);
+        b.set_ipc(1.5)
+            .sync(barrier)
+            .instr(0x1000, 4)
+            .instr(0x2000, 4)
+            .instr(0x2004, 4);
+        let stream = decode(b.finish());
+        assert_eq!(std::mem::size_of::<FtqEntry>(), 24);
+        assert_eq!(
+            stream.blocks,
+            [
+                NO_BLOCK,
+                block(0x1000, 1, false).unwrap(),
+                block(0x2000, 2, false).unwrap()
+            ]
+        );
+        assert_eq!(
+            stream.marks,
+            [
+                StepMark {
+                    step: 0,
+                    ipc: Some(1.5),
+                    stop: Some(StepStop::Sync(barrier)),
+                },
+                StepMark {
+                    step: 2,
+                    ipc: None,
+                    stop: Some(StepStop::TraceEnd),
+                },
+            ]
+        );
+        assert_eq!(
+            steps(&stream),
+            [
+                step(Some(1.5), None, Some(StepStop::Sync(barrier))),
+                step(None, block(0x1000, 1, false), None),
+                step(None, block(0x2000, 2, false), Some(StepStop::TraceEnd)),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_empty_trace_is_one_step_that_ends_it() {
+        let stream = decode(TraceBuilder::new(0).finish());
+        assert_eq!(stream.blocks, [NO_BLOCK]);
+        assert_eq!(steps(&stream), [step(None, None, Some(StepStop::TraceEnd))]);
+    }
+
+    #[test]
     fn a_discontinuity_opens_the_next_step_with_the_pushed_back_record() {
         let mut b = TraceBuilder::new(0);
         b.instr(0x1000, 4)
@@ -220,7 +341,7 @@ mod tests {
             .instr(0x2000, 4)
             .instr(0x2004, 4);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [
                 step(None, block(0x1000, 2, false), None),
                 step(None, block(0x2000, 2, false), Some(StepStop::TraceEnd)),
@@ -235,7 +356,7 @@ mod tests {
             .instr(0x1000, 4)
             .branch(0x1004, 4, 0x3000, true);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [
                 step(Some(1.5), block(0x1000, 2, true), None),
                 step(None, None, Some(StepStop::TraceEnd)),
@@ -251,7 +372,7 @@ mod tests {
             .set_ipc(0.5)
             .instr(0x1004, 4);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [
                 step(Some(0.5), block(0x1000, 1, false), None),
                 step(None, block(0x1004, 1, false), Some(StepStop::TraceEnd)),
@@ -268,7 +389,7 @@ mod tests {
             .sync(barrier)
             .instr(0x1008, 4);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [
                 step(None, block(0x1000, 2, false), Some(StepStop::Sync(barrier))),
                 step(None, block(0x1008, 1, false), Some(StepStop::TraceEnd)),
@@ -281,7 +402,7 @@ mod tests {
         let mut b = TraceBuilder::new(0);
         b.instr(0x1000, 4).instr(0x1004, 4).instr(0x1008, 4);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [step(
                 None,
                 block(0x1000, 3, false),
@@ -301,7 +422,7 @@ mod tests {
         let cap = FrontEndConfig::worker().max_fetch_block_bytes;
         assert_eq!(cap, 256);
         assert_eq!(
-            decode(b.finish()).steps(),
+            steps(&decode(b.finish())),
             [
                 step(None, block(0x1000, 64, false), None),
                 step(None, block(0x1100, 6, false), Some(StepStop::TraceEnd)),
@@ -321,7 +442,7 @@ mod tests {
             .instr(0x2000, 4);
         let stream = decode(b.finish());
         assert_eq!(
-            stream.steps(),
+            steps(&stream),
             [
                 step(None, block(0x1000, 4, true), None),
                 step(None, block(0x2000, 1, false), Some(StepStop::TraceEnd)),
@@ -339,7 +460,7 @@ mod tests {
             let set = TraceGenerator::new(benchmark.profile(), generator).generate();
             for trace in set.iter() {
                 let stream = FetchStream::decode(trace.iter().copied(), &frontend);
-                let blocks: Vec<FtqEntry> = stream.steps().iter().filter_map(|s| s.block).collect();
+                let blocks: Vec<FtqEntry> = steps(&stream).iter().filter_map(|s| s.block).collect();
                 let instrs: u64 = blocks.iter().map(|b| u64::from(b.num_instrs)).sum();
                 let bytes: u64 = blocks.iter().map(|b| u64::from(b.len_bytes)).sum();
                 let record_bytes: u64 = trace

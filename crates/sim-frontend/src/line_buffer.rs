@@ -228,7 +228,11 @@ impl LineBufferFile {
         };
         match slot {
             Some(idx) => {
-                if self.buffers[idx].state == State::Invalid {
+                // Taking an invalid buffer leaves the valid ones, and so the
+                // LRU slot, as they were; evicting the LRU buffer needs a
+                // new one.
+                let evicts = self.buffers[idx].state == State::Valid;
+                if !evicts {
                     self.invalid -= 1;
                 }
                 self.buffers[idx] = Buffer {
@@ -237,7 +241,9 @@ impl LineBufferFile {
                     last_use: now,
                 };
                 self.pending += 1;
-                self.lru = self.scan_lru();
+                if evicts {
+                    self.lru = self.scan_lru();
+                }
                 self.stats.icache_accesses += 1;
                 true
             }
@@ -297,7 +303,12 @@ impl LineBufferFile {
                 self.buffers[idx].state = State::Valid;
                 self.buffers[idx].last_use = now;
                 self.pending -= 1;
-                self.lru = self.scan_lru();
+                // One buffer joins the valid ones: it is the LRU one only if
+                // it is older than the current LRU buffer.
+                match self.lru {
+                    Some(lru) if (self.buffers[lru].last_use, lru) < (now, idx) => {}
+                    _ => self.lru = Some(idx),
+                }
                 return true;
             }
         }

@@ -14,8 +14,10 @@
 //! * the instruction address and line alignment ([`addr`]),
 //! * fetch blocks ([`fetch_block`]) — the unit the decoupled front-end
 //!   operates on,
-//! * trace containers and a batch cursor over a shared trace set
-//!   ([`source`]),
+//! * trace containers, the [`RecordSink`] a producer writes one thread's
+//!   records into (a [`ThreadTrace`] keeps them; the simulator's fetch-step
+//!   decoder consumes them as they arrive), and a batch cursor over a
+//!   shared trace set ([`source`]),
 //! * streaming trace statistics ([`stats`]) used by the workload
 //!   characterisation figures of the paper (average basic-block length,
 //!   per-region footprints, instruction sharing),
@@ -49,7 +51,9 @@ pub use addr::{line_addr, InstrAddr};
 pub use fetch_block::{FetchBlock, FetchBlockBuilder};
 pub use record::{BranchInfo, Region, SyncEvent, TraceRecord};
 pub use serialize::{write_trace_set_json, TraceSerializeError, TRACE_FORMAT_VERSION};
-pub use source::{SharedTraceCursor, ThreadId, ThreadTrace, TraceBuilder, TraceSet, TraceSource};
+pub use source::{
+    RecordSink, SharedTraceCursor, ThreadId, ThreadTrace, TraceBuilder, TraceSet, TraceSource,
+};
 pub use stats::{FootprintStats, RegionStats, SharingStats, TraceStats};
 
 #[cfg(test)]

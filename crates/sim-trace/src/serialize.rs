@@ -138,7 +138,7 @@ pub fn write_trace_set_json<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::TraceBuilder;
+    use crate::source::{RecordSink, TraceBuilder};
     use crate::{BranchInfo, InstrAddr, SyncEvent, TraceRecord};
 
     fn written(set: &TraceSet) -> String {

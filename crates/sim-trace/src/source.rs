@@ -1,9 +1,11 @@
-//! Trace containers and sources.
+//! Trace containers, sinks and sources.
 //!
-//! The simulator consumes one trace per thread.  [`ThreadTrace`] is a
-//! materialised, in-memory trace; [`TraceSet`] groups the per-thread traces
-//! of one application run; [`SharedTraceCursor`] reads one thread's records
-//! of a shared set in batches through [`TraceSource`].
+//! The simulator consumes one trace per thread.  A producer writes a
+//! thread's records, in program order, into a [`RecordSink`];
+//! [`ThreadTrace`] is the sink that keeps them, as a materialised,
+//! in-memory trace.  [`TraceSet`] groups the per-thread traces of one
+//! application run; [`SharedTraceCursor`] reads one thread's records of a
+//! shared set in batches through [`TraceSource`].
 
 use crate::record::{BranchInfo, SyncEvent, TraceRecord};
 use crate::InstrAddr;
@@ -27,6 +29,15 @@ impl From<usize> for ThreadId {
     }
 }
 
+/// A consumer of one thread's trace records, fed in program order.
+///
+/// A producer that writes into a sink need not know whether the records
+/// are kept ([`ThreadTrace`]) or consumed as they arrive.
+pub trait RecordSink {
+    /// Takes the thread's next record.
+    fn push(&mut self, record: TraceRecord);
+}
+
 /// A source of trace records for one thread, read in batches.
 pub trait TraceSource {
     /// Appends up to `max` records to `buf`, returning how many were
@@ -48,11 +59,6 @@ impl ThreadTrace {
             thread,
             records: Vec::new(),
         }
-    }
-
-    /// Creates a trace from pre-built records.
-    pub fn from_records(thread: ThreadId, records: Vec<TraceRecord>) -> Self {
-        ThreadTrace { thread, records }
     }
 
     /// The thread this trace belongs to.
@@ -80,20 +86,16 @@ impl ThreadTrace {
         self.records.iter().filter(|r| r.is_instruction()).count() as u64
     }
 
-    /// Appends a record.
-    pub fn push(&mut self, record: TraceRecord) {
-        self.records.push(record);
-    }
-
     /// Returns an iterator over the records.
     pub fn iter(&self) -> std::slice::Iter<'_, TraceRecord> {
         self.records.iter()
     }
+}
 
-    /// Consumes the trace and returns its record vector, so the allocation
-    /// can be reused (see [`TraceBuilder::reusing`]).
-    pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
+impl RecordSink for ThreadTrace {
+    /// Appends the record.
+    fn push(&mut self, record: TraceRecord) {
+        self.records.push(record);
     }
 }
 
@@ -187,15 +189,6 @@ impl TraceBuilder {
     pub fn new(thread: usize) -> Self {
         TraceBuilder {
             trace: ThreadTrace::new(ThreadId(thread)),
-        }
-    }
-
-    /// Creates a builder for the trace of thread `thread` that appends into
-    /// `records`' allocation; its records are cleared first.
-    pub fn reusing(thread: usize, mut records: Vec<TraceRecord>) -> Self {
-        records.clear();
-        TraceBuilder {
-            trace: ThreadTrace::from_records(ThreadId(thread), records),
         }
     }
 
@@ -417,20 +410,6 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(cursor.next_records(&mut buf, 7), 7);
         assert_eq!(buf, set.thread(ThreadId(1)).unwrap().records());
-    }
-
-    #[test]
-    fn a_reusing_builder_starts_empty_in_the_old_allocation() {
-        let mut b = TraceBuilder::new(0);
-        b.basic_block(0x1000, 16, 0x1000, true);
-        let old = b.finish().into_records();
-        let capacity = old.capacity();
-        let mut b = TraceBuilder::reusing(3, old);
-        b.instr(0x40, 4);
-        let t = b.finish();
-        assert_eq!(t.thread(), ThreadId(3));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.into_records().capacity(), capacity);
     }
 
     #[test]

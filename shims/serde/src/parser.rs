@@ -393,7 +393,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Decodes the escape whose letter is at the reader's position, leaving
-    /// the reader on its last byte.
+    /// the reader on its last byte (for a surrogate pair, the last byte of
+    /// the second escape).
     fn unescape(&mut self) -> Result<char, Error> {
         let bytes = self.input.as_bytes();
         Ok(match bytes.get(self.pos) {
@@ -406,19 +407,22 @@ impl<'a> Parser<'a> {
             Some(b'b') => '\u{8}',
             Some(b'f') => '\u{c}',
             Some(b'u') => {
-                // Exactly four ASCII hex digits; no sign, no shorter run.
-                let c = bytes
-                    .get(self.pos + 1..self.pos + 5)
-                    .and_then(|hex| {
-                        hex.iter()
-                            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
-                    })
-                    .and_then(char::from_u32)
-                    .ok_or_else(|| {
-                        Error::custom(format!("bad unicode escape at offset {}", self.pos))
-                    })?;
+                let at = self.pos;
+                let mut code = hex4(bytes, at + 1);
+                if let Some(high @ 0xD800..=0xDBFF) = code {
+                    // A UTF-16 high surrogate spells a char only with the
+                    // escaped low surrogate right after it.
+                    code = bytes
+                        .get(at + 5..at + 7)
+                        .filter(|&escape| escape == b"\\u")
+                        .and_then(|_| hex4(bytes, at + 7))
+                        .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                        .map(|low| 0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00));
+                    self.pos += 6;
+                }
                 self.pos += 4;
-                c
+                code.and_then(char::from_u32)
+                    .ok_or_else(|| Error::custom(format!("bad unicode escape at offset {at}")))?
             }
             _ => return Err(Error::custom(format!("bad escape at offset {}", self.pos))),
         })
@@ -623,6 +627,15 @@ impl Deserialize for Value {
     }
 }
 
+/// The value of the four ASCII hex digits at `at` (either case; no sign,
+/// no shorter run).
+fn hex4(bytes: &[u8], at: usize) -> Option<u32> {
+    bytes
+        .get(at..at + 4)?
+        .iter()
+        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::Parser;
@@ -655,6 +668,16 @@ mod tests {
     }
 
     #[test]
+    fn a_surrogate_pair_compares_equal_to_its_char() {
+        assert!(agrees(r#""\ud83d\ude00""#, "\u{1F600}"));
+        assert!(agrees(r#""x\uD83D\uDE00y\u00e9""#, "x\u{1F600}y\u{e9}"));
+        assert!(agrees(r#""\udbff\udfff""#, "\u{10FFFF}"));
+        // The pair is one char: neither half matches on its own.
+        assert!(!agrees(r#""\ud83d\ude00""#, "\u{1F600}x"));
+        assert!(!agrees(r#""\ud83d\ude00""#, ""));
+    }
+
+    #[test]
     fn a_mismatch_at_any_position_is_rejected() {
         for (i, c) in DECODED.char_indices() {
             let other = if c == 'x' { 'y' } else { 'x' };
@@ -682,6 +705,11 @@ mod tests {
             r#""\u00""#,
             r#""\u00zz""#,
             r#""\ud800""#,
+            r#""\udc00\ud800""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\n""#,
+            r#""\ud800\udc0""#,
+            r#""\ud800\u"#,
             r#""\u+0e9""#,
             r#""\u-0e9""#,
             r#""\"#,

@@ -327,6 +327,39 @@ fn unicode_escapes_take_either_case_of_hex_digit() {
 }
 
 #[test]
+fn an_escaped_surrogate_pair_decodes_to_one_char() {
+    for (escaped, decoded) in [
+        (r#""\ud83d\ude00""#, "\u{1F600}"),
+        (r#""\uD83D\uDE00""#, "\u{1F600}"),
+        (r#""a\ud800\udc00b""#, "a\u{10000}b"),
+        (r#""\udbff\udfff""#, "\u{10FFFF}"),
+    ] {
+        assert_eq!(from_str::<String>(escaped).unwrap(), decoded);
+        assert_eq!(
+            from_str::<Value>(escaped).unwrap(),
+            Value::String(decoded.to_string())
+        );
+    }
+}
+
+#[test]
+fn a_lone_or_reversed_surrogate_is_rejected() {
+    // A low surrogate first, a high one followed by no escape, by an
+    // escape that is no low surrogate, or by a short one.
+    for bad in [
+        r#""\udc00\ud800""#,
+        r#""\udc00""#,
+        r#""\ud800x""#,
+        r#""\ud800\u0041""#,
+        r#""\ud800\ud800""#,
+        r#""\ud800\udc0""#,
+    ] {
+        assert_eq!(error::<String>(bad), "bad unicode escape at offset 2");
+        assert_eq!(error::<Value>(bad), "bad unicode escape at offset 2");
+    }
+}
+
+#[test]
 fn a_short_or_surrogate_unicode_escape_is_rejected() {
     // Three digits then the quote, input ending mid-escape, and a lone
     // UTF-16 surrogate, which is no char.
